@@ -21,7 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from .config import limits
+from .config import overridden_limits
 from .constructions import (
     CatalogConfig,
     alternating,
@@ -38,6 +38,7 @@ from .classes import (
     ClassSpec,
     SOLUBLE,
     VStarClass,
+    _split_args,
     is_member,
     parse_spec,
     residual,
@@ -229,42 +230,12 @@ def _vstar_idempotence_rows(groups, spec):
     return rows
 
 
-def _regularity_worker(payload):
-    """Runs in a pool worker: rebuild the group, compute one sweep row."""
-    table, name, spec_text = payload
-    from .groups import _trusted_group
-    from .regularity import regularity_row
-
-    G = _trusted_group(tuple(tuple(r) for r in table), name)
-    return regularity_row(G, parse_spec(spec_text))
-
-
-def _parallel_regularity(groups, spec, workers: int):
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .regularity import RegularityReport, is_theorem_backed_regular
-
-    payloads = [(G.table, G.name, spec.text()) for G in groups]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(_regularity_worker, payloads))
-    rows = tuple(sorted(rows, key=lambda r: (r.order, r.group_name)))
-    report = RegularityReport(spec.text(), is_theorem_backed_regular(spec), rows)
-    if report.violations:
-        bad = ", ".join(r.group_name for r in report.violations)
-        raise TheoremViolation(
-            f"regular spec {spec.text()} has unequal sets on: {bad}", report)
-    return report
-
-
 def cmd_sweep(args) -> int:
     groups = _catalog_groups(args.catalog, args.max_order)
     spec = parse_spec(args.spec)
     if args.mode == "regularity":
         try:
-            if args.workers > 1:
-                report = _parallel_regularity(groups, spec, args.workers)
-            else:
-                report = regularity_sweep(groups, spec)
+            report = regularity_sweep(groups, spec, workers=args.workers)
         except TheoremViolation as exc:
             sys.stderr.write(f"THEOREM VIOLATION: {exc}\n")
             if exc.report is not None:
@@ -316,22 +287,6 @@ def cmd_graph(args) -> int:
 _SN_CALL = re.compile(r"^(lcm|gcd|divides|encode|decode|complement)\((.*)\)$")
 
 
-def _split_top(body: str) -> list[str]:
-    parts, depth, current = [], 0, []
-    for ch in body:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p for p in (s.strip() for s in parts) if p]
-
-
 def _eval_sn(expr: str):
     from .supernatural import complement as sn_complement
 
@@ -346,7 +301,7 @@ def _eval_sn(expr: str):
         return decode_supernatural(_eval_sn(body))
     if head == "complement":
         return sn_complement(_eval_sn(body))
-    parts = _split_top(body)
+    parts = _split_args(body)
     if len(parts) != 2:
         raise FormatioError(f"{head} takes two arguments")
     a, b = _eval_sn(parts[0]), _eval_sn(parts[1])
@@ -371,14 +326,28 @@ def cmd_sn(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: exit code 2 is reserved for theorem violations."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _at_least_one(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="formatio",
         description="Formation calculus on concrete finite groups.")
-    parser.add_argument("--budget-subgroups", type=int, default=None,
-                        help="cap on enumerated subgroups per group")
-    parser.add_argument("--horizon-primes", type=int, default=None,
-                        help="materialized positions of the pairing codec")
+    parser.add_argument("--budget-subgroups", type=_at_least_one, default=None,
+                        help="cap on enumerated subgroups per group (>= 1)")
+    parser.add_argument("--horizon-primes", type=_at_least_one, default=None,
+                        help="materialized positions of the pairing codec (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog-build", help="build and persist the catalog")
@@ -425,12 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget_subgroups:
-        limits.subgroup_budget = args.budget_subgroups
-    if args.horizon_primes:
-        limits.prime_horizon = args.horizon_primes
     try:
-        return args.func(args)
+        with overridden_limits(subgroup_budget=args.budget_subgroups,
+                               prime_horizon=args.horizon_primes):
+            return args.func(args)
     except TheoremViolation as exc:
         sys.stderr.write(f"THEOREM VIOLATION: {exc}\n")
         return 2

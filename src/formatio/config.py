@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 
 @dataclass
@@ -13,3 +14,16 @@ class Limits:
 
 
 limits = Limits()
+
+
+@contextmanager
+def overridden_limits(**changes):
+    """Set fields of the process-wide `limits` for the duration of a block;
+    a field given as None keeps its current value."""
+    saved = replace(limits)
+    changes = {name: value for name, value in changes.items() if value is not None}
+    vars(limits).update(vars(replace(limits, **changes)))
+    try:
+        yield limits
+    finally:
+        vars(limits).update(vars(saved))

@@ -254,28 +254,29 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def _closure(table: Table, seed: Iterable[int]) -> tuple[int, ...]:
-    """Smallest multiplicatively closed set containing the identity and seed."""
+    """Element set of the subgroup generated by the seed (Dimino's closure).
+
+    Each seed element not yet reached becomes a generator, and the reached set
+    is closed under right multiplication by the generators kept so far: in a
+    finite group the orbit of the identity under the generators is the
+    subgroup they generate.
+    """
     elems = [0]
     seen = {0}
+    gens: list[int] = []
     for g in seed:
-        if g not in seen:
-            seen.add(g)
-            elems.append(g)
-    i = 0
-    while i < len(elems):
-        a = elems[i]
-        row_a = table[a]
-        for j in range(i + 1):
-            b = elems[j]
-            c = row_a[b]
-            if c not in seen:
-                seen.add(c)
-                elems.append(c)
-            c = table[b][a]
-            if c not in seen:
-                seen.add(c)
-                elems.append(c)
-        i += 1
+        if g in seen:
+            continue
+        gens.append(g)
+        i = 0
+        while i < len(elems):
+            row = table[elems[i]]
+            for h in gens:
+                c = row[h]
+                if c not in seen:
+                    seen.add(c)
+                    elems.append(c)
+            i += 1
     return tuple(sorted(elems))
 
 
@@ -350,32 +351,28 @@ def normal_core(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 
 def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup of G containing the seed elements."""
+    """Smallest normal subgroup of G containing the seed elements: the
+    subgroup generated by every conjugate of the seed."""
+    seed = tuple(seed)
     table = G.table
     inv = G.inverse
-    elems = [0]
-    seen = {0}
-    for g in seed:
-        if g not in seen:
-            seen.add(g)
-            elems.append(g)
-    i = 0
-    while i < len(elems):
-        a = elems[i]
-        row_a = table[a]
-        for j in range(i + 1):
-            b = elems[j]
-            for c in (row_a[b], table[b][a]):
-                if c not in seen:
-                    seen.add(c)
-                    elems.append(c)
-        for g in range(G.order):
-            c = table[table[g][a]][inv[g]]
-            if c not in seen:
-                seen.add(c)
-                elems.append(c)
-        i += 1
-    return Subgroup(G, tuple(sorted(elems)))
+    conjugates = (table[table[g][a]][inv[g]] for g in range(G.order) for a in seed)
+    return Subgroup(G, _closure(table, conjugates))
+
+
+def derived_series(G: FiniteGroup, elems: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Derived series of the subgroup with element set `elems`, from `elems`
+    down to the first term that equals its own commutator subgroup.
+
+    The series ends in the trivial subgroup exactly when the subgroup is soluble.
+    """
+    series = [elems]
+    while True:
+        current = series[-1]
+        nxt = _closure(G.table, {G.commutator(a, b) for a in current for b in current})
+        if nxt == current:
+            return tuple(series)
+        series.append(nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -507,20 +504,6 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup,
 # Isomorphism testing
 
 
-def _derived_length(G: FiniteGroup) -> int:
-    """Number of strict steps in the derived series (0 for the trivial group)."""
-    current = tuple(range(G.order))
-    steps = 0
-    while len(current) > 1:
-        commutators = {G.commutator(a, b) for a in current for b in current}
-        nxt = _closure(G.table, tuple(commutators))
-        if nxt == current:
-            return steps + G.order  # not soluble; still a valid invariant
-        current = nxt
-        steps += 1
-    return steps
-
-
 def _iso_screen(G: FiniteGroup) -> tuple:
     key = "iso_screen"
     got = G._derived.get(key)
@@ -529,7 +512,7 @@ def _iso_screen(G: FiniteGroup) -> tuple:
             G.order,
             tuple(sorted(G.element_order)),
             center(G).order,
-            _derived_length(G),
+            tuple(len(t) for t in derived_series(G, tuple(range(G.order)))),
         )
         G._derived[key] = got
     return got

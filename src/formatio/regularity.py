@@ -12,8 +12,7 @@ two sets agree on every soluble group and fails loudly otherwise.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .classes import (
     ClassSpec,
@@ -25,9 +24,11 @@ from .classes import (
     VStarClass,
     VSupersolubleClass,
     is_member,
+    parse_spec,
 )
+from .config import limits, overridden_limits
 from .errors import EmptyClass, TheoremViolation
-from .groups import FiniteGroup, _closure, materialize
+from .groups import FiniteGroup, _closure, _trusted_group, materialize
 from .structure import all_subgroups
 
 
@@ -196,15 +197,31 @@ def regularity_row(G: FiniteGroup, spec: ClassSpec) -> SweepRow:
                     equal, witness)
 
 
-def regularity_sweep(groups, spec: ClassSpec,
-                     enforce: bool = True) -> RegularityReport:
+def _pool_row(payload) -> SweepRow:
+    """One sweep row in a pool worker, under the parent's limits."""
+    table, name, spec_text, parent_limits = payload
+    with overridden_limits(**parent_limits):
+        return regularity_row(_trusted_group(table, name), parse_spec(spec_text))
+
+
+def regularity_sweep(groups, spec: ClassSpec, enforce: bool = True,
+                     workers: int = 1) -> RegularityReport:
     """Compare the two element sets on every group.
 
-    With `enforce`, a disagreement on a soluble group under a theorem-backed
-    spec raises TheoremViolation carrying the full report.
+    With `workers` > 1 the rows are computed in a process pool; rows are
+    merged in the same sorted order either way.  With `enforce`, a
+    disagreement on a soluble group under a theorem-backed spec raises
+    TheoremViolation carrying the full report.
     """
-    rows = tuple(sorted((regularity_row(G, spec) for G in groups),
-                        key=lambda r: (r.order, r.group_name)))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        payloads = [(G.table, G.name, spec.text(), asdict(limits)) for G in groups]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_pool_row, payloads))
+    else:
+        rows = [regularity_row(G, spec) for G in groups]
+    rows = tuple(sorted(rows, key=lambda r: (r.order, r.group_name)))
     report = RegularityReport(spec.text(), is_theorem_backed_regular(spec), rows)
     if enforce and report.violations:
         bad = ", ".join(r.group_name for r in report.violations)
@@ -221,7 +238,3 @@ def report_to_text(report: RegularityReport) -> str:
         lines.append(f"  {r.group_name:<16} order {r.order:<4} {status}")
     lines.append(f"{sum(1 for r in report.rows if r.equal)}/{len(report.rows)} equal")
     return "\n".join(lines) + "\n"
-
-
-def report_to_json_text(report: RegularityReport) -> str:
-    return json.dumps(report.to_json(), indent=1, sort_keys=True) + "\n"

@@ -16,6 +16,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _closure,
+    derived_series,
     full_subgroup,
     is_normal_in,
     normal_closure,
@@ -46,10 +47,12 @@ class SubgroupLattice:
 
 def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
     """Enumerate every subgroup by closing cyclic subgroups under joins."""
+    budget = budget if budget is not None else limits.subgroup_budget
     cached = G._derived.get("lattice")
     if cached is not None:
+        if len(cached) > budget:
+            raise TooLarge(f"{G.name} has more than {budget} subgroups; raise the budget")
         return cached
-    budget = budget if budget is not None else limits.subgroup_budget
     table = G.table
     cyclics = sorted({_closure(table, (x,)) for x in range(G.order)})
     cyclic_sets = [(c, frozenset(c)) for c in cyclics]
@@ -169,14 +172,7 @@ def socle(G: FiniteGroup) -> Subgroup:
 
 def elems_soluble(G: FiniteGroup, elems: tuple[int, ...]) -> bool:
     """Solubility of a subgroup, computed inside the parent's table."""
-    current = elems
-    while len(current) > 1:
-        commutators = {G.commutator(a, b) for a in current for b in current}
-        nxt = _closure(G.table, tuple(commutators))
-        if nxt == current:
-            return False
-        current = nxt
-    return True
+    return derived_series(G, elems)[-1] == (0,)
 
 
 def soluble_radical(G: FiniteGroup) -> Subgroup:

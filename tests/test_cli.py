@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from formatio.cli import main
 
 
@@ -190,3 +192,51 @@ def test_env_var_catalog(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("FORMATIO_CATALOG")
     code, _, err = run_cli(capsys, "check", "Z2xZ2", "nilpotent")
     assert code == 1
+
+
+def test_pool_sweep_under_spawn_keeps_budget(capsys, tmp_path):
+    import multiprocessing
+
+    cat = tmp_path / "cat"
+    run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "8")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        code, _, err = run_cli(capsys, "--budget-subgroups", "3", "sweep",
+                               "--spec", "vU", "--workers", "2",
+                               "--catalog", str(cat))
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    assert code == 1
+    assert "more than 3 subgroups" in err
+
+
+def test_limit_overrides_last_one_command(capsys):
+    from formatio.constructions import symmetric
+    from formatio.groups import _trusted_group
+    from formatio.structure import all_subgroups
+
+    code, out, _ = run_cli(capsys, "--budget-subgroups", "7", "sn", "1")
+    assert (code, out.strip()) == (0, "1")
+    fresh = _trusted_group(symmetric(4).table, "S4-copy")
+    assert len(all_subgroups(fresh)) == 30
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    return info.value.code, capsys.readouterr().err
+
+
+def test_limit_flags_below_one_are_usage_errors(capsys):
+    for flag in ("--budget-subgroups", "--horizon-primes"):
+        for value in ("0", "-5"):
+            code, err = usage_error(capsys, f"{flag}={value}", "sn", "1")
+            assert code == 1, (flag, value)
+            assert ">= 1" in err
+
+
+def test_argparse_usage_error_exits_1(capsys):
+    code, err = usage_error(capsys, "check", "S3")
+    assert code == 1
+    assert "usage" in err

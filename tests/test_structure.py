@@ -71,6 +71,12 @@ def test_subgroup_budget_enforced():
         all_subgroups(fresh, budget=3)
 
 
+def test_cached_lattice_respects_budget(s4):
+    assert len(all_subgroups(s4)) == 30
+    with pytest.raises(TooLarge):
+        all_subgroups(s4, budget=5)
+
+
 def test_maximal_flags_s3(s3):
     lattice = all_subgroups(s3)
     maxes = {s.elems for s in lattice.maximal_subgroups()}
