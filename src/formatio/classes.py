@@ -704,6 +704,27 @@ def _split_args(body: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
+_MAX_NESTING = 32  # deeper specs would overflow the recursive parser and evaluator
+
+
+def _check_nesting(text: str) -> None:
+    """Reject unbalanced parentheses, and nesting deeper than _MAX_NESTING.
+
+    Well-formed input costs two counts; the depth scan runs only when there
+    are more opening parentheses than the limit.
+    """
+    opened = text.count("(")
+    if opened != text.count(")"):
+        raise SpecSyntaxError(f"unbalanced parenthesis in {text!r}")
+    if opened > _MAX_NESTING:
+        depth = 0
+        for ch in text:
+            depth += (ch == "(") - (ch == ")")
+            if depth > _MAX_NESTING:
+                raise SpecSyntaxError(
+                    f"expression nested deeper than {_MAX_NESTING} levels")
+
+
 def _parse_prime(token: str, context: str) -> int:
     try:
         p = int(token)
@@ -715,6 +736,11 @@ def _parse_prime(token: str, context: str) -> int:
 
 
 def parse_spec(text: str) -> ClassSpec:
+    _check_nesting(text)
+    return _parse_spec(text)
+
+
+def _parse_spec(text: str) -> ClassSpec:
     s = text.strip()
     if not s:
         raise SpecSyntaxError("empty class spec")
@@ -732,19 +758,19 @@ def parse_spec(text: str) -> ClassSpec:
             spec_text, _, sn_text = body.rpartition(";")
             if not spec_text:
                 raise SpecSyntaxError(f"bounded needs 'spec;omega' in {text!r}")
-            return ExponentBoundedClass(parse_spec(spec_text), parse_supernatural(sn_text))
+            return ExponentBoundedClass(_parse_spec(spec_text), parse_supernatural(sn_text))
         if head == "prod":
             args = _split_args(body)
             if len(args) != 2:
                 raise SpecSyntaxError(f"prod takes two specs in {text!r}")
-            return ProductClass(parse_spec(args[0]), parse_spec(args[1]))
+            return ProductClass(_parse_spec(args[0]), _parse_spec(args[1]))
         if head == "cap":
             args = _split_args(body)
             if len(args) < 2:
                 raise SpecSyntaxError(f"cap needs at least two specs in {text!r}")
-            return IntersectionClass(tuple(parse_spec(a) for a in args))
+            return IntersectionClass(tuple(_parse_spec(a) for a in args))
         if head == "vstar":
-            return VStarClass(parse_spec(body))
+            return VStarClass(_parse_spec(body))
         if head == "reg":
             return ExponentFormationClass(parse_exponent_function(body))
         if head == "local":
@@ -755,7 +781,7 @@ def parse_spec(text: str) -> ClassSpec:
                 if not sep:
                     raise SpecSyntaxError(f"missing '->' in local entry {chunk!r}")
                 lhs = lhs.strip()
-                inner = parse_spec(rhs)
+                inner = _parse_spec(rhs)
                 if lhs == "default":
                     default = inner
                 else:

@@ -38,6 +38,7 @@ from .classes import (
     ClassSpec,
     SOLUBLE,
     VStarClass,
+    _check_nesting,
     _split_args,
     is_member,
     parse_spec,
@@ -313,6 +314,7 @@ def _eval_sn(expr: str):
 
 
 def cmd_sn(args) -> int:
+    _check_nesting(args.expression)
     value = _eval_sn(args.expression)
     if isinstance(value, bool):
         sys.stdout.write(("true" if value else "false") + "\n")

@@ -13,6 +13,8 @@ import json
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -280,6 +282,80 @@ def _closure(table: Table, seed: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(elems))
 
 
+def _coset_getter(elems: tuple[int, ...]):
+    """Maps the table row of x to the left coset x*H, for H with element
+    tuple `elems`."""
+    return itemgetter(*elems) if len(elems) > 1 else (lambda row: (row[0],))
+
+
+def _coset_extension(table: Table, elems: tuple[int, ...], gens: tuple[int, ...],
+                     z: int) -> tuple[int, ...]:
+    """Element set of <H, z> for the subgroup H = <gens> with element tuple
+    `elems` and z outside it (Dimino's coset step).
+
+    H is already closed, so the join is built from whole left cosets x*H: a
+    coset representative x = s*r, for s among the generators and z and r a
+    representative found so far, opens a new coset when x is not yet reached.
+    The union of cosets is closed under left multiplication by the
+    generators, so it is the subgroup they generate.
+    """
+    coset = _coset_getter(elems)
+    seen = set(elems)
+    seen.update(coset(table[z]))
+    gens = gens + (z,)
+    reps = [z]
+    for r in reps:
+        for s in gens:
+            x = table[s][r]
+            if x not in seen:
+                seen.update(coset(table[x]))
+                reps.append(x)
+    return tuple(sorted(seen))
+
+
+def _normal_product(table: Table, normal: tuple[int, ...],
+                    other: tuple[int, ...]) -> tuple[int, ...]:
+    """Element set of N*M for a normal subgroup N and a subgroup M: the
+    union of the cosets m*N, m in M."""
+    coset = _coset_getter(normal)
+    seen = set(normal)
+    for m in other:
+        if m not in seen:
+            seen.update(coset(table[m]))
+    return tuple(sorted(seen))
+
+
+def cyclic_table(G: FiniteGroup) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """Per element x, the least generator of <x>; and per such least
+    generator, the sorted element tuple of its cyclic subgroup.
+
+    <x, y> depends only on <x> and <y>, so callers that range over pairs of
+    elements can range over pairs of least generators instead.  Built once per
+    group in one ascending pass: the first element of a cyclic subgroup met
+    is its least generator, and it claims every power x^k with k prime to the
+    order of x.
+    """
+    got = G._derived.get("cyclic_table")
+    if got is None:
+        table = G.table
+        leader = [-1] * G.order
+        members: dict[int, tuple[int, ...]] = {}
+        for x in range(G.order):
+            if leader[x] >= 0:
+                continue
+            powers = [0]
+            row = table[x]
+            for _ in range(G.element_order[x] - 1):
+                powers.append(row[powers[-1]])
+            o = len(powers)
+            for k, y in enumerate(powers):
+                if gcd(k, o) == 1:
+                    leader[y] = x
+            members[x] = tuple(sorted(powers))
+        got = G._derived["cyclic_table"] = (tuple(leader), members)
+    return got
+
+
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """The subgroup generated by the given element indices."""
     gens = tuple(gens)
@@ -291,6 +367,8 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 def materialize(parent: FiniteGroup, elems: tuple[int, ...]) -> FiniteGroup:
     """Relabel a closed element set of `parent` as a standalone group."""
+    if len(elems) == parent.order:
+        return parent  # the relabelling is the identity, so is the table
     cache = parent._derived.setdefault("materialized", {})
     got = cache.get(elems)
     if got is None:
@@ -350,14 +428,29 @@ def normal_core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return Subgroup(G, tuple(sorted(core)))
 
 
+def conjugacy_class(G: FiniteGroup, a: int) -> frozenset[int]:
+    """The conjugacy class of `a`, computed once per class: the result is
+    memoized for every member of the class."""
+    classes = G._derived.setdefault("conjugacy_classes", {})
+    got = classes.get(a)
+    if got is None:
+        table = G.table
+        inv = G.inverse
+        got = frozenset(table[table[g][a]][inv[g]] for g in range(G.order))
+        for b in got:
+            classes[b] = got
+    return got
+
+
 def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest normal subgroup of G containing the seed elements: the
-    subgroup generated by every conjugate of the seed."""
-    seed = tuple(seed)
-    table = G.table
-    inv = G.inverse
-    conjugates = (table[table[g][a]][inv[g]] for g in range(G.order) for a in seed)
-    return Subgroup(G, _closure(table, conjugates))
+    subgroup generated by the union of the seed's conjugacy classes, each
+    class looked up once (`conjugacy_class`)."""
+    union: set[int] = set()
+    for a in seed:
+        if a not in union:
+            union |= conjugacy_class(G, a)
+    return Subgroup(G, _closure(G.table, sorted(union)))
 
 
 def derived_series(G: FiniteGroup, elems: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -420,6 +513,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     key = ("quotient", N.elems)
     got = G._derived.get(key)
     if got is not None:
+        return got
+    if N.order == 1:  # the cosets are the elements: G itself, identity hom
+        got = G._derived[key] = (G, GroupHom(G, G, tuple(range(G.order))))
         return got
     table = G.table
     coset_of = [-1] * G.order

@@ -28,7 +28,7 @@ from .classes import (
 )
 from .config import limits, overridden_limits
 from .errors import EmptyClass, TheoremViolation
-from .groups import FiniteGroup, _closure, _trusted_group, materialize
+from .groups import FiniteGroup, _closure, _trusted_group, cyclic_table, materialize
 from .structure import all_subgroups
 
 
@@ -49,12 +49,24 @@ def _pair_member(G: FiniteGroup, x: int, y: int, spec: ClassSpec) -> bool:
 
 def isolated_set(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
     """Elements generating a member of the class together with every element
-    (the pair x, x counts, via the cyclic subgroup <x>)."""
-    out = []
-    for x in range(G.order):
-        if all(_pair_member(G, x, y, spec) for y in range(G.order)):
-            out.append(x)
-    return tuple(out)
+    (the pair x, x counts, via the cyclic subgroup <x>).
+
+    <x, y> depends only on <x> and <y>, so the test runs over pairs of least
+    generators of cyclic subgroups (`cyclic_table`), and x is isolated exactly
+    when the least generator of <x> is.  Membership of <a, b> is symmetric,
+    so a pair that fails rules out both of its generators.
+    """
+    leader, members = cyclic_table(G)
+    leads = sorted(members)
+    ruled_out: set[int] = set()
+    for a in leads:
+        if a in ruled_out:
+            continue
+        for b in leads:
+            if not _pair_member(G, a, b, spec):
+                ruled_out.update((a, b))
+                break
+    return tuple(x for x in range(G.order) if leader[x] not in ruled_out)
 
 
 def maximal_intersection(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
@@ -91,11 +103,20 @@ class NonClassGraph:
 
 
 def non_class_graph(G: FiniteGroup, spec: ClassSpec) -> NonClassGraph:
+    """The pair graph, tested once per unordered pair of cyclic subgroups:
+    elements with the same cyclic subgroup share one adjacency row."""
+    leader, members = cyclic_table(G)
+    leads = sorted(members)
+    joined: dict[int, set[int]] = {a: set() for a in leads}
+    for i, a in enumerate(leads):
+        for b in leads[i:]:
+            if not _pair_member(G, a, b, spec):
+                joined[a].add(b)
+                joined[b].add(a)
     n = G.order
-    adjacency = tuple(
-        tuple(not _pair_member(G, x, y, spec) for y in range(n))
-        for x in range(n))
-    isolated = tuple(x for x in range(n) if not any(adjacency[x]))
+    rows = {a: tuple(leader[y] in joined[a] for y in range(n)) for a in leads}
+    adjacency = tuple(rows[leader[x]] for x in range(n))
+    isolated = tuple(x for x in range(n) if not joined[leader[x]])
     assert isolated == isolated_set(G, spec), "graph/isolated-set disagreement"
     return NonClassGraph(G, spec.text(), adjacency, isolated)
 

@@ -1,5 +1,11 @@
 """Characteristic subgroups and series built on top of the group core.
 
+The subgroup lattice is enumerated by cyclic extension over the zuppos, the
+cyclic subgroups of prime-power order: each zuppo joins every subgroup found
+before it, one Dimino coset step per join (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory).  Normal subgroups are the products of the normal
+closures of conjugacy classes, and chief series climb through that list.
+
 Everything here is deterministic: subgroup lists are sorted by (size, element
 tuple), chief series always pick the candidate with the lexicographically
 least element set, and results are memoized per group.
@@ -9,16 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import lcm_ints
+from .arith import lcm_ints, prime_divisors
 from .config import limits
 from .errors import NotChiefFactor, TooLarge
 from .groups import (
     FiniteGroup,
     Subgroup,
     _closure,
+    _coset_extension,
+    _normal_product,
+    conjugacy_class,
+    cyclic_table,
     derived_series,
     full_subgroup,
-    is_normal_in,
     normal_closure,
     quotient,
     semidirect_product,
@@ -46,7 +55,25 @@ class SubgroupLattice:
 
 
 def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
-    """Enumerate every subgroup by closing cyclic subgroups under joins."""
+    """Enumerate every subgroup by cyclic extension over the zuppos.
+
+    A zuppo is a cyclic subgroup of prime-power order; it enters as its least
+    generator, and the zuppos take turns in a fixed order: larger element
+    order first (which makes fewer repeated joins), then by generator.
+    Starting from the trivial subgroup, each zuppo generator z extends every
+    subgroup H found before z's turn that does not contain z to <H, z>, by
+    Dimino's coset step from the generators H was built from.
+
+    Complete: a subgroup U is generated by its zuppos, since each element is
+    the product of its prime-power parts, each of which generates a zuppo.  If
+    z_1, ..., z_k are the zuppo generators lying in U, in turn order,
+    induction on j shows that <z_1, ..., z_j> has been found by the end of
+    z_j's turn; so U = <z_1, ..., z_k> is found.
+
+    The enumeration raises TooLarge as soon as it finds more subgroups than
+    `budget` (default `limits.subgroup_budget`); a cached lattice is checked
+    against the budget of each call too.
+    """
     budget = budget if budget is not None else limits.subgroup_budget
     cached = G._derived.get("lattice")
     if cached is not None:
@@ -54,38 +81,41 @@ def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
             raise TooLarge(f"{G.name} has more than {budget} subgroups; raise the budget")
         return cached
     table = G.table
-    cyclics = sorted({_closure(table, (x,)) for x in range(G.order)})
-    cyclic_sets = [(c, frozenset(c)) for c in cyclics]
-    subs: set[tuple[int, ...]] = set(cyclics)
-    frontier = list(cyclics)
-    while frontier:
-        base = frontier.pop()
-        base_set = frozenset(base)
-        for c, cset in cyclic_sets:
-            if cset <= base_set:
+    _, members = cyclic_table(G)
+    order = G.element_order
+    zuppos = sorted((z for z in members if len(prime_divisors(order[z])) == 1),
+                    key=lambda z: (-order[z], z))
+    # element tuple, element set and generators of every subgroup found so far
+    found: list[tuple[tuple[int, ...], frozenset[int], tuple[int, ...]]] = [
+        ((0,), frozenset((0,)), ())]
+    known = {(0,)}
+    for z in zuppos:
+        for i in range(len(found)):
+            elems, eset, gens = found[i]
+            if z in eset:
                 continue
-            join = _closure(table, base + c)
-            if join not in subs:
-                subs.add(join)
-                if len(subs) > budget:
+            join = _coset_extension(table, elems, gens, z)
+            if join not in known:
+                known.add(join)
+                if len(known) > budget:
                     raise TooLarge(
                         f"{G.name} has more than {budget} subgroups; raise the budget")
-                frontier.append(join)
-    ordered = sorted(subs, key=lambda t: (len(t), t))
-    sets = [frozenset(t) for t in ordered]
+                found.append((join, frozenset(join), gens + (z,)))
+    found.sort(key=lambda f: (len(f[0]), f[0]))
     n = G.order
+    sets = [eset for _, eset, _ in found]
     maximal = []
-    for i, t in enumerate(ordered):
-        if len(t) == n:
-            maximal.append(False)
-            continue
-        covered = any(len(ordered[j]) > len(t) and len(ordered[j]) < n
-                      and sets[i] <= sets[j] for j in range(len(ordered)))
-        maximal.append(not covered)
-    normal = [is_normal_in(G, s, range(n)) for s in sets]
+    for i, (elems, eset, _) in enumerate(found):
+        # the list is sorted by size, so only later entries can contain this one
+        maximal.append(len(elems) < n and not any(
+            len(found[j][0]) > len(elems) and len(found[j][0]) < n and eset <= sets[j]
+            for j in range(i + 1, len(found))))
+    # H is normal when each generator's conjugacy class lies inside it
+    normal = [all(conjugacy_class(G, g) <= eset for g in gens)
+              for _, eset, gens in found]
     lattice = SubgroupLattice(
         G,
-        tuple(Subgroup(G, t) for t in ordered),
+        tuple(Subgroup(G, elems) for elems, _, _ in found),
         tuple(maximal),
         tuple(normal),
     )
@@ -109,48 +139,52 @@ def frattini(G: FiniteGroup) -> Subgroup:
 
 
 def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups, found by closing normal closures upward."""
+    """All normal subgroups, as products of normal closures of classes.
+
+    Each conjugacy class has one normal closure; taking the distinct ones in
+    a fixed order, each multiplies every normal subgroup found before its
+    turn that does not contain it.  A normal subgroup is the product of the
+    closures of the classes inside it, so by the same induction as for
+    `all_subgroups` every one is found.
+    """
     cached = G._derived.get("normals")
     if cached is not None:
         return cached
-    seen: set[tuple[int, ...]] = {(0,)}
-    frontier = [(0,)]
-    while frontier:
-        base = frontier.pop()
-        base_set = set(base)
-        for g in range(G.order):
-            if g in base_set:
+    closures: dict[tuple[int, ...], int] = {}  # closure -> an element of the class
+    covered: set[int] = set()
+    for g in range(G.order):
+        if g not in covered:
+            covered |= conjugacy_class(G, g)
+            closures.setdefault(normal_closure(G, (g,)).elems, g)
+    found = [((0,), frozenset((0,)))]
+    known = {(0,)}
+    for M, g in sorted(closures.items()):
+        for elems, eset in list(found):
+            if g in eset:  # then all of M, as elems is normal
                 continue
-            bigger = normal_closure(G, base + (g,)).elems
-            if bigger not in seen:
-                seen.add(bigger)
-                frontier.append(bigger)
-    ordered = sorted(seen, key=lambda t: (len(t), t))
-    result = tuple(Subgroup(G, t) for t in ordered)
+            product = _normal_product(G.table, elems, M)
+            if product not in known:
+                known.add(product)
+                found.append((product, frozenset(product)))
+    result = tuple(Subgroup(G, t) for t in sorted(known, key=lambda t: (len(t), t)))
     G._derived["normals"] = result
     return result
 
 
 def minimal_normal_over(G: FiniteGroup, below: Subgroup,
                         within: Subgroup | None = None) -> Subgroup | None:
-    """Deterministic minimal normal subgroup of G/below, as its preimage.
+    """Deterministic minimal normal subgroup of G/below, as its preimage: of
+    the normal subgroups minimal over the normal subgroup `below`, the one
+    with the least element tuple.
 
     When `within` is given the search is restricted to preimages inside it.
     Returns None when below is already the whole search space.
     """
-    pool = within.elems if within is not None else range(G.order)
-    below_set = below.elem_set
-    candidates: list[tuple[int, ...]] = []
-    for g in pool:
-        if g in below_set:
-            continue
-        candidates.append(normal_closure(G, below.elems + (g,)).elems)
-    if not candidates:
-        return None
-    unique = sorted(set(candidates))
-    minimal = [t for t in unique
-               if not any(set(u) < set(t) for u in unique)]
-    return Subgroup(G, min(minimal))
+    top = within.elem_set if within is not None else None
+    over = [N for N in normal_subgroups(G) if below.elem_set < N.elem_set
+            and (top is None or N.elem_set <= top)]
+    minimal = [N for N in over if not any(M.elem_set < N.elem_set for M in over)]
+    return min(minimal, key=lambda N: N.elems, default=None)
 
 
 def minimal_normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime, p_part, prime_divisors
+from .arith import is_prime, prime_divisors
 from .groups import (
     FiniteGroup,
     Subgroup,
-    _closure,
     conjugate_set,
+    cyclic_table,
     is_normal_in,
     materialize,
     quotient,
@@ -179,16 +179,11 @@ def is_prime_index_subnormal(G: FiniteGroup, H: Subgroup) -> bool:
 
 
 def cyclic_primary_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All cyclic subgroups of prime-power order, via the primary
-    decomposition of each cyclic subgroup."""
-    seen: set[tuple[int, ...]] = set()
-    for x in range(1, G.order):
-        o = G.element_order[x]
-        for p in prime_divisors(o):
-            y = G.power(x, o // p_part(o, p))
-            seen.add(_closure(G.table, (y,)))
-    seen.discard((0,))
-    return tuple(Subgroup(G, t) for t in sorted(seen, key=lambda t: (len(t), t)))
+    """All nontrivial cyclic subgroups of prime-power order (the zuppos),
+    read off the group's table of cyclic subgroups."""
+    _, members = cyclic_table(G)
+    primary = [t for t in members.values() if len(prime_divisors(len(t))) == 1]
+    return tuple(Subgroup(G, t) for t in sorted(primary, key=lambda t: (len(t), t)))
 
 
 def vstar_obstruction(G: FiniteGroup, spec: ClassSpec) -> Subgroup | None:

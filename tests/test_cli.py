@@ -240,3 +240,17 @@ def test_argparse_usage_error_exits_1(capsys):
     code, err = usage_error(capsys, "check", "S3")
     assert code == 1
     assert "usage" in err
+
+
+def test_deeply_nested_spec_is_a_syntax_error(capsys):
+    spec = "vstar(" * 2000 + "N" + ")" * 2000
+    code, _, err = run_cli(capsys, "check", "S3", spec)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested deeper than" in err
+
+
+def test_unbalanced_sn_expression_names_the_parenthesis(capsys):
+    code, _, err = run_cli(capsys, "sn", "lcm(2^inf,3")
+    assert code == 1
+    assert err == "error: unbalanced parenthesis in 'lcm(2^inf,3'\n"
