@@ -4,7 +4,8 @@ The subgroup lattice is enumerated by cyclic extension over the zuppos, the
 cyclic subgroups of prime-power order: each zuppo joins every subgroup found
 before it, one Dimino coset step per join (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory).  Normal subgroups are the products of the normal
-closures of conjugacy classes, and chief series climb through that list.
+closures of conjugacy classes.  Chief series climb one normal closure at a
+time, without listing the normal subgroups.
 
 Everything here is deterministic: subgroup lists are sorted by (size, element
 tuple), chief series always pick the candidate with the lexicographically
@@ -177,14 +178,26 @@ def minimal_normal_over(G: FiniteGroup, below: Subgroup,
     the normal subgroups minimal over the normal subgroup `below`, the one
     with the least element tuple.
 
+    Every such subgroup is the normal closure of `below` and any one of its
+    elements outside `below`, so the candidates are those closures, one per
+    conjugacy class (conjugate elements give the same closure).  This costs
+    at most one closure per class, however many normal subgroups G has.
+
     When `within` is given the search is restricted to preimages inside it.
     Returns None when below is already the whole search space.
     """
-    top = within.elem_set if within is not None else None
-    over = [N for N in normal_subgroups(G) if below.elem_set < N.elem_set
-            and (top is None or N.elem_set <= top)]
-    minimal = [N for N in over if not any(M.elem_set < N.elem_set for M in over)]
-    return min(minimal, key=lambda N: N.elems, default=None)
+    pool = within.elems if within is not None else range(G.order)
+    below_set = below.elem_set
+    done: set[int] = set()
+    candidates: set[tuple[int, ...]] = set()
+    for g in pool:
+        if g in below_set or g in done:
+            continue
+        done |= conjugacy_class(G, g)
+        candidates.add(normal_closure(G, below.elems + (g,)).elems)
+    sets = [frozenset(t) for t in candidates]
+    minimal = [t for t, s in zip(candidates, sets) if not any(u < s for u in sets)]
+    return Subgroup(G, min(minimal)) if minimal else None
 
 
 def minimal_normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:

@@ -17,6 +17,7 @@ from formatio.classes import is_member, parse_spec
 from formatio.constructions import (
     cyclic,
     direct_product,
+    elementary_abelian,
     field_action_group,
     symmetric,
 )
@@ -31,7 +32,12 @@ from formatio.groups import (
     trivial_subgroup,
 )
 from formatio.regularity import isolated_set, maximal_intersection, non_class_graph
-from formatio.structure import all_subgroups, normal_subgroups
+from formatio.structure import (
+    all_subgroups,
+    chief_series,
+    minimal_normal_over,
+    normal_subgroups,
+)
 
 ISOLATED_SPECS = ("vU", "N", "reg(default->1)", "sylow_tower:2>3>5")
 
@@ -146,6 +152,25 @@ def test_normal_subgroups_match_lattice_flags(catalog_groups):
         lattice = all_subgroups(G)
         flagged = [s.elems for s in lattice.normal_members()]
         assert [N.elems for N in normal_subgroups(G)] == flagged, G.name
+
+
+def test_minimal_normal_over_matches_the_normal_subgroup_list(catalog_groups):
+    for G in catalog_groups:
+        normals = normal_subgroups(G)
+        for below in normals:
+            over = [N for N in normals if below.elem_set < N.elem_set]
+            minimal = [N.elems for N in over
+                       if not any(M.elem_set < N.elem_set for M in over)]
+            got = minimal_normal_over(G, below)
+            assert (got.elems if got else None) == min(minimal, default=None), G.name
+
+
+def test_chief_series_does_not_list_normal_subgroups():
+    # (Z2)^8 has 417,199 subgroups, all normal; a chief series needs 8 steps
+    G = elementary_abelian(2, 8)
+    assert chief_series(G).factor_orders == (2,) * 8
+    assert is_member(G, parse_spec("supersoluble"))
+    assert "normals" not in G._derived
 
 
 def test_isolated_set_matches_all_element_pairs(catalog_groups):
