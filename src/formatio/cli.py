@@ -31,6 +31,7 @@ from .constructions import (
     field_action_group,
     quaternion,
     read_catalog,
+    read_catalog_entry,
     symmetric,
     write_catalog,
 )
@@ -88,9 +89,9 @@ def _resolve_group(token: str, catalog_dir: str | None) -> FiniteGroup:
     if m:
         return field_action_group(int(m.group(1)), int(m.group(2)))
     if catalog_dir:
-        for entry in read_catalog(catalog_dir):
-            if entry.group.name == token:
-                return entry.group
+        entry = read_catalog_entry(catalog_dir, token)
+        if entry is not None:
+            return entry.group
     raise FormatioError(f"cannot resolve group {token!r}; give a builder name "
                         f"(S3, A4, Z12, D6, Q8, E(4|3), ...), a .json file, or "
                         f"a catalog name with --catalog")

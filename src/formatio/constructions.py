@@ -458,15 +458,32 @@ def write_catalog(entries, out_dir: str | Path) -> Path:
     return path
 
 
+def _catalog_rows(cat_dir: Path) -> list[dict]:
+    return json.loads((cat_dir / "manifest.json").read_text(encoding="utf-8"))
+
+
+def _load_entry(cat_dir: Path, row: dict) -> CatalogEntry:
+    """One manifest row's group, through full table validation."""
+    G = group_from_json((cat_dir / row["file"]).read_text(encoding="utf-8"))
+    if G.order != row["order"]:
+        raise GroupConstructionError(
+            f"manifest order mismatch for {row['name']}")
+    return CatalogEntry(G, tuple(row["tags"]), row["provenance"])
+
+
 def read_catalog(cat_dir: str | Path) -> list[CatalogEntry]:
     """Load a persisted catalog; groups go through full table validation."""
     cat_dir = Path(cat_dir)
-    manifest = json.loads((cat_dir / "manifest.json").read_text(encoding="utf-8"))
-    entries = []
-    for row in manifest:
-        G = group_from_json((cat_dir / row["file"]).read_text(encoding="utf-8"))
-        if G.order != row["order"]:
-            raise GroupConstructionError(
-                f"manifest order mismatch for {row['name']}")
-        entries.append(CatalogEntry(G, tuple(row["tags"]), row["provenance"]))
-    return entries
+    return [_load_entry(cat_dir, row) for row in _catalog_rows(cat_dir)]
+
+
+def read_catalog_entry(cat_dir: str | Path, name: str) -> CatalogEntry | None:
+    """The first catalog entry the manifest lists under `name`, or None.
+
+    Only that entry's table is read and validated.
+    """
+    cat_dir = Path(cat_dir)
+    for row in _catalog_rows(cat_dir):
+        if row["name"] == name:
+            return _load_entry(cat_dir, row)
+    return None

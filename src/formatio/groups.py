@@ -17,8 +17,6 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .config import limits
 from .errors import (
     ActionNotAutomorphism,
@@ -115,12 +113,12 @@ def _normalize_table(table: Sequence[Sequence[int]]) -> Table:
         raise GroupConstructionError("table must have at least one row")
     rows = []
     for i, row in enumerate(table):
-        row = tuple(int(x) for x in row)
+        row = tuple(map(int, row))
         if len(row) != n:
             raise GroupConstructionError(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if x < 0 or x >= n:
-                raise GroupConstructionError(f"entry {x} in row {i} out of range 0..{n - 1}")
+        if min(row) < 0 or max(row) >= n:
+            x = next(x for x in row if x < 0 or x >= n)
+            raise GroupConstructionError(f"entry {x} in row {i} out of range 0..{n - 1}")
         rows.append(row)
     return tuple(rows)
 
@@ -132,11 +130,9 @@ def _check_identity(table: Table) -> None:
 
 
 def _compute_inverses(table: Table) -> Row:
-    n = len(table)
     inv = []
-    for a in range(n):
-        row = table[a]
-        b = next((j for j in range(n) if row[j] == 0), None)
+    for a, row in enumerate(table):
+        b = row.index(0) if 0 in row else None
         if b is None or table[b][a] != 0:
             raise NotInvertible(f"element {a} has no two-sided inverse")
         inv.append(b)
@@ -144,14 +140,32 @@ def _compute_inverses(table: Table) -> Row:
 
 
 def _check_associativity(table: Table) -> None:
-    t = np.asarray(table, dtype=np.int64)
-    n = len(table)
-    for a in range(n):
-        left = t[t[a], :]          # left[b, c] = t[t[a, b], c]
-        right = t[a][t]            # right[b, c] = t[a, t[b, c]]
-        if not np.array_equal(left, right):
-            b, c = map(int, np.argwhere(left != right)[0])
-            raise NotAssociative(f"(a*b)*c != a*(b*c) at indices a={a}, b={b}, c={c}")
+    """Light's associativity test, for a table with identity 0.
+
+    The elements g with (x*g)*y = x*(g*y) for all x, y include the identity
+    and are closed under products (apply the law for g and for h twice each
+    to (x*(g*h))*y).  The orbit of 0 under right multiplication by a greedy
+    generating sequence is the whole table, so the law needs checking only
+    for those generators, at most log2(n) of them in a group.  For each
+    (x, g) the check compares the row of x*g with the row of x read through
+    the row of g, one tuple comparison.
+
+    On a failure, the lexicographically first failing triple is found by a
+    per-(a, b) row comparison and named in the error.
+    """
+    for g in _generating_sequence(table, range(len(table))):
+        through_g = _coset_getter(table[g])
+        if any(table[row[g]] != through_g(row) for row in table):
+            break
+    else:
+        return
+    through = [_coset_getter(row) for row in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            left, right = table[ab], through[b](row)
+            if left != right:
+                c = next(c for c, (x, y) in enumerate(zip(left, right)) if x != y)
+                raise NotAssociative(f"(a*b)*c != a*(b*c) at indices a={a}, b={b}, c={c}")
 
 
 def build_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
@@ -255,8 +269,9 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(range(G.order)))
 
 
-def _closure(table: Table, seed: Iterable[int]) -> tuple[int, ...]:
-    """Element set of the subgroup generated by the seed (Dimino's closure).
+def _orbit(table: Table, seed: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Orbit of the identity under right multiplication by generators taken
+    greedily from the seed, and those generators (Dimino's closure).
 
     Each seed element not yet reached becomes a generator, and the reached set
     is closed under right multiplication by the generators kept so far: in a
@@ -279,7 +294,18 @@ def _closure(table: Table, seed: Iterable[int]) -> tuple[int, ...]:
                     seen.add(c)
                     elems.append(c)
             i += 1
-    return tuple(sorted(elems))
+    return elems, gens
+
+
+def _closure(table: Table, seed: Iterable[int]) -> tuple[int, ...]:
+    """Element set of the subgroup generated by the seed."""
+    return tuple(sorted(_orbit(table, seed)[0]))
+
+
+def _generating_sequence(table: Table, elems: Iterable[int]) -> list[int]:
+    """Greedy generators of the subgroup with ascending element list `elems`:
+    each is the least element not yet reached from the ones before it."""
+    return _orbit(table, elems)[1]
 
 
 def _coset_getter(elems: tuple[int, ...]):
@@ -614,20 +640,6 @@ def _iso_screen(G: FiniteGroup) -> tuple:
     return got
 
 
-def _generating_sequence(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    closed: tuple[int, ...] = (0,)
-    closed_set = {0}
-    for x in range(G.order):
-        if x not in closed_set:
-            gens.append(x)
-            closed = _closure(G.table, closed + (x,))
-            closed_set = set(closed)
-            if len(closed) == G.order:
-                break
-    return gens
-
-
 def _extend_partial_iso(A: FiniteGroup, B: FiniteGroup,
                         amap: dict[int, int], g: int, b: int) -> dict[int, int] | None:
     """Extend a partial isomorphism by g -> b; None when inconsistent."""
@@ -667,7 +679,7 @@ def isomorphism(A: FiniteGroup, B: FiniteGroup) -> GroupHom | None:
         return None
     if _iso_screen(A) != _iso_screen(B):
         return None
-    gens = _generating_sequence(A)
+    gens = _generating_sequence(A.table, range(A.order))
     if not gens:  # trivial group
         return GroupHom(A, B, (0,))
     by_order: dict[int, list[int]] = {}

@@ -229,11 +229,14 @@ def regularity_sweep(groups, spec: ClassSpec, enforce: bool = True,
                      workers: int = 1) -> RegularityReport:
     """Compare the two element sets on every group.
 
-    With `workers` > 1 the rows are computed in a process pool; rows are
-    merged in the same sorted order either way.  With `enforce`, a
-    disagreement on a soluble group under a theorem-backed spec raises
-    TheoremViolation carrying the full report.
+    With `workers` > 1 the rows are computed in a process pool of at most one
+    worker per group (serially when that is one); rows are merged in the same
+    sorted order either way.  With `enforce`, a disagreement on a soluble
+    group under a theorem-backed spec raises TheoremViolation carrying the
+    full report.
     """
+    groups = list(groups)
+    workers = min(workers, len(groups))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

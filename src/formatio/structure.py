@@ -24,6 +24,7 @@ from .groups import (
     Subgroup,
     _closure,
     _coset_extension,
+    _generating_sequence,
     _normal_product,
     conjugacy_class,
     cyclic_table,
@@ -55,6 +56,10 @@ class SubgroupLattice:
         return len(self.subgroups)
 
 
+def _over_budget(G: FiniteGroup, budget: int, what: str) -> TooLarge:
+    return TooLarge(f"{G.name} has more than {budget} {what}; raise the budget")
+
+
 def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
     """Enumerate every subgroup by cyclic extension over the zuppos.
 
@@ -79,7 +84,7 @@ def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
     cached = G._derived.get("lattice")
     if cached is not None:
         if len(cached) > budget:
-            raise TooLarge(f"{G.name} has more than {budget} subgroups; raise the budget")
+            raise _over_budget(G, budget, "subgroups")
         return cached
     table = G.table
     _, members = cyclic_table(G)
@@ -99,8 +104,7 @@ def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
             if join not in known:
                 known.add(join)
                 if len(known) > budget:
-                    raise TooLarge(
-                        f"{G.name} has more than {budget} subgroups; raise the budget")
+                    raise _over_budget(G, budget, "subgroups")
                 found.append((join, frozenset(join), gens + (z,)))
     found.sort(key=lambda f: (len(f[0]), f[0]))
     n = G.order
@@ -147,9 +151,16 @@ def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     turn that does not contain it.  A normal subgroup is the product of the
     closures of the classes inside it, so by the same induction as for
     `all_subgroups` every one is found.
+
+    Like `all_subgroups`, the enumeration raises TooLarge as soon as it finds
+    more normal subgroups than `limits.subgroup_budget`, and a cached list is
+    checked against the budget too.
     """
+    budget = limits.subgroup_budget
     cached = G._derived.get("normals")
     if cached is not None:
+        if len(cached) > budget:
+            raise _over_budget(G, budget, "normal subgroups")
         return cached
     closures: dict[tuple[int, ...], int] = {}  # closure -> an element of the class
     covered: set[int] = set()
@@ -166,6 +177,8 @@ def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
             product = _normal_product(G.table, elems, M)
             if product not in known:
                 known.add(product)
+                if len(known) > budget:
+                    raise _over_budget(G, budget, "normal subgroups")
                 found.append((product, frozenset(product)))
     result = tuple(Subgroup(G, t) for t in sorted(known, key=lambda t: (len(t), t)))
     G._derived["normals"] = result
@@ -259,11 +272,20 @@ class ChiefSeries:
 
 
 def centralizer_of_factor(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
-    """Elements acting trivially on H/K by conjugation."""
+    """Elements acting trivially on H/K by conjugation, for normal subgroups
+    K <= H of G.
+
+    Conjugation by g is an automorphism of H/K, so it is trivial exactly when
+    it fixes the coset of each generator h of H: g*h*g^-1*h^-1 in K.
+    """
     kset = K.elem_set
+    table = G.table
+    inv = G.inverse
+    gens = [(h, inv[h]) for h in _generating_sequence(table, H.elems)]
     out = []
-    for g in range(G.order):
-        if all(G.mul(G.conjugate(h, g), G.inverse[h]) in kset for h in H.elems):
+    for g, row in enumerate(table):
+        ginv = inv[g]
+        if all(table[table[row[h]][ginv]][hinv] in kset for h, hinv in gens):
             out.append(g)
     return Subgroup(G, tuple(out))
 

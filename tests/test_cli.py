@@ -254,3 +254,51 @@ def test_unbalanced_sn_expression_names_the_parenthesis(capsys):
     code, _, err = run_cli(capsys, "sn", "lcm(2^inf,3")
     assert code == 1
     assert err == "error: unbalanced parenthesis in 'lcm(2^inf,3'\n"
+
+
+def test_cli_import_leaves_numpy_out():
+    import os
+    from pathlib import Path
+
+    import formatio
+
+    src = str(Path(formatio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, formatio.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
+
+
+def test_catalog_name_reads_only_its_own_table(capsys, tmp_path):
+    cat = tmp_path / "cat"
+    run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "8")
+    manifest_path = cat / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    files = {row["name"]: cat / row["file"] for row in manifest}
+
+    def corrupt(name):
+        payload = json.loads(files[name].read_text(encoding="utf-8"))
+        payload["table"][1][1] = 1
+        files[name].write_text(json.dumps(payload), encoding="utf-8")
+
+    corrupt("Q8")
+    code, out, _ = run_cli(capsys, "check", "Z2xZ2", "nilpotent", "--catalog", str(cat))
+    assert (code, "IS" in out) == (0, True)
+    code, _, _ = run_cli(capsys, "graph", "Z2xZ2", "A", "--catalog", str(cat),
+                         "--format", "json")
+    assert code == 0
+    # a sweep still validates every table
+    code, _, err = run_cli(capsys, "sweep", "--spec", "vU", "--catalog", str(cat))
+    assert (code, err) == (1, "error: element 1 has no two-sided inverse\n")
+    # the named table is validated, and so is its manifest order
+    corrupt("Z4xZ2")
+    code, _, err = run_cli(capsys, "check", "Z4xZ2", "abelian", "--catalog", str(cat))
+    assert (code, err) == (1, "error: element 1 has no two-sided inverse\n")
+    for row in manifest:
+        if row["name"] == "Z2xZ2":
+            row["order"] = 8
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    code, _, err = run_cli(capsys, "check", "Z2xZ2", "abelian", "--catalog", str(cat))
+    assert (code, err) == (1, "error: manifest order mismatch for Z2xZ2\n")

@@ -196,3 +196,14 @@ def test_informational_sweep_for_non_regular_specs(catalog_groups):
         for row in report.rows:
             assert set(row.isolated) <= set(row.maximal_intersection), \
                 (spec.text(), row.group_name)
+
+
+def test_one_group_sweep_never_builds_a_pool(monkeypatch, s3):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built for a one-group sweep")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    pooled = regularity_sweep([s3], V_SUPERSOLUBLE, workers=2)
+    assert pooled == regularity_sweep([s3], V_SUPERSOLUBLE)

@@ -296,3 +296,40 @@ def test_hypercenter_one_series_suffices(catalog_groups):
             if fully_central_everywhere and N.order > len(best):
                 best = N.elems
         assert hypercenter(G, NILPOTENT).elems == best, G.name
+
+
+def test_normal_subgroup_budget_boundary(monkeypatch):
+    from formatio.config import limits
+    from formatio.constructions import elementary_abelian
+
+    # (Z2)^4 has 67 subgroups, all of them normal
+    G = elementary_abelian(2, 4)
+    monkeypatch.setattr(limits, "subgroup_budget", 66)
+    with pytest.raises(TooLarge, match=r"^E2\^4 has more than 66 normal subgroups; "
+                                       r"raise the budget$"):
+        normal_subgroups(G)
+    monkeypatch.setattr(limits, "subgroup_budget", 67)
+    assert len(normal_subgroups(G)) == 67
+    monkeypatch.setattr(limits, "subgroup_budget", 66)
+    with pytest.raises(TooLarge, match="more than 66 normal subgroups"):
+        normal_subgroups(G)
+
+
+def method_call_centralizer(G, H, K):
+    """Oracle: conjugate every element of H by every g through method calls."""
+    kset = K.elem_set
+    out = []
+    for g in range(G.order):
+        if all(G.mul(G.conjugate(h, g), G.inverse[h]) in kset for h in H.elems):
+            out.append(g)
+    return Subgroup(G, tuple(out))
+
+
+def test_centralizer_of_factor_matches_all_elements(catalog_groups):
+    from formatio.structure import centralizer_of_factor
+
+    for G in catalog_groups:
+        series = chief_series(G)
+        for (H, K), cent in zip(series.factors(), series.centralizers):
+            assert cent == method_call_centralizer(G, H, K), G.name
+            assert centralizer_of_factor(G, H, K) == cent
