@@ -785,7 +785,10 @@ def _parse_spec(text: str) -> ClassSpec:
                 if lhs == "default":
                     default = inner
                 else:
-                    entries.append((_parse_prime(lhs, text), inner))
+                    p = _parse_prime(lhs, text)
+                    if any(q == p for q, _ in entries):
+                        raise SpecSyntaxError(f"prime {p} repeated in {text!r}")
+                    entries.append((p, inner))
             if default is None:
                 raise SpecSyntaxError(f"local needs a default entry in {text!r}")
             return LocalClass(tuple(sorted(entries)), default)

@@ -102,8 +102,7 @@ def _catalog_groups(catalog_dir: str | None,
     if catalog_dir and (Path(catalog_dir) / "manifest.json").exists():
         entries = read_catalog(catalog_dir)
     else:
-        config = CatalogConfig(max_order=max_order) if max_order else CatalogConfig()
-        entries = build_catalog(config)
+        entries = build_catalog(CatalogConfig(max_order) if max_order else None)
     groups = [e.group for e in entries]
     if max_order:
         groups = [G for G in groups if G.order <= max_order]

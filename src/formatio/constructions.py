@@ -292,21 +292,20 @@ class CatalogEntry:
 @dataclass(frozen=True)
 class CatalogConfig:
     max_order: int = 60
-    cyclic_max: int = 16
-    abelian_max: int = 27
-    dihedral_max: int = 12
-    include_symmetric: bool = True
-    include_a5: bool = True
-    include_s5: bool = False
-    field_action_params: tuple[tuple[int, int], ...] = (
-        (2, 3), (3, 2), (2, 5), (4, 3), (4, 5), (2, 7), (3, 7), (6, 7),
-        (5, 11), (8, 3), (9, 2),
-    )
-    product_pairs: tuple[tuple[str, str], ...] = (
-        ("S3", "Z2"), ("S3", "Z3"), ("S3", "Z4"), ("S3", "Z5"), ("S3", "S3"),
-        ("A4", "Z2"), ("A4", "Z3"), ("A4", "Z4"), ("D4", "Z2"), ("D4", "Z3"),
-        ("Q8", "Z2"), ("Q8", "Z3"), ("S4", "Z2"),
-    )
+
+
+CYCLIC_MAX = 16
+ABELIAN_MAX = 27
+DIHEDRAL_MAX = 12
+FIELD_ACTION_PARAMS = (
+    (2, 3), (3, 2), (2, 5), (4, 3), (4, 5), (2, 7), (3, 7), (6, 7),
+    (5, 11), (8, 3), (9, 2),
+)
+PRODUCT_PAIRS = (
+    ("S3", "Z2"), ("S3", "Z3"), ("S3", "Z4"), ("S3", "Z5"), ("S3", "S3"),
+    ("A4", "Z2"), ("A4", "Z3"), ("A4", "Z4"), ("D4", "Z2"), ("D4", "Z3"),
+    ("Q8", "Z2"), ("Q8", "Z3"), ("S4", "Z2"),
+)
 
 
 def _partitions(n: int):
@@ -380,42 +379,37 @@ def lint_catalog(entries) -> list[str]:
 
 def build_catalog(config: CatalogConfig | None = None) -> list[CatalogEntry]:
     """Deterministic curated catalog, deduplicated up to isomorphism."""
-    config = config or CatalogConfig()
+    max_order = (config or CatalogConfig()).max_order
     candidates: list[tuple[FiniteGroup, str]] = []
 
-    for k in range(1, config.cyclic_max + 1):
-        if k <= config.max_order:
-            candidates.append((cyclic(k), f"cyclic({k})"))
-    for G, prov in _abelian_groups_upto(min(config.abelian_max, config.max_order)):
+    for k in range(1, min(CYCLIC_MAX, max_order) + 1):
+        candidates.append((cyclic(k), f"cyclic({k})"))
+    for G, prov in _abelian_groups_upto(min(ABELIAN_MAX, max_order)):
         candidates.append((G, prov))
-    for k in range(3, config.dihedral_max + 1):
-        if 2 * k <= config.max_order:
-            candidates.append((dihedral(k), f"dihedral({k})"))
-    if 8 <= config.max_order:
+    for k in range(3, min(DIHEDRAL_MAX, max_order // 2) + 1):
+        candidates.append((dihedral(k), f"dihedral({k})"))
+    if 8 <= max_order:
         candidates.append((quaternion(), "quaternion()"))
-    if config.include_symmetric:
-        for k in (3, 4):
-            if math.factorial(k) <= config.max_order:
-                candidates.append((symmetric(k), f"symmetric({k})"))
-        if 12 <= config.max_order:
-            candidates.append((alternating(4), "alternating(4)"))
-    if config.include_a5 and 60 <= config.max_order:
+    for k in (3, 4):
+        if math.factorial(k) <= max_order:
+            candidates.append((symmetric(k), f"symmetric({k})"))
+    if 12 <= max_order:
+        candidates.append((alternating(4), "alternating(4)"))
+    if 60 <= max_order:
         candidates.append((alternating(5), "alternating(5)"))
-    if config.include_s5 and 120 <= config.max_order:
-        candidates.append((symmetric(5), "symmetric(5)"))
-    for n, p in config.field_action_params:
+    for n, p in FIELD_ACTION_PARAMS:
         try:
             E = field_action_group(n, p)
         except TooLarge:
             continue
-        if E.order <= config.max_order:
+        if E.order <= max_order:
             candidates.append((E, f"field_action_group({n},{p})"))
     named = {"S3": symmetric(3), "S4": symmetric(4), "A4": alternating(4),
              "D4": dihedral(4), "Q8": quaternion(),
              "Z2": cyclic(2), "Z3": cyclic(3), "Z4": cyclic(4), "Z5": cyclic(5)}
-    for left, right in config.product_pairs:
+    for left, right in PRODUCT_PAIRS:
         G = direct_product(named[left], named[right])
-        if G.order <= config.max_order:
+        if G.order <= max_order:
             candidates.append((G, f"direct_product({left},{right})"))
 
     accepted: list[CatalogEntry] = []

@@ -52,17 +52,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse[a], -k)
-        x = 0
-        for _ in range(k):
-            x = self.table[x][a]
-        return x
-
     def conjugate(self, a: int, g: int) -> int:
         """g * a * g^-1."""
         t = self.table
@@ -73,9 +62,6 @@ class FiniteGroup:
         t = self.table
         inv = self.inverse
         return t[t[t[inv[a]][inv[b]]][a]][b]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __len__(self) -> int:
         return self.order
@@ -196,12 +182,22 @@ def group_to_json(G: FiniteGroup) -> str:
 
 def group_from_json(text: str) -> FiniteGroup:
     """Load a group from the JSON Cayley-table format, with full validation."""
-    payload = json.loads(text)
-    name = payload["name"]
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GroupConstructionError(f"group file is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise GroupConstructionError("group file must hold a JSON object")
+    missing = [key for key in ("name", "order", "table") if key not in payload]
+    if missing:
+        raise GroupConstructionError(f"group file lacks {', '.join(missing)}")
     table = payload["table"]
-    if payload.get("order") != len(table):
+    if not (isinstance(table, list) and all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in table)):
+        raise GroupConstructionError("group table must be a list of rows of integers")
+    if payload["order"] != len(table):
         raise GroupConstructionError("declared order does not match table size")
-    return build_group(table, name=str(name))
+    return build_group(table, name=str(payload["name"]))
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +224,6 @@ class Subgroup:
 
     def is_full(self) -> bool:
         return len(self.elems) == self.parent.order
-
-    def is_trivial(self) -> bool:
-        return len(self.elems) == 1
 
     def as_group(self) -> FiniteGroup:
         """This subgroup as a standalone group (relabeled, memoized)."""

@@ -72,15 +72,16 @@ def isolated_set(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
 def maximal_intersection(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
     """Common elements of the subgroups maximal among the class members."""
     lattice = all_subgroups(G)
-    members = [s for s in lattice.subgroups if is_member(s.as_group(), spec)]
+    members = [i for i, s in enumerate(lattice.subgroups)
+               if is_member(s.as_group(), spec)]
     if not members:
         raise EmptyClass(f"{G.name} has no subgroup in {spec.text()}")
-    member_sets = [s.elem_set for s in members]
-    maximal = [s for i, s in enumerate(members)
-               if not any(member_sets[i] < other for other in member_sets)]
-    common = set(maximal[0].elems)
-    for s in maximal[1:]:
-        common &= s.elem_set
+    member_bits = sum(1 << i for i in members)
+    # a member is maximal when no member lies above it
+    common = set(range(G.order))
+    for i in members:
+        if not lattice.above[i] & member_bits:
+            common &= lattice.subgroups[i].elem_set
     return tuple(sorted(common))
 
 

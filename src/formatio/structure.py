@@ -15,6 +15,8 @@ least element set, and results are memoized per group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import and_
 
 from .arith import lcm_ints, prime_divisors
 from .config import limits
@@ -29,7 +31,6 @@ from .groups import (
     conjugacy_class,
     cyclic_table,
     derived_series,
-    full_subgroup,
     normal_closure,
     quotient,
     semidirect_product,
@@ -39,12 +40,24 @@ from .groups import (
 
 @dataclass(frozen=True)
 class SubgroupLattice:
-    """Every subgroup of `parent`, with maximality and normality flags."""
+    """Every subgroup of `parent` in (size, elements) order, with normality
+    flags and containment: bit j of above[i] is set when j properly contains i."""
 
     parent: FiniteGroup
     subgroups: tuple[Subgroup, ...]
-    maximal_flags: tuple[bool, ...]
+    above: tuple[int, ...]
     normal_flags: tuple[bool, ...]
+
+    @property
+    def maximal_flags(self) -> tuple[bool, ...]:
+        """Maximal: the whole group (the last member) is the only one above."""
+        top = 1 << (len(self.subgroups) - 1)
+        return tuple(a == top for a in self.above)
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Each member's position, keyed by its element tuple."""
+        return {s.elems: i for i, s in enumerate(self.subgroups)}
 
     def maximal_subgroups(self) -> tuple[Subgroup, ...]:
         return tuple(s for s, f in zip(self.subgroups, self.maximal_flags) if f)
@@ -107,21 +120,20 @@ def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
                     raise _over_budget(G, budget, "subgroups")
                 found.append((join, frozenset(join), gens + (z,)))
     found.sort(key=lambda f: (len(f[0]), f[0]))
-    n = G.order
-    sets = [eset for _, eset, _ in found]
-    maximal = []
-    for i, (elems, eset, _) in enumerate(found):
-        # the list is sorted by size, so only later entries can contain this one
-        maximal.append(len(elems) < n and not any(
-            len(found[j][0]) > len(elems) and len(found[j][0]) < n and eset <= sets[j]
-            for j in range(i + 1, len(found))))
+    containing = [0] * G.order  # bit j of containing[x]: subgroup j holds x
+    for j, (elems, _, _) in enumerate(found):
+        for x in elems:
+            containing[x] |= 1 << j
+    # K contains H exactly when K holds the identity and H's generators
+    above = [reduce(and_, [containing[g] for g in gens], containing[0]) & ~(1 << i)
+             for i, (_, _, gens) in enumerate(found)]
     # H is normal when each generator's conjugacy class lies inside it
     normal = [all(conjugacy_class(G, g) <= eset for g in gens)
               for _, eset, gens in found]
     lattice = SubgroupLattice(
         G,
         tuple(Subgroup(G, elems) for elems, _, _ in found),
-        tuple(maximal),
+        tuple(above),
         tuple(normal),
     )
     G._derived["lattice"] = lattice
@@ -134,11 +146,8 @@ def maximal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 def frattini(G: FiniteGroup) -> Subgroup:
     """Intersection of all maximal subgroups (the whole group if none exist)."""
-    maxes = maximal_subgroups(G)
-    if not maxes:
-        return full_subgroup(G)
-    common = set(maxes[0].elems)
-    for m in maxes[1:]:
+    common = set(range(G.order))
+    for m in maximal_subgroups(G):
         common &= m.elem_set
     return Subgroup(G, tuple(sorted(common)))
 

@@ -87,43 +87,41 @@ def _core_quotient(G: FiniteGroup, small: Subgroup, big: Subgroup) -> FiniteGrou
     return Q
 
 
-def _supersets(G: FiniteGroup) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """For each lattice member, its proper supersets sorted by (size, elems)."""
-    got = G._derived.get("supersets")
-    if got is None:
-        lattice = all_subgroups(G)
-        elems_list = [s.elems for s in lattice.subgroups]
-        sets = [frozenset(t) for t in elems_list]
-        got = {}
-        for i, t in enumerate(elems_list):
-            ups = [elems_list[j] for j in range(len(elems_list))
-                   if len(elems_list[j]) > len(t) and sets[i] <= sets[j]]
-            got[t] = sorted(ups, key=lambda u: (len(u), u))
-        G._derived["supersets"] = got
-    return got
-
-
 def _bfs_chain(G: FiniteGroup,
                start: Subgroup, edge_ok) -> tuple[tuple[int, ...], ...] | None:
-    """Shortest path from start.elems to the full group, None if unreachable."""
-    full = tuple(range(G.order))
-    if start.elems == full:
-        return (full,)
-    ups = _supersets(G)
-    frontier = [start.elems]
-    parent: dict[tuple[int, ...], tuple[int, ...] | None] = {start.elems: None}
+    """Shortest path from start.elems to the full group, None if unreachable.
+
+    A node's proper supersets are its `above` bits in the lattice, tried in
+    ascending index order, which is (size, elements) order.
+    """
+    lattice = all_subgroups(G)
+    subs = lattice.subgroups
+    top = len(subs) - 1
+    node = lattice.index.get(start.elems)
+    if node is None:
+        raise ValueError(f"{start!r} is not a subgroup of {G.name}")
+    if node == top:
+        return (start.elems,)
+    frontier = [node]
+    parent: dict[int, int | None] = {node: None}
+    seen = 1 << node  # the bits of `parent`
     while frontier:
         nxt = []
         for node in frontier:
-            for up in ups[node]:
-                if up in parent or not edge_ok(node, up):
+            ups = lattice.above[node] & ~seen
+            while ups:
+                low = ups & -ups
+                ups ^= low
+                up = low.bit_length() - 1
+                if not edge_ok(subs[node].elems, subs[up].elems):
                     continue
+                seen |= low
                 parent[up] = node
-                if up == full:
+                if up == top:
                     path = [up]
                     while parent[path[-1]] is not None:
                         path.append(parent[path[-1]])
-                    return tuple(reversed(path))
+                    return tuple(subs[i].elems for i in reversed(path))
                 nxt.append(up)
         frontier = nxt
     return None

@@ -350,6 +350,8 @@ def parse_supernatural(text: str) -> Supernatural:
             n = int(s)
         except ValueError:
             raise SpecSyntaxError(f"bad supernatural literal {text!r}") from None
+        if n < 1:
+            raise SpecSyntaxError(f"supernatural literal {text!r} is below 1")
         base = from_int(n)
         return Supernatural(base.explicit, default)
     values: dict[int, Exponent] = {}

@@ -331,7 +331,8 @@ def test_parser_aliases():
 
 def test_parser_rejects_garbage():
     for bad in ["", "wibble", "S_pi:{}", "prod(nilpotent)", "p_groups:4",
-                "sylow_tower:2>4", "cap(nilpotent)"]:
+                "sylow_tower:2>4", "cap(nilpotent)", "local(2->N,2->U,default->S)",
+                "local(3->A,2->N,3->A,default->S)"]:
         with pytest.raises(SpecSyntaxError):
             parse_spec(bad)
 

@@ -302,3 +302,50 @@ def test_catalog_name_reads_only_its_own_table(capsys, tmp_path):
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     code, _, err = run_cli(capsys, "check", "Z2xZ2", "abelian", "--catalog", str(cat))
     assert (code, err) == (1, "error: manifest order mismatch for Z2xZ2\n")
+
+
+def check_bad_group_file(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(bad), "abelian")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_group_file_that_is_not_json(capsys, tmp_path):
+    assert "not JSON" in check_bad_group_file(capsys, tmp_path, "not json")
+
+
+def test_group_file_without_a_table(capsys, tmp_path):
+    err = check_bad_group_file(capsys, tmp_path, '{"name": "x", "order": 1}')
+    assert err == "error: group file lacks table\n"
+
+
+def test_group_file_holding_a_list(capsys, tmp_path):
+    err = check_bad_group_file(capsys, tmp_path, "[1, 2]")
+    assert err == "error: group file must hold a JSON object\n"
+
+
+@pytest.mark.parametrize("table", ["5", '[["a"]]', "[5]", "[[0, 1], [1, 0.5]]"])
+def test_group_file_with_a_malformed_table(capsys, tmp_path, table):
+    text = f'{{"name": "x", "order": 2, "table": {table}}}'
+    err = check_bad_group_file(capsys, tmp_path, text)
+    assert err == "error: group table must be a list of rows of integers\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "S4", "bounded(S;0)"),
+    ("check", "S4", "S(0)"),
+    ("sn", "decode(0)"),
+])
+def test_supernatural_zero_is_a_syntax_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == "error: supernatural literal '0' is below 1\n"
+
+
+def test_local_with_a_repeated_prime_is_a_syntax_error(capsys):
+    code, _, err = run_cli(capsys, "check", "S4", "local(2->N,2->U,default->S)")
+    assert code == 1
+    assert err == "error: prime 2 repeated in 'local(2->N,2->U,default->S)'\n"

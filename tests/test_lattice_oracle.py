@@ -1,10 +1,12 @@
 """Differential tests for the subgroup-lattice layer.
 
 The oracles are the earlier, slower algorithms: the lattice closed under joins
-with every cyclic subgroup, and the isolated set and pair graph tested on
-every pair of elements.  The library's zuppo-layered lattice and its
-cyclic-subgroup pair tests must give the same results, and relabelling a
-table must move every result along with it.
+with every cyclic subgroup, containment by an all-pairs subset scan (with the
+maximal intersection and the BFS chain searches built on it), and the
+isolated set and pair graph tested on every pair of elements.  The library's
+zuppo-layered lattice, its containment bitmasks and its cyclic-subgroup pair
+tests must give the same results, and relabelling a table must move every
+result along with it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 
 import pytest
 
+from formatio.arith import is_prime, prime_divisors
 from formatio.classes import is_member, parse_spec
 from formatio.constructions import (
     cyclic,
@@ -23,6 +26,7 @@ from formatio.constructions import (
 )
 from formatio.errors import TooLarge
 from formatio.groups import (
+    Subgroup,
     _closure,
     _trusted_group,
     build_group,
@@ -38,6 +42,7 @@ from formatio.structure import (
     minimal_normal_over,
     normal_subgroups,
 )
+from formatio.subnormality import _core_quotient, k_subnormal_chain, prime_index_chain
 
 ISOLATED_SPECS = ("vU", "N", "reg(default->1)", "sylow_tower:2>3>5")
 
@@ -64,6 +69,50 @@ def cyclic_joins_lattice(G):
         for t in ordered)
     normal = tuple(is_normal_in(G, frozenset(t), range(n)) for t in ordered)
     return ordered, maximal, normal
+
+
+def proper_superset_lists(ordered):
+    """Each subgroup's proper supersets in (size, elements) order, by an
+    all-pairs subset scan over a lattice already in that order."""
+    sets = [frozenset(t) for t in ordered]
+    return {t: [u for u, su in zip(ordered, sets) if s < su]
+            for t, s in zip(ordered, sets)}
+
+
+def all_pairs_maximal_intersection(G, spec):
+    """Common elements of the class members not properly inside another."""
+    members = [frozenset(t) for t in cyclic_joins_lattice(G)[0]
+               if is_member(materialize(G, t), spec)]
+    maximal = [s for s in members if not any(s < other for other in members)]
+    return tuple(sorted(frozenset.intersection(*maximal)))
+
+
+def bfs_chain_over_superset_lists(G, start, step_kind, ups):
+    """Shortest chain from start to G over `ups`, with its step kinds:
+    `step_kind(small, big)` names the kind of an edge, or is None for none."""
+    full = tuple(range(G.order))
+    if start == full:
+        return (full,), ()
+    parent, kinds, frontier = {start: None}, {}, [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for up in ups[node]:
+                if up in parent:
+                    continue
+                kind = step_kind(node, up)
+                if kind is None:
+                    continue
+                parent[up], kinds[up] = node, kind
+                if up == full:
+                    path = [up]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return tuple(path), tuple(kinds[t] for t in path[1:])
+                nxt.append(up)
+        frontier = nxt
+    return None
 
 
 _PAIR_CLOSURES: dict = {}
@@ -107,6 +156,10 @@ def assert_lattice_matches_oracle(G):
     assert [s.elems for s in lattice.subgroups] == ordered, G.name
     assert lattice.maximal_flags == maximal, G.name
     assert lattice.normal_flags == normal, G.name
+    position = {t: i for i, t in enumerate(ordered)}
+    supersets = proper_superset_lists(ordered)
+    above = tuple(sum(1 << position[u] for u in supersets[t]) for t in ordered)
+    assert lattice.above == above, G.name
 
 
 def test_lattice_matches_cyclic_joins_on_catalog(catalog_groups):
@@ -117,6 +170,53 @@ def test_lattice_matches_cyclic_joins_on_catalog(catalog_groups):
 def test_lattice_matches_cyclic_joins_on_large_groups(large_groups):
     for G in large_groups:
         assert_lattice_matches_oracle(G)
+
+
+def test_lattice_matches_cyclic_joins_on_relabelled_copies(large_groups):
+    for seed, G in enumerate(large_groups):
+        assert_lattice_matches_oracle(relabelled(G, seed)[0])
+
+
+def test_maximal_intersection_matches_all_pairs_scan(catalog_groups):
+    specs = [parse_spec(t) for t in ("vU", "N", "reg(default->1)",
+                                     "cap(p_nilpotent:2,S)")]
+    for G in catalog_groups:
+        for spec in specs:
+            assert maximal_intersection(G, spec) == all_pairs_maximal_intersection(
+                G, spec), (G.name, spec.text())
+
+
+def test_chain_searches_match_bfs_over_superset_lists(catalog_groups):
+    nilpotent = parse_spec("N")
+
+    def prime_step(small, big):
+        return "prime-index" if is_prime(len(big) // len(small)) else None
+
+    def class_step(G):
+        def kind(small, big):
+            if is_normal_in(G, frozenset(small), big):
+                return "normal"
+            core_quotient = _core_quotient(G, Subgroup(G, small), Subgroup(G, big))
+            return "class-quotient" if is_member(core_quotient, nilpotent) else None
+        return kind
+
+    def found(witness):
+        if witness is None:
+            return None
+        return tuple(s.elems for s in witness.chain), witness.step_kinds
+
+    for G in catalog_groups:
+        if G.order > 24:
+            continue
+        ups = proper_superset_lists(cyclic_joins_lattice(G)[0])
+        primary = sorted({_closure(G.table, (x,)) for x in range(G.order)
+                          if len(prime_divisors(G.element_order[x])) == 1})
+        for P in primary:
+            H = Subgroup(G, P)
+            assert found(prime_index_chain(G, H)) == bfs_chain_over_superset_lists(
+                G, P, prime_step, ups), (G.name, P)
+            assert found(k_subnormal_chain(G, H, nilpotent)) == (
+                bfs_chain_over_superset_lists(G, P, class_step(G), ups)), (G.name, P)
 
 
 def test_budget_boundary_on_fresh_and_cached_lattice():

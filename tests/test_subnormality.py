@@ -15,7 +15,7 @@ from formatio.classes import (
     vstar,
 )
 from formatio.constructions import cyclic, dihedral, elementary_abelian, quaternion
-from formatio.groups import full_subgroup, generated_subgroup
+from formatio.groups import Subgroup, full_subgroup, generated_subgroup
 from formatio.subnormality import (
     cyclic_primary_subgroups,
     is_k_subnormal,
@@ -67,6 +67,12 @@ def test_three_cycle_not_prime_index_in_a4(a4):
 
 def test_whole_group_always_prime_index_subnormal(a4):
     assert is_prime_index_subnormal(a4, full_subgroup(a4))
+
+
+def test_chain_search_rejects_a_non_subgroup(s3):
+    # {0, 1, 2} is not closed in S3; the search must not start from a neighbour
+    with pytest.raises(ValueError, match="is not a subgroup of S3"):
+        prime_index_chain(s3, Subgroup(s3, (0, 1, 2)))
 
 
 def test_chain_witness_serializable(s3):

@@ -240,7 +240,8 @@ def test_exponent_function_text_round_trips():
 
 
 def test_supernatural_parse_errors():
-    for bad in ("", "2^", "4^2", "2^inf*2", "x", "2^-1", "5;default=2"):
+    for bad in ("", "2^", "4^2", "2^inf*2", "x", "2^-1", "5;default=2",
+                "0", "-3", "0;default=inf"):
         with pytest.raises(SpecSyntaxError):
             parse_supernatural(bad)
 
