@@ -50,13 +50,19 @@ def prime_index(p: int) -> int:
     return i
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: multiplicity}."""
+def factorize(n: int, trial_limit: int | None = None) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: multiplicity}.
+
+    With `trial_limit`, trial division stops below that divisor, and what is
+    left of n, if more than 1, is listed once, prime or not: it is prime when
+    it is below trial_limit**2.
+    """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    stop = n if trial_limit is None else trial_limit
+    while d * d <= n and d < stop:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d

@@ -13,8 +13,6 @@ the declarations on the whole catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import is_prime, p_part, prime_divisors
 from .config import limits
 from .errors import (
@@ -26,6 +24,7 @@ from .errors import (
     UnsupportedParameter,
 )
 from .groups import FiniteGroup, Subgroup, _closure, quotient, subgroup
+from .records import record
 from .structure import (
     all_subgroups,
     chief_series,
@@ -37,6 +36,7 @@ from .supernatural import (
     INF,
     ExponentFunction,
     Supernatural,
+    check_literal_length,
     divides_int,
     format_supernatural,
     parse_exponent_function,
@@ -45,7 +45,7 @@ from .supernatural import (
 
 
 class ClassSpec:
-    """Base class; concrete variants are frozen dataclasses below."""
+    """Base class; concrete variants are frozen records below."""
 
     formation = False
     hereditary = False
@@ -136,7 +136,7 @@ def _sylow_subgroup_if_normal(G: FiniteGroup, p: int) -> Subgroup | None:
     return subgroup(G, pelems)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrimeOrdering:
     """A linear ordering of all primes: the listed ones first, in the order
     given, then all unlisted primes in increasing natural order."""
@@ -173,7 +173,7 @@ def _has_sylow_tower(G: FiniteGroup, ordering: PrimeOrdering) -> bool:
 # Named specs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrivialClass(ClassSpec):
     formation = True
     hereditary = True
@@ -187,7 +187,7 @@ class TrivialClass(ClassSpec):
         return G.order == 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AbelianClass(ClassSpec):
     formation = True
     hereditary = True
@@ -201,7 +201,7 @@ class AbelianClass(ClassSpec):
         return _is_abelian(G)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NilpotentClass(ClassSpec):
     formation = True
     hereditary = True
@@ -215,7 +215,7 @@ class NilpotentClass(ClassSpec):
         return _is_nilpotent(G)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PGroupsClass(ClassSpec):
     p: int
     formation = True
@@ -230,7 +230,7 @@ class PGroupsClass(ClassSpec):
         return G.order == p_part(G.order, self.p)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SolubleClass(ClassSpec):
     formation = True
     hereditary = True
@@ -244,7 +244,7 @@ class SolubleClass(ClassSpec):
         return _is_soluble(G)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SupersolubleClass(ClassSpec):
     formation = True
     hereditary = True
@@ -258,7 +258,7 @@ class SupersolubleClass(ClassSpec):
         return _is_supersoluble(G)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PNilpotentClass(ClassSpec):
     p: int
     formation = True
@@ -273,7 +273,7 @@ class PNilpotentClass(ClassSpec):
         return _is_p_nilpotent(G, self.p)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SolublePiClass(ClassSpec):
     """Soluble groups whose prime divisors lie in the given set (or in its
     complement when `complement` is set)."""
@@ -297,7 +297,7 @@ class SolublePiClass(ClassSpec):
                 and _is_soluble(G))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SylowTowerClass(ClassSpec):
     ordering: PrimeOrdering
     formation = True
@@ -312,7 +312,7 @@ class SylowTowerClass(ClassSpec):
         return _has_sylow_tower(G, self.ordering)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AllGroupsClass(ClassSpec):
     formation = True
     hereditary = True
@@ -326,7 +326,7 @@ class AllGroupsClass(ClassSpec):
         return True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VSupersolubleClass(ClassSpec):
     """Groups whose cyclic prime-power subgroups all sit at the top of a
     chain of prime-index steps."""
@@ -349,7 +349,7 @@ class VSupersolubleClass(ClassSpec):
 # Composite specs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExponentBoundedClass(ClassSpec):
     """Members of `base` whose exponent divides `omega`."""
 
@@ -377,7 +377,7 @@ class ExponentBoundedClass(ClassSpec):
         return divides_int(exponent(G), self.omega) and is_member(G, self.base)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProductClass(ClassSpec):
     """Groups whose residual for `outer` falls inside `inner`."""
 
@@ -399,7 +399,7 @@ class ProductClass(ClassSpec):
         return product_member(G, self.inner, self.outer)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntersectionClass(ClassSpec):
     parts: tuple[ClassSpec, ...]
 
@@ -426,7 +426,7 @@ class IntersectionClass(ClassSpec):
         return all(is_member(G, s) for s in self.parts)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalClass(ClassSpec):
     """Groups whose chief-factor automizers lie in h(p) for each prime p
     dividing the factor order."""
@@ -456,7 +456,7 @@ class LocalClass(ClassSpec):
         return local_member(G, self.spec_at)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VStarClass(ClassSpec):
     """Groups whose cyclic prime-power subgroups are all reachable by chains
     of steps that are normal or have core-quotient inside `inner`."""
@@ -482,7 +482,7 @@ class VStarClass(ClassSpec):
         return vstar_member(G, self.inner)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExponentFormationClass(ClassSpec):
     """The soluble class cut out per prime p by: the residual for
     exponent-dividing-f(p) soluble groups must be a p'-group."""
@@ -726,6 +726,7 @@ def _check_nesting(text: str) -> None:
 
 
 def _parse_prime(token: str, context: str) -> int:
+    check_literal_length(token, context)
     try:
         p = int(token)
     except ValueError:
@@ -783,6 +784,8 @@ def _parse_spec(text: str) -> ClassSpec:
                 lhs = lhs.strip()
                 inner = _parse_spec(rhs)
                 if lhs == "default":
+                    if default is not None:
+                        raise SpecSyntaxError(f"default repeated in {text!r}")
                     default = inner
                 else:
                     p = _parse_prime(lhs, text)

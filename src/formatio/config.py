@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+
+from .records import record, replace
 
 
-@dataclass
+@record()
 class Limits:
     max_order: int = 512        # largest group any operation will accept
     subgroup_budget: int = 20000  # hard cap on enumerated subgroups per group

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .groups import (
     is_isomorphic,
     semidirect_product,
 )
+from .records import record
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -282,14 +282,14 @@ def _verify_field_action(G: FiniteGroup, a_size: int, n: int) -> None:
 # The catalog
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CatalogEntry:
     group: FiniteGroup
     tags: tuple[str, ...]
     provenance: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CatalogConfig:
     max_order: int = 60
 

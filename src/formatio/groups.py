@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import itemgetter
@@ -28,6 +27,7 @@ from .errors import (
     NotNormal,
     SizeCapExceeded,
 )
+from .records import record
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
@@ -204,7 +204,7 @@ def group_from_json(text: str) -> FiniteGroup:
 # Subgroups
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Subgroup:
     """A subgroup of `parent`, stored as a strictly sorted index tuple."""
 
@@ -491,7 +491,7 @@ def derived_series(G: FiniteGroup, elems: tuple[int, ...]) -> tuple[tuple[int, .
 # Homomorphisms, quotients, products
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupHom:
     """A verified homomorphism, stored as an index map."""
 

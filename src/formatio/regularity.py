@@ -12,8 +12,6 @@ two sets agree on every soluble group and fails loudly otherwise.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from .classes import (
     ClassSpec,
     ExponentFormationClass,
@@ -29,6 +27,7 @@ from .classes import (
 from .config import limits, overridden_limits
 from .errors import EmptyClass, TheoremViolation
 from .groups import FiniteGroup, _closure, _trusted_group, cyclic_table, materialize
+from .records import asdict, record
 from .structure import all_subgroups
 
 
@@ -85,7 +84,7 @@ def maximal_intersection(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
     return tuple(sorted(common))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NonClassGraph:
     """Pair graph of a group: an edge joins x and y when <x, y> is not in the
     class; loops (x = x) follow the same rule through <x>."""
@@ -158,7 +157,7 @@ def is_theorem_backed_regular(spec: ClassSpec) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SweepRow:
     group_name: str
     order: int
@@ -181,7 +180,7 @@ class SweepRow:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegularityReport:
     spec_text: str
     theorem_backed: bool

@@ -14,7 +14,6 @@ least element set, and results are memoized per group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
 
@@ -36,9 +35,10 @@ from .groups import (
     semidirect_product,
     trivial_subgroup,
 )
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubgroupLattice:
     """Every subgroup of `parent` in (size, elements) order, with normality
     flags and containment: bit j of above[i] is set when j properly contains i."""
@@ -267,7 +267,7 @@ def frattini_socle(G: FiniteGroup) -> Subgroup:
 # Chief series and chief factors
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChiefSeries:
     """Ascending chain of normal subgroups with simple-as-possible steps."""
 

@@ -11,8 +11,6 @@ is always one of minimal length, with deterministic tie-breaking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import is_prime, prime_divisors
 from .groups import (
     FiniteGroup,
@@ -23,6 +21,7 @@ from .groups import (
     materialize,
     quotient,
 )
+from .records import record
 from .structure import all_subgroups
 from .classes import ClassSpec, is_member
 
@@ -31,7 +30,7 @@ STEP_CLASS_QUOTIENT = "class-quotient"
 STEP_PRIME_INDEX = "prime-index"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChainWitness:
     group: FiniteGroup
     chain: tuple[Subgroup, ...]

@@ -16,14 +16,25 @@ position up to the configured horizon and exact lazily at any position via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import inf as INF
+from math import inf as INF, log10
 
 from .arith import factorize, is_prime, nth_prime, prime_index
 from .config import limits
-from .errors import DiagonalPair, InvalidExponentFunction, SpecSyntaxError
+from .errors import DiagonalPair, InvalidExponentFunction, SpecSyntaxError, TooLarge
+from .records import record
 
 Exponent = int | float  # a natural number or INF
+
+# Parsing tests prime literals and factors decimal literals by trial division.
+# Trial division finds the prime factors below TRIAL_LIMIT in under 0.1 s, and
+# what it leaves of a decimal is prime when below TRIAL_LIMIT**2.  Prime and
+# exponent literals have at most MAX_LITERAL_DIGITS digits, so every prime
+# listed in a supernatural number is below 10^12, and testing one takes under
+# 0.1 s (the time grows tenfold with every two digits more).
+TRIAL_LIMIT = 10**6
+MAX_LITERAL_DIGITS = 12
+# CPython's default limit on the digits of an int converted to a string.
+MAX_DECIMAL_DIGITS = 4300
 
 
 def _check_exponent(e: Exponent) -> Exponent:
@@ -34,7 +45,7 @@ def _check_exponent(e: Exponent) -> Exponent:
     raise ValueError(f"exponent must be a natural number or inf, got {e!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Supernatural:
     """Formal product of prime powers; `default` applies to unlisted primes."""
 
@@ -136,6 +147,8 @@ def is_natural(omega: Supernatural) -> bool:
 def to_int(omega: Supernatural) -> int:
     if not is_natural(omega):
         raise ValueError(f"{omega} is not a natural number")
+    if sum(e * log10(p) for p, e in omega.explicit) >= MAX_DECIMAL_DIGITS:
+        raise TooLarge(f"natural number with more than {MAX_DECIMAL_DIGITS} decimal digits")
     n = 1
     for p, e in omega.explicit:
         n *= p ** int(e)
@@ -204,7 +217,7 @@ def pair_index(n1: int, n2: int) -> int:
 # Exponent functions
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExponentFunction:
     """A map from primes to supernatural numbers with v_p(f(p)) infinite.
 
@@ -329,6 +342,24 @@ def format_supernatural(omega: Supernatural) -> str:
     return body
 
 
+def check_literal_length(token: str, text: str) -> None:
+    """Reject a prime or exponent literal longer than MAX_LITERAL_DIGITS characters."""
+    if len(token.strip()) > MAX_LITERAL_DIGITS:
+        raise SpecSyntaxError(
+            f"integer literal longer than {MAX_LITERAL_DIGITS} digits in {text!r}")
+
+
+def _parse_decimal(n: int, text: str) -> Supernatural:
+    """The decimal literal n >= 1, which must factor into primes below
+    TRIAL_LIMIT times at most one prime below TRIAL_LIMIT**2."""
+    factors = factorize(n, trial_limit=TRIAL_LIMIT)
+    if max(factors, default=1) >= TRIAL_LIMIT ** 2:
+        raise SpecSyntaxError(
+            f"integer literal {text!r} is not a product of primes below 10^6 "
+            f"and at most one prime below 10^12")
+    return make_supernatural(factors)
+
+
 def parse_supernatural(text: str) -> Supernatural:
     s = text.strip().replace(" ", "")
     if not s:
@@ -352,11 +383,11 @@ def parse_supernatural(text: str) -> Supernatural:
             raise SpecSyntaxError(f"bad supernatural literal {text!r}") from None
         if n < 1:
             raise SpecSyntaxError(f"supernatural literal {text!r} is below 1")
-        base = from_int(n)
-        return Supernatural(base.explicit, default)
+        return Supernatural(_parse_decimal(n, text).explicit, default)
     values: dict[int, Exponent] = {}
     for factor in s.split("*"):
         base, caret, exp = factor.partition("^")
+        check_literal_length(base, text)
         try:
             p = int(base)
         except ValueError:
@@ -372,6 +403,7 @@ def parse_supernatural(text: str) -> Supernatural:
         elif exp == "inf":
             e = INF
         else:
+            check_literal_length(exp, text)
             try:
                 e = int(exp)
             except ValueError:
@@ -405,9 +437,12 @@ def parse_exponent_function(text: str) -> ExponentFunction:
         lhs = lhs.strip()
         omega = parse_supernatural(rhs)
         if lhs == "default":
+            if seen_default:
+                raise SpecSyntaxError("default repeated in exponent function")
             default = omega
             seen_default = True
             continue
+        check_literal_length(lhs, text)
         try:
             p = int(lhs)
         except ValueError:

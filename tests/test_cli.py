@@ -256,19 +256,26 @@ def test_unbalanced_sn_expression_names_the_parenthesis(capsys):
     assert err == "error: unbalanced parenthesis in 'lcm(2^inf,3'\n"
 
 
-def test_cli_import_leaves_numpy_out():
+def _fresh_process_env():
+    """Environment for a child interpreter that imports this checkout's formatio."""
     import os
     from pathlib import Path
 
     import formatio
 
     src = str(Path(formatio.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy, and dataclasses with the inspect/ast machinery it imports, cost
+    # every formatio process more start-up time than a typical check takes
+    heavy = ("numpy", "dataclasses", "inspect", "ast")
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, formatio.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
+         f"import sys, formatio.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=_fresh_process_env())
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
 
 
 def test_catalog_name_reads_only_its_own_table(capsys, tmp_path):
@@ -349,3 +356,39 @@ def test_local_with_a_repeated_prime_is_a_syntax_error(capsys):
     code, _, err = run_cli(capsys, "check", "S4", "local(2->N,2->U,default->S)")
     assert code == 1
     assert err == "error: prime 2 repeated in 'local(2->N,2->U,default->S)'\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("check", "S4", "local(default->N,default->S)"),
+     "error: default repeated in 'local(default->N,default->S)'\n"),
+    (("check", "S4", "reg(default->1,default->full)"),
+     "error: default repeated in exponent function\n"),
+    (("sn", "encode(2->2^inf,default->1,default->full)"),
+     "error: default repeated in exponent function\n"),
+])
+def test_repeated_default_is_a_syntax_error(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (1, "", err)
+
+
+@pytest.mark.parametrize("argv, err", [
+    # factoring this literal by trial division would run for hours
+    (("check", "S4", "S(99999999999999999999999)"),
+     "error: integer literal '99999999999999999999999' is not a product of primes "
+     "below 10^6 and at most one prime below 10^12\n"),
+    # computing these numbers to print them would not finish
+    (("sn", "99999999977^99999999999"),
+     "error: natural number with more than 4300 decimal digits\n"),
+    (("sn", "2^99999999999"),
+     "error: natural number with more than 4300 decimal digits\n"),
+    # these are past CPython's limit on converting an int to a string
+    (("sn", "2^999999"),
+     "error: natural number with more than 4300 decimal digits\n"),
+    (("check", "S4", "bounded(S;2^999999)"),
+     "error: natural number with more than 4300 decimal digits\n"),
+])
+def test_oversized_numeric_literal_exits_1_promptly(argv, err):
+    # a child process, so that a hang fails the test instead of stalling the suite
+    proc = subprocess.run([sys.executable, "-m", "formatio.cli", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env=_fresh_process_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)

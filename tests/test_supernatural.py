@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from formatio.errors import DiagonalPair, InvalidExponentFunction, SpecSyntaxError
+from formatio.errors import DiagonalPair, InvalidExponentFunction, SpecSyntaxError, TooLarge
 from formatio.supernatural import (
     FULL,
     INF,
@@ -244,6 +244,33 @@ def test_supernatural_parse_errors():
                 "0", "-3", "0;default=inf"):
         with pytest.raises(SpecSyntaxError):
             parse_supernatural(bad)
+
+
+def test_prime_and_exponent_literals_have_at_most_12_digits():
+    assert parse_supernatural("2^999999999999") == prime_power(2, 999999999999)
+    assert parse_supernatural("999999999989^2") == prime_power(999999999989, 2)
+    for bad in ("1000000000039^2", "2^1000000000000", "0000000000002^2"):
+        with pytest.raises(SpecSyntaxError, match="longer than 12 digits"):
+            parse_supernatural(bad)
+    with pytest.raises(SpecSyntaxError, match="longer than 12 digits"):
+        parse_exponent_function("1000000000039->1000000000039^inf")
+
+
+def test_decimal_literal_factors_below_the_trial_limit():
+    assert parse_supernatural("1" + "0" * 60) == make_supernatural({2: 60, 5: 60})
+    assert parse_supernatural("1999999999978") == make_supernatural({2: 1, 999999999989: 1})
+    for bad in ("99999999999999999999999",  # 9 times the repunit prime R23
+                str(1000003 ** 3)):
+        with pytest.raises(SpecSyntaxError, match="at most one prime below 10"):
+            parse_supernatural(bad)
+
+
+def test_to_int_refuses_more_than_4300_digits():
+    assert len(format_supernatural(prime_power(2, 14284))) == 4300
+    with pytest.raises(TooLarge):
+        to_int(prime_power(2, 14285))  # 4301 digits
+    with pytest.raises(TooLarge):
+        format_supernatural(prime_power(2, 10**11))
 
 
 def test_canonical_form_strips_defaults():
