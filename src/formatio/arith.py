@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+from bisect import bisect_left
 
 
 def is_prime(n: int) -> bool:
@@ -20,34 +20,32 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def first_primes(k: int) -> tuple[int, ...]:
-    """The first k primes in increasing order."""
-    primes: list[int] = []
-    n = 2
-    while len(primes) < k:
+_PRIMES = [2]  # the least primes in increasing order, grown on demand
+
+
+def _grow_primes(done) -> None:
+    """Append the next primes to _PRIMES until done() holds."""
+    n = _PRIMES[-1]
+    while not done():
+        n += 1 if n == 2 else 2
         if is_prime(n):
-            primes.append(n)
-        n += 1
-    return tuple(primes)
+            _PRIMES.append(n)
 
 
 def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed (nth_prime(1) == 2)."""
     if i < 1:
         raise ValueError(f"prime index must be >= 1, got {i}")
-    return first_primes(i)[-1]
+    _grow_primes(lambda: len(_PRIMES) >= i)
+    return _PRIMES[i - 1]
 
 
-@lru_cache(maxsize=None)
 def prime_index(p: int) -> int:
     """Position of the prime p in the increasing enumeration, 1-indexed."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    i = 1
-    while nth_prime(i) != p:
-        i += 1
-    return i
+    _grow_primes(lambda: _PRIMES[-1] >= p)
+    return bisect_left(_PRIMES, p) + 1
 
 
 def factorize(n: int, trial_limit: int | None = None) -> dict[int, int]:

@@ -62,15 +62,17 @@ class ClassSpec:
         return self.text()
 
 
-_MEMBER_CACHE: dict[tuple[str, str], bool] = {}
+# Verdicts are shared by every instance with an equal table: materialized
+# subgroups and quotients rebuild the same small groups many times over.
+_MEMBER_CACHE: dict[tuple[str, ClassSpec], bool] = {}
 
 
 def is_member(G: FiniteGroup, spec: ClassSpec) -> bool:
-    """Whether G belongs to the class, memoized by table fingerprint."""
+    """Whether G belongs to the class, memoized by table fingerprint and spec."""
     if G.order > limits.max_order:
         raise SizeCapExceeded(
             f"group of order {G.order} exceeds the cap {limits.max_order}")
-    key = (G.fingerprint, spec.text())
+    key = (G.fingerprint, spec)
     got = _MEMBER_CACHE.get(key)
     if got is None:
         got = _MEMBER_CACHE[key] = spec._member(G)
@@ -79,15 +81,6 @@ def is_member(G: FiniteGroup, spec: ClassSpec) -> bool:
 
 # ---------------------------------------------------------------------------
 # Structural predicates
-
-
-def _is_abelian(G: FiniteGroup) -> bool:
-    got = G._derived.get("abelian")
-    if got is None:
-        t = G.table
-        got = all(t[a][b] == t[b][a] for a in range(G.order) for b in range(a))
-        G._derived["abelian"] = got
-    return got
 
 
 def _p_element_count(G: FiniteGroup, p: int) -> int:
@@ -105,14 +98,6 @@ def _is_nilpotent(G: FiniteGroup) -> bool:
     # a full Sylow subgroup, which is a pure counting condition
     return all(_p_element_count(G, p) == p_part(G.order, p)
                for p in prime_divisors(G.order))
-
-
-def _is_soluble(G: FiniteGroup) -> bool:
-    got = G._derived.get("soluble")
-    if got is None:
-        got = elems_soluble(G, tuple(range(G.order)))
-        G._derived["soluble"] = got
-    return got
 
 
 def _is_supersoluble(G: FiniteGroup) -> bool:
@@ -144,6 +129,8 @@ class PrimeOrdering:
     listed: tuple[int, ...]
 
     def __post_init__(self):
+        if not self.listed:
+            raise UnsupportedParameter("ordering lists no prime")
         if len(set(self.listed)) != len(self.listed):
             raise UnsupportedParameter("ordering lists a prime twice")
         for p in self.listed:
@@ -198,7 +185,8 @@ class AbelianClass(ClassSpec):
         return "abelian"
 
     def _member(self, G):
-        return _is_abelian(G)
+        t = G.table
+        return all(t[a][b] == t[b][a] for a in range(G.order) for b in range(a))
 
 
 @record(frozen=True)
@@ -241,7 +229,7 @@ class SolubleClass(ClassSpec):
         return "soluble"
 
     def _member(self, G):
-        return _is_soluble(G)
+        return elems_soluble(G, tuple(range(G.order)))
 
 
 @record(frozen=True)
@@ -294,7 +282,7 @@ class SolublePiClass(ClassSpec):
 
     def _member(self, G):
         return (all(self.contains_prime(p) for p in prime_divisors(G.order))
-                and _is_soluble(G))
+                and is_member(G, SOLUBLE))
 
 
 @record(frozen=True)
@@ -608,7 +596,7 @@ def exponent_formation_member(G: FiniteGroup, fn: ExponentFunction) -> bool:
     Primes not dividing |G| are skipped: a soluble p'-group lies in that
     factor class automatically.
     """
-    if not _is_soluble(G):
+    if not is_member(G, SOLUBLE):
         return False
     for p in prime_divisors(G.order):
         omega = fn.at(p)
@@ -687,6 +675,10 @@ _NAMED = {
 
 
 def _split_args(body: str) -> list[str]:
+    """The comma-separated items of an argument list, split at depth 0; a
+    blank body has no items, and an empty item is a syntax error."""
+    if not body.strip():
+        return []
     parts = []
     depth = 0
     current = []
@@ -701,7 +693,10 @@ def _split_args(body: str) -> list[str]:
         else:
             current.append(ch)
     parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
+    items = [p.strip() for p in parts]
+    if "" in items:
+        raise SpecSyntaxError(f"empty item in the list {body!r}")
+    return items
 
 
 _MAX_NESTING = 32  # deeper specs would overflow the recursive parser and evaluator
@@ -806,12 +801,10 @@ def _parse_spec(text: str) -> ClassSpec:
             return PNilpotentClass(_parse_prime(arg, text))
         if head in ("S_pi", "S_pi'"):
             inner = arg[1:-1] if arg.startswith("{") and arg.endswith("}") else arg
-            primes = [_parse_prime(t, text) for t in inner.split(",") if t.strip()]
-            if not primes:
-                raise SpecSyntaxError(f"empty prime set in {text!r}")
+            primes = [_parse_prime(t, text) for t in inner.split(",")]
             return soluble_pi(primes, complement=head.endswith("'"))
         if head == "sylow_tower":
-            primes = [_parse_prime(t, text) for t in arg.split(">") if t.strip()]
+            primes = [_parse_prime(t, text) for t in arg.split(">")]
             return SylowTowerClass(PrimeOrdering(tuple(primes)))
         raise SpecSyntaxError(f"unknown spec family {head!r}")
     raise SpecSyntaxError(f"cannot parse class spec {text!r}")

@@ -1,9 +1,14 @@
 """Finite groups as full Cayley tables over element indices 0..n-1.
 
 The identity is pinned at index 0.  Groups and subgroups are immutable after
-construction; derived data computed later (subgroup lattices, materialized
-subgroups, ...) is memoized on a private per-instance cache whose entries are
-deterministic functions of the group, so sharing instances stays safe.
+construction.  Everything computed later from a group (its cyclic table,
+conjugacy classes, materialized subgroups, quotients, and in other modules its
+subgroup lattice, chief series and chain steps) goes through one decorator,
+`memoized`, which stores `fn(G, *args)` in the group's single memo under the
+key `(fn.__qualname__, *args)`.  Each entry is a deterministic function of the
+group and the key, so sharing instances stays safe.  Keys hold only plain
+values (element tuples, ints, spec records), never a group or a subgroup, so
+the memo pickles with its group.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
-from functools import cached_property
+from functools import cached_property, wraps
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -37,7 +42,7 @@ class FiniteGroup:
     """A finite group: order, multiplication table, inverses, element orders."""
 
     __slots__ = ("name", "order", "table", "inverse", "element_order",
-                 "fingerprint", "_derived", "__weakref__")
+                 "fingerprint", "_memo", "__weakref__")
 
     def __init__(self, table: Table, name: str, inverse: Row,
                  element_order: Row, fingerprint: str):
@@ -47,7 +52,7 @@ class FiniteGroup:
         self.inverse = inverse
         self.element_order = element_order
         self.fingerprint = fingerprint
-        self._derived: dict = {}
+        self._memo: dict = {}
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -68,6 +73,28 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
+
+
+_MISSING = object()
+
+
+def memoized(fn):
+    """Memoize fn(G, *args) in G's memo under (fn.__qualname__, *args).
+
+    The arguments after G form the key, so they must be hashable plain values
+    that do not refer back to a group.  A call that raises stores nothing.
+    """
+    name = fn.__qualname__
+
+    @wraps(fn)
+    def cached(G, *args):
+        key = (name, *args)
+        got = G._memo.get(key, _MISSING)
+        if got is _MISSING:
+            got = G._memo[key] = fn(G, *args)
+        return got
+
+    return cached
 
 
 def _fingerprint(table: Table) -> str:
@@ -344,35 +371,32 @@ def _normal_product(table: Table, normal: tuple[int, ...],
     return tuple(sorted(seen))
 
 
+@memoized
 def cyclic_table(G: FiniteGroup) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
     """Per element x, the least generator of <x>; and per such least
     generator, the sorted element tuple of its cyclic subgroup.
 
     <x, y> depends only on <x> and <y>, so callers that range over pairs of
-    elements can range over pairs of least generators instead.  Built once per
-    group in one ascending pass: the first element of a cyclic subgroup met
-    is its least generator, and it claims every power x^k with k prime to the
-    order of x.
+    elements can range over pairs of least generators instead.  Built in one
+    ascending pass: the first element of a cyclic subgroup met is its least
+    generator, and it claims every power x^k with k prime to the order of x.
     """
-    got = G._derived.get("cyclic_table")
-    if got is None:
-        table = G.table
-        leader = [-1] * G.order
-        members: dict[int, tuple[int, ...]] = {}
-        for x in range(G.order):
-            if leader[x] >= 0:
-                continue
-            powers = [0]
-            row = table[x]
-            for _ in range(G.element_order[x] - 1):
-                powers.append(row[powers[-1]])
-            o = len(powers)
-            for k, y in enumerate(powers):
-                if gcd(k, o) == 1:
-                    leader[y] = x
-            members[x] = tuple(sorted(powers))
-        got = G._derived["cyclic_table"] = (tuple(leader), members)
-    return got
+    table = G.table
+    leader = [-1] * G.order
+    members: dict[int, tuple[int, ...]] = {}
+    for x in range(G.order):
+        if leader[x] >= 0:
+            continue
+        powers = [0]
+        row = table[x]
+        for _ in range(G.element_order[x] - 1):
+            powers.append(row[powers[-1]])
+        o = len(powers)
+        for k, y in enumerate(powers):
+            if gcd(k, o) == 1:
+                leader[y] = x
+        members[x] = tuple(sorted(powers))
+    return tuple(leader), members
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -384,20 +408,16 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, _closure(G.table, gens))
 
 
+@memoized
 def materialize(parent: FiniteGroup, elems: tuple[int, ...]) -> FiniteGroup:
     """Relabel a closed element set of `parent` as a standalone group."""
     if len(elems) == parent.order:
         return parent  # the relabelling is the identity, so is the table
-    cache = parent._derived.setdefault("materialized", {})
-    got = cache.get(elems)
-    if got is None:
-        index = {e: i for i, e in enumerate(elems)}
-        table = parent.table
-        rows = tuple(tuple(index[table[a][b]] for b in elems) for a in elems)
-        head = ".".join(map(str, elems[:4])) + (".." if len(elems) > 4 else "")
-        got = _trusted_group(rows, name=f"{parent.name}|{head}")
-        cache[elems] = got
-    return got
+    index = {e: i for i, e in enumerate(elems)}
+    table = parent.table
+    rows = tuple(tuple(index[table[a][b]] for b in elems) for a in elems)
+    head = ".".join(map(str, elems[:4])) + (".." if len(elems) > 4 else "")
+    return _trusted_group(rows, name=f"{parent.name}|{head}")
 
 
 def centralizer(G: FiniteGroup, elems: Iterable[int] | Subgroup) -> Subgroup:
@@ -447,28 +467,29 @@ def normal_core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return Subgroup(G, tuple(sorted(core)))
 
 
-def conjugacy_class(G: FiniteGroup, a: int) -> frozenset[int]:
-    """The conjugacy class of `a`, computed once per class: the result is
-    memoized for every member of the class."""
-    classes = G._derived.setdefault("conjugacy_classes", {})
-    got = classes.get(a)
-    if got is None:
-        table = G.table
-        inv = G.inverse
-        got = frozenset(table[table[g][a]][inv[g]] for g in range(G.order))
-        for b in got:
-            classes[b] = got
-    return got
+@memoized
+def conjugacy_classes(G: FiniteGroup) -> tuple[frozenset[int], ...]:
+    """Per element, its conjugacy class, each class computed once."""
+    table = G.table
+    inv = G.inverse
+    classes: list[frozenset[int] | None] = [None] * G.order
+    for a in range(G.order):
+        if classes[a] is None:
+            got = frozenset(table[table[g][a]][inv[g]] for g in range(G.order))
+            for b in got:
+                classes[b] = got
+    return tuple(classes)
 
 
 def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest normal subgroup of G containing the seed elements: the
     subgroup generated by the union of the seed's conjugacy classes, each
-    class looked up once (`conjugacy_class`)."""
+    class looked up once (`conjugacy_classes`)."""
+    classes = conjugacy_classes(G)
     union: set[int] = set()
     for a in seed:
         if a not in union:
-            union |= conjugacy_class(G, a)
+            union |= classes[a]
     return Subgroup(G, _closure(G.table, sorted(union)))
 
 
@@ -527,22 +548,22 @@ def group_hom(source: FiniteGroup, target: FiniteGroup,
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """G/N with cosets ordered by minimal element, plus the projection."""
-    if not is_normal(G, N):
-        raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
-    key = ("quotient", N.elems)
-    got = G._derived.get(key)
-    if got is not None:
-        return got
-    if N.order == 1:  # the cosets are the elements: G itself, identity hom
-        got = G._derived[key] = (G, GroupHom(G, G, tuple(range(G.order))))
-        return got
+    return _quotient(G, N.elems)
+
+
+@memoized
+def _quotient(G: FiniteGroup, elems: tuple[int, ...]) -> tuple[FiniteGroup, GroupHom]:
+    if not is_normal_in(G, frozenset(elems), range(G.order)):
+        raise NotNormal(f"subgroup of order {len(elems)} is not normal in {G.name}")
+    if len(elems) == 1:  # the cosets are the elements: G itself, identity hom
+        return G, GroupHom(G, G, tuple(range(G.order)))
     table = G.table
     coset_of = [-1] * G.order
     reps: list[int] = []
     for g in range(G.order):
         if coset_of[g] >= 0:
             continue
-        members = sorted(table[g][x] for x in N.elems)
+        members = sorted(table[g][x] for x in elems)
         idx = len(reps)
         reps.append(members[0])
         for m in members:
@@ -551,10 +572,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     q = len(reps)
     rows = tuple(tuple(coset_of[table[reps[i]][reps[j]]] for j in range(q))
                  for i in range(q))
-    Q = _trusted_group(rows, name=f"{G.name}/n{N.order}")
-    hom = GroupHom(G, Q, tuple(coset_of))
-    G._derived[key] = (Q, hom)
-    return Q, hom
+    Q = _trusted_group(rows, name=f"{G.name}/n{len(elems)}")
+    return Q, GroupHom(G, Q, tuple(coset_of))
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -619,18 +638,14 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup,
 # Isomorphism testing
 
 
+@memoized
 def _iso_screen(G: FiniteGroup) -> tuple:
-    key = "iso_screen"
-    got = G._derived.get(key)
-    if got is None:
-        got = (
-            G.order,
-            tuple(sorted(G.element_order)),
-            center(G).order,
-            tuple(len(t) for t in derived_series(G, tuple(range(G.order)))),
-        )
-        G._derived[key] = got
-    return got
+    return (
+        G.order,
+        tuple(sorted(G.element_order)),
+        center(G).order,
+        tuple(len(t) for t in derived_series(G, tuple(range(G.order)))),
+    )
 
 
 def _extend_partial_iso(A: FiniteGroup, B: FiniteGroup,

@@ -26,24 +26,20 @@ from .classes import (
 )
 from .config import limits, overridden_limits
 from .errors import EmptyClass, TheoremViolation
-from .groups import FiniteGroup, _closure, _trusted_group, cyclic_table, materialize
+from .groups import FiniteGroup, _closure, _trusted_group, cyclic_table, materialize, memoized
 from .records import asdict, record
 from .structure import all_subgroups
 
 
+@memoized
 def _pair_subgroup(G: FiniteGroup, x: int, y: int) -> tuple[int, ...]:
-    """Element set of <x, y>, cached per unordered pair."""
-    if y < x:
-        x, y = y, x
-    cache = G._derived.setdefault("pair_subgroups", {})
-    got = cache.get((x, y))
-    if got is None:
-        got = cache[(x, y)] = _closure(G.table, (x, y))
-    return got
+    """Element set of <x, y>, for x <= y."""
+    return _closure(G.table, (x, y))
 
 
 def _pair_member(G: FiniteGroup, x: int, y: int, spec: ClassSpec) -> bool:
-    return is_member(materialize(G, _pair_subgroup(G, x, y)), spec)
+    pair = _pair_subgroup(G, x, y) if x <= y else _pair_subgroup(G, y, x)
+    return is_member(materialize(G, pair), spec)
 
 
 def isolated_set(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:

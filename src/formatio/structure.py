@@ -27,9 +27,10 @@ from .groups import (
     _coset_extension,
     _generating_sequence,
     _normal_product,
-    conjugacy_class,
+    conjugacy_classes,
     cyclic_table,
     derived_series,
+    memoized,
     normal_closure,
     quotient,
     semidirect_product,
@@ -90,15 +91,14 @@ def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
     z_j's turn; so U = <z_1, ..., z_k> is found.
 
     The enumeration raises TooLarge as soon as it finds more subgroups than
-    `budget` (default `limits.subgroup_budget`); a cached lattice is checked
-    against the budget of each call too.
+    `budget` (default `limits.subgroup_budget`).  The lattice is memoized per
+    budget, so a call under a smaller budget enumerates again and raises.
     """
-    budget = budget if budget is not None else limits.subgroup_budget
-    cached = G._derived.get("lattice")
-    if cached is not None:
-        if len(cached) > budget:
-            raise _over_budget(G, budget, "subgroups")
-        return cached
+    return _lattice(G, limits.subgroup_budget if budget is None else budget)
+
+
+@memoized
+def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
     table = G.table
     _, members = cyclic_table(G)
     order = G.element_order
@@ -128,16 +128,15 @@ def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
     above = [reduce(and_, [containing[g] for g in gens], containing[0]) & ~(1 << i)
              for i, (_, _, gens) in enumerate(found)]
     # H is normal when each generator's conjugacy class lies inside it
-    normal = [all(conjugacy_class(G, g) <= eset for g in gens)
+    classes = conjugacy_classes(G)
+    normal = [all(classes[g] <= eset for g in gens)
               for _, eset, gens in found]
-    lattice = SubgroupLattice(
+    return SubgroupLattice(
         G,
         tuple(Subgroup(G, elems) for elems, _, _ in found),
         tuple(above),
         tuple(normal),
     )
-    G._derived["lattice"] = lattice
-    return lattice
 
 
 def maximal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -162,20 +161,19 @@ def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     `all_subgroups` every one is found.
 
     Like `all_subgroups`, the enumeration raises TooLarge as soon as it finds
-    more normal subgroups than `limits.subgroup_budget`, and a cached list is
-    checked against the budget too.
+    more normal subgroups than `limits.subgroup_budget`, and the list is
+    memoized per budget.
     """
-    budget = limits.subgroup_budget
-    cached = G._derived.get("normals")
-    if cached is not None:
-        if len(cached) > budget:
-            raise _over_budget(G, budget, "normal subgroups")
-        return cached
+    return _normal_subgroups(G, limits.subgroup_budget)
+
+
+@memoized
+def _normal_subgroups(G: FiniteGroup, budget: int) -> tuple[Subgroup, ...]:
     closures: dict[tuple[int, ...], int] = {}  # closure -> an element of the class
     covered: set[int] = set()
     for g in range(G.order):
         if g not in covered:
-            covered |= conjugacy_class(G, g)
+            covered |= conjugacy_classes(G)[g]
             closures.setdefault(normal_closure(G, (g,)).elems, g)
     found = [((0,), frozenset((0,)))]
     known = {(0,)}
@@ -189,9 +187,7 @@ def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
                 if len(known) > budget:
                     raise _over_budget(G, budget, "normal subgroups")
                 found.append((product, frozenset(product)))
-    result = tuple(Subgroup(G, t) for t in sorted(known, key=lambda t: (len(t), t)))
-    G._derived["normals"] = result
-    return result
+    return tuple(Subgroup(G, t) for t in sorted(known, key=lambda t: (len(t), t)))
 
 
 def minimal_normal_over(G: FiniteGroup, below: Subgroup,
@@ -215,7 +211,7 @@ def minimal_normal_over(G: FiniteGroup, below: Subgroup,
     for g in pool:
         if g in below_set or g in done:
             continue
-        done |= conjugacy_class(G, g)
+        done |= conjugacy_classes(G)[g]
         candidates.add(normal_closure(G, below.elems + (g,)).elems)
     sets = [frozenset(t) for t in candidates]
     minimal = [t for t, s in zip(candidates, sets) if not any(u < s for u in sets)]
@@ -299,10 +295,8 @@ def centralizer_of_factor(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
     return Subgroup(G, tuple(out))
 
 
+@memoized
 def chief_series(G: FiniteGroup) -> ChiefSeries:
-    cached = G._derived.get("chief_series")
-    if cached is not None:
-        return cached
     chain = [trivial_subgroup(G)]
     while chain[-1].order < G.order:
         nxt = minimal_normal_over(G, chain[-1])
@@ -310,9 +304,7 @@ def chief_series(G: FiniteGroup) -> ChiefSeries:
     orders = tuple(chain[i + 1].order // chain[i].order for i in range(len(chain) - 1))
     cents = tuple(centralizer_of_factor(G, chain[i + 1], chain[i])
                   for i in range(len(chain) - 1))
-    series = ChiefSeries(G, tuple(chain), orders, cents)
-    G._derived["chief_series"] = series
-    return series
+    return ChiefSeries(G, tuple(chain), orders, cents)
 
 
 def _is_chief_factor(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
@@ -358,27 +350,6 @@ def hypercenter(G: FiniteGroup, spec) -> Subgroup:
     Candidates are all normal subgroups; each is tested along one chief series
     of G refined through it.
     """
-    from .classes import is_member  # deferred: classes builds on this module
-
-    memo = G._derived.setdefault(("central_factor", spec.text()), {})
-
-    def factor_is_central(M: Subgroup, Z: Subgroup) -> bool:
-        key = (M.elems, Z.elems)
-        got = memo.get(key)
-        if got is None:
-            if spec.hereditary:
-                # the factor embeds in the extension, so it must itself qualify
-                hgroup = M.as_group()
-                pos = {e: i for i, e in enumerate(M.elems)}
-                z_inside = Subgroup(hgroup, tuple(sorted(pos[e] for e in Z.elems)))
-                bare, _ = quotient(hgroup, z_inside)
-                if not is_member(bare, spec):
-                    memo[key] = False
-                    return False
-            got = is_member(chief_factor_group(G, M, Z), spec)
-            memo[key] = got
-        return got
-
     best = trivial_subgroup(G)
     for N in normal_subgroups(G):
         if N.order <= best.order:
@@ -387,13 +358,30 @@ def hypercenter(G: FiniteGroup, spec) -> Subgroup:
         ok = True
         while Z.order < N.order:
             M = minimal_normal_over(G, Z, within=N)
-            if M is None or not factor_is_central(M, Z):
+            if M is None or not _factor_is_central(G, spec, M.elems, Z.elems):
                 ok = False
                 break
             Z = M
         if ok:
             best = N
     return best
+
+
+@memoized
+def _factor_is_central(G: FiniteGroup, spec, upper: tuple[int, ...],
+                       lower: tuple[int, ...]) -> bool:
+    """Whether the chief factor upper/lower lies centrally for the class."""
+    from .classes import is_member  # deferred: classes builds on this module
+
+    M, Z = Subgroup(G, upper), Subgroup(G, lower)
+    if spec.hereditary:
+        # the factor embeds in the extension, so it must itself qualify
+        hgroup = M.as_group()
+        pos = {e: i for i, e in enumerate(upper)}
+        bare, _ = quotient(hgroup, Subgroup(hgroup, tuple(sorted(pos[e] for e in lower))))
+        if not is_member(bare, spec):
+            return False
+    return is_member(chief_factor_group(G, M, Z), spec)
 
 
 def exponent(G: FiniteGroup) -> int:

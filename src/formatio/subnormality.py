@@ -12,6 +12,7 @@ is always one of minimal length, with deterministic tie-breaking.
 from __future__ import annotations
 
 from .arith import is_prime, prime_divisors
+from .errors import UnsupportedParameter
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -19,6 +20,7 @@ from .groups import (
     cyclic_table,
     is_normal_in,
     materialize,
+    memoized,
     quotient,
 )
 from .records import record
@@ -126,30 +128,28 @@ def _bfs_chain(G: FiniteGroup,
     return None
 
 
+@memoized
+def _class_step(G: FiniteGroup, spec: ClassSpec, small: tuple[int, ...],
+                big: tuple[int, ...]) -> str | None:
+    """The kind of the step small <= big in a class-subnormal chain, or None."""
+    if is_normal_in(G, frozenset(small), big):
+        return STEP_NORMAL
+    if is_member(_core_quotient(G, Subgroup(G, small), Subgroup(G, big)), spec):
+        return STEP_CLASS_QUOTIENT
+    return None
+
+
 def k_subnormal_chain(G: FiniteGroup, H: Subgroup,
                       spec: ClassSpec) -> ChainWitness | None:
     """Chain from H to G with normal or class-core-quotient steps."""
-    cache = G._derived.setdefault(("kedge", spec.text()), {})
 
     def edge_ok(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-        key = (small, big)
-        got = cache.get(key)
-        if got is None:
-            small_set = frozenset(small)
-            if is_normal_in(G, small_set, big):
-                got = STEP_NORMAL
-            elif is_member(_core_quotient(G, Subgroup(G, small), Subgroup(G, big)),
-                           spec):
-                got = STEP_CLASS_QUOTIENT
-            else:
-                got = False
-            cache[key] = got
-        return bool(got)
+        return _class_step(G, spec, small, big) is not None
 
     path = _bfs_chain(G, H, edge_ok)
     if path is None:
         return None
-    kinds = tuple(cache.get((path[i], path[i + 1]), STEP_NORMAL)
+    kinds = tuple(_class_step(G, spec, path[i], path[i + 1])
                   for i in range(len(path) - 1))
     return ChainWitness(G, tuple(Subgroup(G, t) for t in path), kinds, spec.text())
 
@@ -186,7 +186,8 @@ def cyclic_primary_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 def vstar_obstruction(G: FiniteGroup, spec: ClassSpec) -> Subgroup | None:
     """First cyclic primary subgroup without a class-subnormal chain."""
     if not spec.hereditary:
-        raise ValueError(f"vstar needs a hereditary-flagged spec, got {spec.text()}")
+        raise UnsupportedParameter(
+            f"vstar needs a hereditary-flagged spec, got {spec.text()}")
     for P in cyclic_primary_subgroups(G):
         if k_subnormal_chain(G, P, spec) is None:
             return P

@@ -20,7 +20,8 @@ from math import inf as INF, log10
 
 from .arith import factorize, is_prime, nth_prime, prime_index
 from .config import limits
-from .errors import DiagonalPair, InvalidExponentFunction, SpecSyntaxError, TooLarge
+from .errors import (DiagonalPair, InvalidExponentFunction, SpecSyntaxError, TooLarge,
+                     UnsupportedParameter)
 from .records import record
 
 Exponent = int | float  # a natural number or INF
@@ -158,7 +159,7 @@ def to_int(omega: Supernatural) -> int:
 def complement(omega: Supernatural) -> Supernatural:
     """For a complete number, the complete number with 0/inf swapped."""
     if not is_complete(omega):
-        raise ValueError(f"{omega} is not complete")
+        raise UnsupportedParameter(f"{omega} is not complete")
     flip = {0: INF, INF: 0}
     values = {p: flip[e] for p, e in omega.explicit}
     return make_supernatural(values, default=flip[omega.default])
@@ -424,13 +425,15 @@ def parse_exponent_function(text: str) -> ExponentFunction:
     s = text.strip()
     if s.startswith("f:"):
         s = s[2:]
+    if not s.strip():
+        raise SpecSyntaxError(f"empty exponent function literal {text!r}")
     values: dict[int, Supernatural] = {}
     default = ONE
     seen_default = False
     for chunk in s.split(","):
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise SpecSyntaxError(f"empty entry in exponent function {text!r}")
         lhs, sep, rhs = chunk.partition("->")
         if not sep:
             raise SpecSyntaxError(f"missing '->' in entry {chunk!r}")
@@ -450,6 +453,4 @@ def parse_exponent_function(text: str) -> ExponentFunction:
         if p in values:
             raise SpecSyntaxError(f"prime {p} repeated in exponent function")
         values[p] = omega
-    if not values and not seen_default:
-        raise SpecSyntaxError(f"empty exponent function literal {text!r}")
     return make_exponent_function(values, default=default)

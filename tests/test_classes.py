@@ -12,6 +12,8 @@ from formatio.classes import (
     SUPERSOLUBLE,
     TRIVIAL,
     V_SUPERSOLUBLE,
+    AbelianClass,
+    ClassSpec,
     PrimeOrdering,
     cap,
     exponent_formation_member,
@@ -32,8 +34,9 @@ from formatio.classes import (
     vstar,
 )
 from formatio.constructions import cyclic, symmetric
-from formatio.errors import EmptyClass, SpecSyntaxError
-from formatio.groups import generated_subgroup, quotient
+from formatio.errors import EmptyClass, SpecSyntaxError, UnsupportedParameter
+from formatio.groups import build_group, generated_subgroup, quotient
+from formatio.records import record
 from formatio.structure import all_subgroups, normal_subgroups
 from formatio.supernatural import (
     FULL,
@@ -335,6 +338,45 @@ def test_parser_rejects_garbage():
                 "local(3->A,2->N,3->A,default->S)"]:
         with pytest.raises(SpecSyntaxError):
             parse_spec(bad)
+
+
+def test_parser_rejects_empty_list_items():
+    for bad in ["sylow_tower:", "sylow_tower:2>>3", "S_pi:{2,,3}", "S_pi':{2,}",
+                "cap(A,,N)", "cap(A,N,)", "prod(,N)", "local(2->N,,default->S)",
+                "reg(2->2^inf,,default->1)", "reg(default->1,)"]:
+        with pytest.raises(SpecSyntaxError):
+            parse_spec(bad)
+    with pytest.raises(UnsupportedParameter):
+        PrimeOrdering(())
+
+
+def test_equal_tables_share_one_verdict_per_spec(s3):
+    calls = []
+
+    @record(frozen=True)
+    class Counting(ClassSpec):
+        def text(self):
+            return "counting"
+
+        def _member(self, G):
+            calls.append(G)
+            return True
+
+    twin = build_group(s3.table, "twin")
+    assert twin is not s3 and twin.fingerprint == s3.fingerprint
+    assert is_member(s3, Counting()) and is_member(twin, Counting())
+    assert calls == [s3]
+
+
+def test_specs_with_equal_text_keep_their_own_verdicts(s3):
+    @record(frozen=True)
+    class NonAbelian(AbelianClass):
+        def _member(self, G):
+            return not super()._member(G)
+
+    assert NonAbelian().text() == ABELIAN.text()
+    assert not is_member(s3, ABELIAN)
+    assert is_member(s3, NonAbelian())
 
 
 def test_spec_flags():

@@ -392,3 +392,42 @@ def test_oversized_numeric_literal_exits_1_promptly(argv, err):
                           capture_output=True, text=True, timeout=10,
                           env=_fresh_process_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
+def test_decode_of_the_ten_thousandth_prime_finishes_promptly():
+    # 104729 is the 10,000th prime, and pair_components(10000) == (60, 83):
+    # the 60th and 83rd primes are 281 and 431
+    proc = subprocess.run([sys.executable, "-m", "formatio.cli", "sn", "decode(104729)"],
+                          capture_output=True, text=True, timeout=10,
+                          env=_fresh_process_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "281->281^inf*431,default->1\n", "")
+
+
+def test_complement_of_an_incomplete_number_is_an_error(capsys):
+    assert run_cli(capsys, "sn", "complement(2)") == (1, "", "error: 2 is not complete\n")
+
+
+@pytest.mark.parametrize("command", ["check", "graph", "sweep"])
+def test_vstar_of_a_non_hereditary_spec_is_an_error(capsys, tmp_path, command):
+    spec = "vstar(prod(A,N))"
+    if command == "sweep":
+        cat = tmp_path / "cat"
+        run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "4")
+        argv = ("sweep", "--spec", spec, "--catalog", str(cat))
+    else:
+        argv = (command, "S4", spec)
+    assert run_cli(capsys, *argv) == (
+        1, "", "error: vstar needs a hereditary-flagged spec, got prod(abelian,nilpotent)\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("check", "S4", "sylow_tower:"), "expected a prime in 'sylow_tower:'"),
+    (("check", "S4", "S_pi:{2,,3}"), "expected a prime in 'S_pi:{2,,3}'"),
+    (("check", "S4", "cap(A,,N)"), "empty item in the list 'A,,N'"),
+    (("check", "S4", "reg(2->2^inf,,default->1)"),
+     "empty entry in exponent function '2->2^inf,,default->1'"),
+    (("sn", "gcd(2,3,)"), "empty item in the list '2,3,'"),
+])
+def test_empty_list_item_is_a_syntax_error(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {err}\n")

@@ -303,3 +303,30 @@ def test_isomorphism_transitive_spot():
     b = direct_product(cyclic(3), cyclic(2))
     c = cyclic(6)
     assert is_isomorphic(a, b) and is_isomorphic(b, c) and is_isomorphic(a, c)
+
+
+def test_memo_keys_hold_plain_values(s4):
+    from formatio.classes import NILPOTENT, SUPERSOLUBLE, V_SUPERSOLUBLE, ClassSpec
+    from formatio.regularity import isolated_set
+    from formatio.structure import chief_series, hypercenter, normal_subgroups
+    from formatio.subnormality import cyclic_primary_subgroups, k_subnormal_chain
+
+    G = build_group(s4.table, "S4 copy")
+    for N in normal_subgroups(G):
+        quotient(G, N)
+    chief_series(G)
+    hypercenter(G, SUPERSOLUBLE)
+    for P in cyclic_primary_subgroups(G):
+        k_subnormal_chain(G, P, NILPOTENT)
+    isolated_set(G, V_SUPERSOLUBLE)
+    isomorphism(G, s4)
+
+    def plain(v):
+        if isinstance(v, tuple):
+            return all(plain(x) for x in v)
+        return isinstance(v, (str, int, ClassSpec))
+
+    names = {key[0] for key in G._memo}
+    assert {"cyclic_table", "_quotient", "_lattice", "_class_step",
+            "_factor_is_central", "_pair_subgroup", "_iso_screen"} <= names
+    assert all(plain(key) for key in G._memo)

@@ -128,6 +128,17 @@ def test_complement_requires_complete():
         complement(from_int(12))
 
 
+def test_prime_enumeration_and_its_inverse():
+    from formatio.arith import is_prime, nth_prime, prime_index
+
+    primes = [p for p in range(2, 2000) if is_prime(p)]
+    assert [nth_prime(i) for i in range(1, len(primes) + 1)] == primes
+    assert [prime_index(p) for p in reversed(primes)] == list(range(len(primes), 0, -1))
+    assert nth_prime(10000) == 104729
+    with pytest.raises(ValueError):
+        prime_index(104730)
+
+
 def test_pairing_first_index():
     assert pair_index(1, 2) == 1
     assert pair_components(1) == (1, 2)
