@@ -46,14 +46,16 @@ from .classes import (
     residual,
 )
 from .errors import FormatioError, TheoremViolation
-from .groups import FiniteGroup, group_from_json, quotient
+from .groups import FiniteGroup, group_from_json
 from .regularity import (
+    ROW_SWEEPS,
     graph_to_dot,
+    map_groups,
     non_class_graph,
     regularity_sweep,
     report_to_text,
 )
-from .structure import chief_series, frattini, minimal_normal_subgroups
+from .structure import chief_series
 from .supernatural import (
     decode_supernatural,
     divides,
@@ -99,7 +101,8 @@ def _resolve_group(token: str, catalog_dir: str | None) -> FiniteGroup:
 
 def _catalog_groups(catalog_dir: str | None,
                     max_order: int | None) -> list[FiniteGroup]:
-    if catalog_dir and (Path(catalog_dir) / "manifest.json").exists():
+    """The catalog in `catalog_dir`, or the default one when none is named."""
+    if catalog_dir:
         entries = read_catalog(catalog_dir)
     else:
         entries = build_catalog(CatalogConfig(max_order) if max_order else None)
@@ -182,55 +185,6 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _saturation_rows(groups, spec):
-    rows = []
-    for G in groups:
-        Q, _ = quotient(G, frattini(G))
-        quotient_member = is_member(Q, spec)
-        member = is_member(G, spec)
-        rows.append({"group": G.name, "order": G.order,
-                     "frattini_quotient_member": quotient_member,
-                     "member": member,
-                     "ok": member or not quotient_member})
-    return rows
-
-
-def _formation_law_rows(groups, spec):
-    from .structure import all_subgroups
-
-    rows = []
-    for G in groups:
-        mins = minimal_normal_subgroups(G)
-        for i, N1 in enumerate(mins):
-            if not spec.formation:
-                break
-            for N2 in mins[:i]:
-                Q1, _ = quotient(G, N1)
-                Q2, _ = quotient(G, N2)
-                if not (is_member(Q1, spec) and is_member(Q2, spec)):
-                    continue
-                # distinct minimal normals intersect trivially
-                ok = is_member(G, spec)
-                rows.append({"group": G.name, "law": "subdirect",
-                             "n1": N1.order, "n2": N2.order, "ok": ok})
-        if spec.hereditary and is_member(G, spec):
-            ok = all(is_member(H.as_group(), spec)
-                     for H in all_subgroups(G).subgroups)
-            rows.append({"group": G.name, "law": "hereditary", "ok": ok})
-    return rows
-
-
-def _vstar_idempotence_rows(groups, spec):
-    rows = []
-    once = VStarClass(spec)
-    twice = VStarClass(once)
-    for G in groups:
-        a = is_member(G, once)
-        b = is_member(G, twice)
-        rows.append({"group": G.name, "vstar": a, "vstar_vstar": b, "ok": a == b})
-    return rows
-
-
 def cmd_sweep(args) -> int:
     groups = _catalog_groups(args.catalog, args.max_order)
     spec = parse_spec(args.spec)
@@ -244,14 +198,9 @@ def cmd_sweep(args) -> int:
             return 2
         _emit(args, report.to_json(), report_to_text(report))
         return 0
-    if args.mode == "saturation":
-        rows = _saturation_rows(groups, spec)
-    elif args.mode == "formation-laws":
-        rows = _formation_law_rows(groups, spec)
-    elif args.mode == "vstar-idempotence":
-        rows = _vstar_idempotence_rows(groups, spec)
-    else:
-        raise FormatioError(f"unknown sweep mode {args.mode}")
+    row_fn, enforced = ROW_SWEEPS[args.mode]
+    rows = [row for group_rows in map_groups(row_fn, groups, spec, args.workers)
+            for row in group_rows]
     failures = [r for r in rows if not r["ok"]]
     payload = {"spec": spec.text(), "mode": args.mode, "rows": rows,
                "failures": failures}
@@ -260,11 +209,7 @@ def cmd_sweep(args) -> int:
     for r in failures:
         text_lines.append(f"  FAIL {r}")
     _emit(args, payload, "\n".join(text_lines) + "\n")
-    if failures and spec.saturated and args.mode == "saturation":
-        return 2
-    if failures and args.mode in ("formation-laws", "vstar-idempotence"):
-        return 2
-    return 0
+    return 2 if failures and enforced(spec) else 0
 
 
 def cmd_graph(args) -> int:
@@ -355,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog-build", help="build and persist the catalog")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--catalog", default=os.environ.get("FORMATIO_CATALOG"))
-    p.add_argument("--max-order", type=int, default=60)
+    p.add_argument("--max-order", type=_at_least_one, default=60)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_catalog_build)
 
@@ -369,12 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="catalog-wide property sweep")
     p.add_argument("--spec", required=True)
-    p.add_argument("--mode", default="regularity",
-                   choices=["regularity", "saturation", "formation-laws",
-                            "vstar-idempotence"])
+    p.add_argument("--mode", default="regularity", choices=["regularity", *ROW_SWEEPS])
     p.add_argument("--catalog", default=os.environ.get("FORMATIO_CATALOG"))
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-order", type=_at_least_one, default=None)
+    p.add_argument("--workers", type=_at_least_one, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -523,10 +523,6 @@ class GroupHom:
     def __call__(self, a: int) -> int:
         return self.image[a]
 
-    def is_bijective(self) -> bool:
-        return (self.source.order == self.target.order
-                and len(set(self.image)) == self.source.order)
-
 
 def group_hom(source: FiniteGroup, target: FiniteGroup,
               image: Sequence[int]) -> GroupHom:

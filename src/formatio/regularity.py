@@ -1,4 +1,5 @@
-"""The isolated-set vs maximal-intersection comparison and its sweeps.
+"""Every catalog sweep: the isolated-set vs maximal-intersection comparison
+and the closure-law sweeps, behind one driver.
 
 For a class spec F and a group G two element sets are computed:
   * the isolated set: elements x with <x, y> in F for every y (exactly the
@@ -7,7 +8,10 @@ For a class spec F and a group G two element sets are computed:
     maximal among the F-subgroups of G.
 
 For the spec shapes the theory guarantees to be regular, a sweep asserts the
-two sets agree on every soluble group and fails loudly otherwise.
+two sets agree on every soluble group and fails loudly otherwise.  The other
+sweep modes (Frattini-quotient saturation, the formation and hereditary laws,
+vstar idempotence) are row functions of one group, listed in `ROW_SWEEPS`.
+Every mode runs through `map_groups`, serially or in a process pool.
 """
 
 from __future__ import annotations
@@ -17,18 +21,19 @@ from .classes import (
     ExponentFormationClass,
     IntersectionClass,
     PNilpotentClass,
+    SOLUBLE,
     SolubleClass,
     SylowTowerClass,
     VStarClass,
     VSupersolubleClass,
     is_member,
-    parse_spec,
 )
 from .config import limits, overridden_limits
 from .errors import EmptyClass, TheoremViolation
-from .groups import FiniteGroup, _closure, _trusted_group, cyclic_table, materialize, memoized
+from .groups import (FiniteGroup, _closure, _trusted_group, cyclic_table, materialize,
+                     memoized, quotient)
 from .records import asdict, record
-from .structure import all_subgroups
+from .structure import all_subgroups, frattini, minimal_normal_subgroups
 
 
 @memoized
@@ -201,8 +206,6 @@ class RegularityReport:
 
 
 def regularity_row(G: FiniteGroup, spec: ClassSpec) -> SweepRow:
-    from .classes import SOLUBLE
-
     int_set = maximal_intersection(G, spec)
     iso = isolated_set(G, spec)
     equal = int_set == iso
@@ -214,33 +217,40 @@ def regularity_row(G: FiniteGroup, spec: ClassSpec) -> SweepRow:
                     equal, witness)
 
 
-def _pool_row(payload) -> SweepRow:
-    """One sweep row in a pool worker, under the parent's limits."""
-    table, name, spec_text, parent_limits = payload
+def _pool_call(payload):
+    """One row function call in a pool worker, under the parent's limits."""
+    row_fn, table, name, spec, parent_limits = payload
     with overridden_limits(**parent_limits):
-        return regularity_row(_trusted_group(table, name), parse_spec(spec_text))
+        return row_fn(_trusted_group(table, name), spec)
+
+
+def map_groups(row_fn, groups, spec: ClassSpec, workers: int = 1) -> list:
+    """[row_fn(G, spec) for G in groups], in the order of the groups.
+
+    With `workers` > 1 the calls run in a process pool of at most one worker
+    per group (serially when that is one).  A worker gets the spec record
+    itself and the parent's limits, so it answers exactly as the parent would.
+    """
+    groups = list(groups)
+    workers = min(workers, len(groups))
+    if workers <= 1:
+        return [row_fn(G, spec) for G in groups]
+    from concurrent.futures import ProcessPoolExecutor
+
+    payloads = [(row_fn, G.table, G.name, spec, asdict(limits)) for G in groups]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_pool_call, payloads))
 
 
 def regularity_sweep(groups, spec: ClassSpec, enforce: bool = True,
                      workers: int = 1) -> RegularityReport:
     """Compare the two element sets on every group.
 
-    With `workers` > 1 the rows are computed in a process pool of at most one
-    worker per group (serially when that is one); rows are merged in the same
-    sorted order either way.  With `enforce`, a disagreement on a soluble
-    group under a theorem-backed spec raises TheoremViolation carrying the
-    full report.
+    Rows come from `map_groups` and are sorted by (order, name).  With
+    `enforce`, a disagreement on a soluble group under a theorem-backed spec
+    raises TheoremViolation carrying the full report.
     """
-    groups = list(groups)
-    workers = min(workers, len(groups))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [(G.table, G.name, spec.text(), asdict(limits)) for G in groups]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_pool_row, payloads))
-    else:
-        rows = [regularity_row(G, spec) for G in groups]
+    rows = map_groups(regularity_row, groups, spec, workers)
     rows = tuple(sorted(rows, key=lambda r: (r.order, r.group_name)))
     report = RegularityReport(spec.text(), is_theorem_backed_regular(spec), rows)
     if enforce and report.violations:
@@ -248,6 +258,57 @@ def regularity_sweep(groups, spec: ClassSpec, enforce: bool = True,
         raise TheoremViolation(
             f"regular spec {spec.text()} has unequal sets on: {bad}", report)
     return report
+
+
+def saturation_rows(G: FiniteGroup, spec: ClassSpec) -> list[dict]:
+    """G/Phi(G) in the class forces G in it, for a saturated class."""
+    Q, _ = quotient(G, frattini(G))
+    quotient_member = is_member(Q, spec)
+    member = is_member(G, spec)
+    return [{"group": G.name, "order": G.order,
+             "frattini_quotient_member": quotient_member,
+             "member": member,
+             "ok": member or not quotient_member}]
+
+
+def formation_law_rows(G: FiniteGroup, spec: ClassSpec) -> list[dict]:
+    """The subdirect law over pairs of minimal normal subgroups, for a
+    formation, and the subgroup law, for a hereditary class."""
+    rows = []
+    mins = minimal_normal_subgroups(G)
+    for i, N1 in enumerate(mins):
+        if not spec.formation:
+            break
+        for N2 in mins[:i]:
+            Q1, _ = quotient(G, N1)
+            Q2, _ = quotient(G, N2)
+            if not (is_member(Q1, spec) and is_member(Q2, spec)):
+                continue
+            # distinct minimal normals intersect trivially
+            ok = is_member(G, spec)
+            rows.append({"group": G.name, "law": "subdirect",
+                         "n1": N1.order, "n2": N2.order, "ok": ok})
+    if spec.hereditary and is_member(G, spec):
+        ok = all(is_member(H.as_group(), spec)
+                 for H in all_subgroups(G).subgroups)
+        rows.append({"group": G.name, "law": "hereditary", "ok": ok})
+    return rows
+
+
+def vstar_idempotence_rows(G: FiniteGroup, spec: ClassSpec) -> list[dict]:
+    """vstar(vstar(F)) and vstar(F) agree on G."""
+    once = VStarClass(spec)
+    a = is_member(G, once)
+    b = is_member(G, VStarClass(once))
+    return [{"group": G.name, "vstar": a, "vstar_vstar": b, "ok": a == b}]
+
+
+# mode -> (row function, whether a failing row violates a theorem for the spec)
+ROW_SWEEPS = {
+    "saturation": (saturation_rows, lambda spec: spec.saturated),
+    "formation-laws": (formation_law_rows, lambda spec: True),
+    "vstar-idempotence": (vstar_idempotence_rows, lambda spec: True),
+}
 
 
 def report_to_text(report: RegularityReport) -> str:

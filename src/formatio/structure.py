@@ -63,9 +63,6 @@ class SubgroupLattice:
     def maximal_subgroups(self) -> tuple[Subgroup, ...]:
         return tuple(s for s, f in zip(self.subgroups, self.maximal_flags) if f)
 
-    def normal_members(self) -> tuple[Subgroup, ...]:
-        return tuple(s for s, f in zip(self.subgroups, self.normal_flags) if f)
-
     def __len__(self) -> int:
         return len(self.subgroups)
 

@@ -16,7 +16,7 @@ position up to the configured horizon and exact lazily at any position via
 
 from __future__ import annotations
 
-from math import inf as INF, log10
+from math import inf as INF, isqrt, log10
 
 from .arith import factorize, is_prime, nth_prime, prime_index
 from .config import limits
@@ -173,27 +173,23 @@ def complement(omega: Supernatural) -> Supernatural:
 #   1 -> (1,2), 2 -> (2,1), 3 -> (1,3), 4 -> (3,1), 5 -> (1,4), 6 -> (2,3), ...
 
 
-def _diagonal_size(s: int) -> int:
-    return (s - 1) - (1 if s % 2 == 0 else 0)
+def _pairs_before(s: int) -> int:
+    """Number of pairs on the diagonals 3 .. s-1."""
+    return (s - 2) * (s - 1) // 2 - (s - 1) // 2
 
 
 def pair_components(i: int) -> tuple[int, int]:
     """The pair enumerated at index i >= 1."""
     if i < 1:
         raise ValueError(f"pair index must be >= 1, got {i}")
-    s = 3
-    remaining = i
-    while remaining > _diagonal_size(s):
-        remaining -= _diagonal_size(s)
+    s = max(3, isqrt(2 * i))  # _pairs_before(s) is about s*s/2
+    while _pairs_before(s) >= i:
+        s -= 1
+    while _pairs_before(s + 1) < i:
         s += 1
-    a = 0
-    for cand in range(1, s):
-        if 2 * cand == s:
-            continue
-        remaining -= 1
-        if remaining == 0:
-            a = cand
-            break
+    a = i - _pairs_before(s)
+    if s % 2 == 0 and 2 * a >= s:  # skip the diagonal point a == s/2
+        a += 1
     return a, s - a
 
 
@@ -204,14 +200,7 @@ def pair_index(n1: int, n2: int) -> int:
     if n1 == n2:
         raise DiagonalPair(f"({n1}, {n2}) lies on the diagonal")
     s = n1 + n2
-    idx = sum(_diagonal_size(t) for t in range(3, s))
-    for cand in range(1, s):
-        if 2 * cand == s:
-            continue
-        idx += 1
-        if cand == n1:
-            return idx
-    raise AssertionError("unreachable")
+    return _pairs_before(s) + n1 - (1 if s % 2 == 0 and 2 * n1 > s else 0)
 
 
 # ---------------------------------------------------------------------------

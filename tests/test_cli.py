@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from formatio.classes import ABELIAN, AbelianClass, AllGroupsClass
 from formatio.cli import main
 
 
@@ -159,18 +160,67 @@ def test_sweep_formation_laws(capsys, tmp_path):
     assert json.loads(out)["failures"] == []
 
 
-def test_sweep_parallel_workers_match_serial(capsys, tmp_path):
+@pytest.mark.parametrize("mode, spec", [
+    ("regularity", "vU"), ("saturation", "reg(default->1)"),
+    ("formation-laws", "U"), ("vstar-idempotence", "N"),
+])
+def test_sweep_parallel_workers_match_serial(capsys, tmp_path, mode, spec):
     cat = tmp_path / "cat"
     run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "12")
-    code, serial_out, _ = run_cli(capsys, "sweep", "--spec", "vU",
-                                  "--mode", "regularity",
-                                  "--catalog", str(cat), "--format", "json")
+    argv = ("sweep", "--spec", spec, "--mode", mode, "--catalog", str(cat),
+            "--format", "json")
+    code, serial_out, _ = run_cli(capsys, *argv)
     assert code == 0
-    code, parallel_out, _ = run_cli(capsys, "sweep", "--spec", "vU",
-                                    "--mode", "regularity", "--workers", "2",
-                                    "--catalog", str(cat), "--format", "json")
+    code, parallel_out, _ = run_cli(capsys, *argv, "--workers", "2")
     assert code == 0
     assert serial_out == parallel_out
+
+
+class _SaturatedAbelian(AbelianClass):
+    """Wrongly flagged saturated: Q8/Phi(Q8) is abelian, Q8 is not."""
+
+    saturated = True
+
+
+class _OrderNotTwo(AllGroupsClass):
+    """Wrongly flagged hereditary: S3 (catalog name D3) is a member, its
+    subgroups of order 2 are not."""
+
+    formation = False
+
+    def text(self):
+        return "order-not-2"
+
+    def _member(self, G):
+        return G.order != 2
+
+
+@pytest.mark.parametrize("mode, spec, code, culprit", [
+    ("saturation", ABELIAN, 0, "Q8"),  # not flagged saturated: informational
+    ("saturation", _SaturatedAbelian(), 2, "Q8"),
+    ("formation-laws", _OrderNotTwo(), 2, "D3"),
+])
+def test_sweep_exit_code_follows_the_flagged_law(capsys, tmp_path, monkeypatch,
+                                                 mode, spec, code, culprit):
+    cat = tmp_path / "cat"
+    run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "8")
+    monkeypatch.setattr("formatio.cli.parse_spec", lambda text: spec)
+    got, out, _ = run_cli(capsys, "sweep", "--spec", spec.text(), "--mode", mode,
+                          "--catalog", str(cat), "--format", "json")
+    assert got == code
+    assert culprit in {r["group"] for r in json.loads(out)["failures"]}
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_missing_catalog_directory_is_an_io_error(capsys, tmp_path, monkeypatch, command):
+    missing = str(tmp_path / "no" / "such" / "dir")
+    argv = (("check", "Z2xZ2", "N") if command == "check"
+            else ("sweep", "--spec", "N"))
+    code, out, err = run_cli(capsys, *argv, "--catalog", missing)
+    assert (code, out) == (1, "")
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    monkeypatch.setenv("FORMATIO_CATALOG", missing)
+    assert run_cli(capsys, *argv) == (code, out, err)
 
 
 def test_console_entry_point():
@@ -202,13 +252,15 @@ def test_pool_sweep_under_spawn_keeps_budget(capsys, tmp_path):
     previous = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method("spawn", force=True)
     try:
-        code, _, err = run_cli(capsys, "--budget-subgroups", "3", "sweep",
-                               "--spec", "vU", "--workers", "2",
-                               "--catalog", str(cat))
+        # a pool worker gets a row function and a spec record by pickle
+        for mode in ("regularity", "saturation"):
+            code, _, err = run_cli(capsys, "--budget-subgroups", "3", "sweep",
+                                   "--spec", "vU", "--mode", mode, "--workers", "2",
+                                   "--catalog", str(cat))
+            assert code == 1, mode
+            assert "more than 3 subgroups" in err, mode
     finally:
         multiprocessing.set_start_method(previous, force=True)
-    assert code == 1
-    assert "more than 3 subgroups" in err
 
 
 def test_limit_overrides_last_one_command(capsys):
@@ -229,10 +281,14 @@ def usage_error(capsys, *argv):
 
 
 def test_limit_flags_below_one_are_usage_errors(capsys):
-    for flag in ("--budget-subgroups", "--horizon-primes"):
-        for value in ("0", "-5"):
-            code, err = usage_error(capsys, f"{flag}={value}", "sn", "1")
-            assert code == 1, (flag, value)
+    for value in ("0", "-5"):
+        for argv in ((f"--budget-subgroups={value}", "sn", "1"),
+                     (f"--horizon-primes={value}", "sn", "1"),
+                     ("sweep", "--spec", "N", f"--workers={value}"),
+                     ("sweep", "--spec", "N", f"--max-order={value}"),
+                     ("catalog-build", f"--max-order={value}")):
+            code, err = usage_error(capsys, *argv)
+            assert code == 1, argv
             assert ">= 1" in err
 
 

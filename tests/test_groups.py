@@ -222,7 +222,7 @@ def test_isomorphism_finds_witness(z6):
     G = direct_product(cyclic(2), cyclic(3))
     hom = isomorphism(G, z6)
     assert hom is not None
-    assert hom.is_bijective()
+    assert sorted(hom.image) == list(range(6))
     for a in range(6):
         for b in range(6):
             assert hom.image[G.table[a][b]] == z6.table[hom.image[a]][hom.image[b]]

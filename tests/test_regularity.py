@@ -8,6 +8,7 @@ from formatio.classes import (
     ABELIAN,
     NILPOTENT,
     SOLUBLE,
+    NilpotentClass,
     SUPERSOLUBLE,
     TRIVIAL,
     V_SUPERSOLUBLE,
@@ -207,3 +208,20 @@ def test_one_group_sweep_never_builds_a_pool(monkeypatch, s3):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     pooled = regularity_sweep([s3], V_SUPERSOLUBLE, workers=2)
     assert pooled == regularity_sweep([s3], V_SUPERSOLUBLE)
+
+
+class _EveryGroupAsNilpotent(NilpotentClass):
+    """Prints as `nilpotent`, but every group is a member.  Module level, so
+    that a pool can pickle it."""
+
+    def _member(self, G):
+        return True
+
+
+def test_pool_sweep_keeps_the_spec_record(s3, s4):
+    # a worker that re-parsed the spec's text would answer for nilpotent
+    spec = _EveryGroupAsNilpotent()
+    pooled = regularity_sweep([s3, s4], spec, enforce=False, workers=2)
+    serial = regularity_sweep([s3, s4], spec, enforce=False)
+    assert pooled == serial
+    assert [r.isolated for r in pooled.rows] == [tuple(range(6)), tuple(range(24))]

@@ -155,6 +155,22 @@ def test_pairing_round_trips():
         assert pair_index(a, b) == i
 
 
+def _pairs_by_walking_the_diagonals(count):
+    """The first `count` pairs, walked one anti-diagonal at a time."""
+    pairs = []
+    s = 3
+    while len(pairs) < count:
+        pairs += [(a, s - a) for a in range(1, s) if 2 * a != s]
+        s += 1
+    return pairs[:count]
+
+
+def test_pairing_closed_form_matches_the_diagonal_walk():
+    for i, (a, b) in enumerate(_pairs_by_walking_the_diagonals(20000), start=1):
+        assert pair_components(i) == (a, b), i
+        assert pair_index(a, b) == i, (a, b)
+
+
 def test_pairing_rejects_diagonal():
     with pytest.raises(DiagonalPair):
         pair_index(3, 3)
