@@ -16,6 +16,10 @@ Every mode runs through `map_groups`, serially or in a process pool.
 
 from __future__ import annotations
 
+import os
+from collections import Counter
+
+from .arith import prime_divisors
 from .classes import (
     ClassSpec,
     ExponentFormationClass,
@@ -224,16 +228,50 @@ def _pool_call(payload):
         return row_fn(_trusted_group(table, name), spec)
 
 
+# Pool start-up cost in units of the row estimate zuppo_count(G)**3: importing
+# concurrent.futures and starting and stopping a pool take about 0.05 s, and
+# vU regularity rows about 1.5 microseconds per unit (calibration in CHANGES.md).
+POOL_START_COST = 34_000
+
+
+def zuppo_count(G: FiniteGroup) -> int:
+    """Number of cyclic subgroups of prime-power order > 1, read off the
+    element orders: one of order p^k has phi(p^k) = p^k - p^(k-1) generators."""
+    zuppos = 0
+    for order, count in Counter(G.element_order).items():
+        primes = prime_divisors(order)
+        if len(primes) == 1:
+            zuppos += count // (order - order // primes[0])
+    return zuppos
+
+
+def pool_size(groups, workers: int) -> int:
+    """Processes worth starting for a sweep over `groups`; 1 means serial.
+
+    At most `workers`, one per group and one per CPU.  A row is estimated to
+    cost zuppo_count(G)**3.  On w processes a sweep still takes its largest
+    row and a w-th of the total, and the pool runs only when it saves more
+    than POOL_START_COST.
+    """
+    w = min(workers, len(groups), os.cpu_count() or 1)
+    if w <= 1:
+        return 1
+    costs = [zuppo_count(G) ** 3 for G in groups]
+    total = sum(costs)
+    saving = total - max(max(costs), total / w)
+    return w if saving > POOL_START_COST else 1
+
+
 def map_groups(row_fn, groups, spec: ClassSpec, workers: int = 1) -> list:
     """[row_fn(G, spec) for G in groups], in the order of the groups.
 
-    With `workers` > 1 the calls run in a process pool of at most one worker
-    per group (serially when that is one).  A worker gets the spec record
-    itself and the parent's limits, so it answers exactly as the parent would.
+    With `workers` > 1 the calls run in a process pool of `pool_size` workers,
+    or serially when that is one.  A worker gets the spec record itself and
+    the parent's limits, so it answers exactly as the parent would.
     """
     groups = list(groups)
-    workers = min(workers, len(groups))
-    if workers <= 1:
+    workers = pool_size(groups, workers)
+    if workers == 1:
         return [row_fn(G, spec) for G in groups]
     from concurrent.futures import ProcessPoolExecutor
 

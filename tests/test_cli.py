@@ -164,15 +164,18 @@ def test_sweep_formation_laws(capsys, tmp_path):
     ("regularity", "vU"), ("saturation", "reg(default->1)"),
     ("formation-laws", "U"), ("vstar-idempotence", "N"),
 ])
-def test_sweep_parallel_workers_match_serial(capsys, tmp_path, mode, spec):
+def test_sweep_parallel_workers_match_serial(capsys, tmp_path, forced_pool,
+                                            mode, spec):
     cat = tmp_path / "cat"
     run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "12")
     argv = ("sweep", "--spec", spec, "--mode", mode, "--catalog", str(cat),
             "--format", "json")
     code, serial_out, _ = run_cli(capsys, *argv)
     assert code == 0
+    assert forced_pool == []
     code, parallel_out, _ = run_cli(capsys, *argv, "--workers", "2")
     assert code == 0
+    assert forced_pool == [2]
     assert serial_out == parallel_out
 
 
@@ -244,7 +247,7 @@ def test_env_var_catalog(capsys, tmp_path, monkeypatch):
     assert code == 1
 
 
-def test_pool_sweep_under_spawn_keeps_budget(capsys, tmp_path):
+def test_pool_sweep_under_spawn_keeps_budget(capsys, tmp_path, forced_pool):
     import multiprocessing
 
     cat = tmp_path / "cat"
@@ -259,6 +262,7 @@ def test_pool_sweep_under_spawn_keeps_budget(capsys, tmp_path):
                                    "--catalog", str(cat))
             assert code == 1, mode
             assert "more than 3 subgroups" in err, mode
+        assert forced_pool == [2, 2]
     finally:
         multiprocessing.set_start_method(previous, force=True)
 

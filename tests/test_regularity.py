@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import json
+import os
+
 import pytest
 
 from formatio.classes import (
@@ -18,7 +22,7 @@ from formatio.classes import (
     sylow_tower,
     vstar,
 )
-from formatio.constructions import cyclic, dihedral
+from formatio.constructions import cyclic, dihedral, direct_product, symmetric
 from formatio.errors import EmptyClass, TheoremViolation
 from formatio.groups import center
 from formatio.regularity import (
@@ -27,9 +31,13 @@ from formatio.regularity import (
     isolated_set,
     maximal_intersection,
     non_class_graph,
+    pool_size,
     regularity_sweep,
+    report_to_text,
+    zuppo_count,
 )
 from formatio.structure import hypercenter, soluble_radical
+from formatio.subnormality import cyclic_primary_subgroups
 
 
 def brute_isolated(G, spec):
@@ -199,15 +207,54 @@ def test_informational_sweep_for_non_regular_specs(catalog_groups):
                 (spec.text(), row.group_name)
 
 
-def test_one_group_sweep_never_builds_a_pool(monkeypatch, s3):
-    import concurrent.futures
+# the catalog the benchmark's cold-checks sweeps run on
+SMALL_SWEEP = ("Z2xZ2", "D3", "Q8", "A4", "D6", "E(3|7)", "S4")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was built for a one-group sweep")
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a pool was built")
+
+
+def test_one_group_sweep_never_builds_a_pool(monkeypatch, s3, catalog_groups):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     pooled = regularity_sweep([s3], V_SUPERSOLUBLE, workers=2)
     assert pooled == regularity_sweep([s3], V_SUPERSOLUBLE)
+    # seven small groups: the estimated saving is below the pool's start-up
+    small = [G for G in catalog_groups if G.name in SMALL_SWEEP]
+    assert len(small) == len(SMALL_SWEEP)
+    pooled = regularity_sweep(small, V_SUPERSOLUBLE, workers=2)
+    serial = regularity_sweep(small, V_SUPERSOLUBLE)
+    assert report_to_text(pooled) == report_to_text(serial)
+    assert json.dumps(pooled.to_json()) == json.dumps(serial.to_json())
+
+
+def test_zuppo_count_from_element_orders(catalog_groups):
+    for G in catalog_groups:
+        assert zuppo_count(G) == len(cyclic_primary_subgroups(G)), G.name
+
+
+def test_pool_only_where_the_estimated_saving_beats_start_up(monkeypatch,
+                                                              catalog_groups):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    small = [G for G in catalog_groups if G.name in SMALL_SWEEP]
+    assert pool_size(small, 2) == 1
+    large = [symmetric(5), direct_product(symmetric(4), symmetric(3))]
+    assert pool_size(large, 2) == 2
+
+
+def test_pool_is_capped_at_one_process_per_cpu(monkeypatch, s3, s4, a4, q8):
+    from formatio import regularity
+
+    monkeypatch.setattr(regularity, "POOL_START_COST", -1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert pool_size([s3, s4], 8) == 1
+    pooled = regularity_sweep([s3, s4], V_SUPERSOLUBLE, workers=8)
+    assert pooled == regularity_sweep([s3, s4], V_SUPERSOLUBLE)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pool_size([s3, s4], 8) == 2
+    assert pool_size([s3, s4, a4, q8], 8) == 3
 
 
 class _EveryGroupAsNilpotent(NilpotentClass):
@@ -218,10 +265,11 @@ class _EveryGroupAsNilpotent(NilpotentClass):
         return True
 
 
-def test_pool_sweep_keeps_the_spec_record(s3, s4):
+def test_pool_sweep_keeps_the_spec_record(s3, s4, forced_pool):
     # a worker that re-parsed the spec's text would answer for nilpotent
     spec = _EveryGroupAsNilpotent()
     pooled = regularity_sweep([s3, s4], spec, enforce=False, workers=2)
+    assert forced_pool == [2]
     serial = regularity_sweep([s3, s4], spec, enforce=False)
     assert pooled == serial
     assert [r.isolated for r in pooled.rows] == [tuple(range(6)), tuple(range(24))]
