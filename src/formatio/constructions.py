@@ -32,6 +32,8 @@ from .records import record
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise UnsupportedParameter(f"cyclic order must be >= 1, got {n}")
+    if n > limits.max_order:
+        raise TooLarge(f"order {n} exceeds cap {limits.max_order}")
     rows = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return _trusted_group(rows, name=f"Z{n}")
 
@@ -64,6 +66,8 @@ def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n; elements r^i and r^i*s."""
     if n < 3:
         raise UnsupportedParameter(f"dihedral needs n >= 3, got {n}")
+    if 2 * n > limits.max_order:
+        raise TooLarge(f"order {2 * n} exceeds cap {limits.max_order}")
 
     # encode r^i as 2i, r^i s as 2i+1
     def mul(a: int, b: int) -> int:

@@ -3,9 +3,12 @@
 The subgroup lattice is enumerated by cyclic extension over the zuppos, the
 cyclic subgroups of prime-power order: each zuppo joins every subgroup found
 before it, one Dimino coset step per join (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory).  Normal subgroups are the products of the normal
-closures of conjugacy classes.  Chief series climb one normal closure at a
-time, without listing the normal subgroups.
+Computational Group Theory).  Normal structure comes from one primitive: the
+normal closures of a normal subgroup N with one element per class outside N
+(`_class_closures`), and the minimal ones, the minimal normals over N
+(`_minimal_normals_over`).  Normal subgroups are products of the closures
+over 1; chief series, the hypercentre and the soluble radical climb one
+minimal normal at a time, without listing the normal subgroups.
 
 Everything here is deterministic: subgroup lists are sorted by (size, element
 tuple), chief series always pick the candidate with the lexicographically
@@ -30,6 +33,7 @@ from .groups import (
     conjugacy_classes,
     cyclic_table,
     derived_series,
+    is_normal,
     memoized,
     normal_closure,
     quotient,
@@ -148,6 +152,22 @@ def frattini(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(sorted(common)))
 
 
+@memoized
+def _class_closures(G: FiniteGroup, below: tuple[int, ...]
+                    ) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The distinct normal closures of `below` and one element g outside it,
+    each with the least g giving it, in element-tuple order.  Conjugates give
+    the same closure, so one g per conjugacy class is tried."""
+    skip = set(below)
+    classes = conjugacy_classes(G)
+    closures: dict[tuple[int, ...], int] = {}
+    for g in range(G.order):
+        if g not in skip:
+            skip |= classes[g]
+            closures.setdefault(normal_closure(G, below + (g,)).elems, g)
+    return tuple(sorted(closures.items()))
+
+
 def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """All normal subgroups, as products of normal closures of classes.
 
@@ -166,15 +186,9 @@ def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 @memoized
 def _normal_subgroups(G: FiniteGroup, budget: int) -> tuple[Subgroup, ...]:
-    closures: dict[tuple[int, ...], int] = {}  # closure -> an element of the class
-    covered: set[int] = set()
-    for g in range(G.order):
-        if g not in covered:
-            covered |= conjugacy_classes(G)[g]
-            closures.setdefault(normal_closure(G, (g,)).elems, g)
     found = [((0,), frozenset((0,)))]
     known = {(0,)}
-    for M, g in sorted(closures.items()):
+    for M, g in _class_closures(G, (0,)):
         for elems, eset in list(found):
             if g in eset:  # then all of M, as elems is normal
                 continue
@@ -187,49 +201,49 @@ def _normal_subgroups(G: FiniteGroup, budget: int) -> tuple[Subgroup, ...]:
     return tuple(Subgroup(G, t) for t in sorted(known, key=lambda t: (len(t), t)))
 
 
-def minimal_normal_over(G: FiniteGroup, below: Subgroup,
-                        within: Subgroup | None = None) -> Subgroup | None:
+@memoized
+def _minimal_normals_over(G: FiniteGroup, below: tuple[int, ...]) -> tuple[Subgroup, ...]:
+    """The normal subgroups minimal over the normal subgroup `below`, in
+    (size, elements) order.  A normal subgroup over `below` contains the
+    closure of `below` and any of its elements outside it, so these are the
+    minimal closures."""
+    minimal: list[Subgroup] = []
+    for M, _ in sorted(_class_closures(G, below), key=lambda c: (len(c[0]), c[0])):
+        N = Subgroup(G, M)
+        if not any(L.elem_set < N.elem_set for L in minimal):
+            minimal.append(N)
+    return tuple(minimal)
+
+
+def _climb(G: FiniteGroup, step) -> Subgroup:
+    """Upper series from 1: while some minimal normal M over the current term
+    Z has step(M, Z), Z moves up to the first such M.  When step depends only
+    on the G-isomorphism type of M/Z, this ends at the largest normal K whose
+    chief factors all pass: K contains Z, as KZ/K ~ Z/(K & Z) passes, and a
+    larger K would have a passing factor M/Z inside it, by Jordan-Hoelder."""
+    Z = trivial_subgroup(G)
+    while (M := next((M for M in _minimal_normals_over(G, Z.elems) if step(M, Z)),
+                     None)) is not None:
+        Z = M
+    return Z
+
+
+def minimal_normal_over(G: FiniteGroup, below: Subgroup) -> Subgroup | None:
     """Deterministic minimal normal subgroup of G/below, as its preimage: of
     the normal subgroups minimal over the normal subgroup `below`, the one
-    with the least element tuple.
-
-    Every such subgroup is the normal closure of `below` and any one of its
-    elements outside `below`, so the candidates are those closures, one per
-    conjugacy class (conjugate elements give the same closure).  This costs
-    at most one closure per class, however many normal subgroups G has.
-
-    When `within` is given the search is restricted to preimages inside it.
-    Returns None when below is already the whole search space.
-    """
-    pool = within.elems if within is not None else range(G.order)
-    below_set = below.elem_set
-    done: set[int] = set()
-    candidates: set[tuple[int, ...]] = set()
-    for g in pool:
-        if g in below_set or g in done:
-            continue
-        done |= conjugacy_classes(G)[g]
-        candidates.add(normal_closure(G, below.elems + (g,)).elems)
-    sets = [frozenset(t) for t in candidates]
-    minimal = [t for t, s in zip(candidates, sets) if not any(u < s for u in sets)]
-    return Subgroup(G, min(minimal)) if minimal else None
+    with the least element tuple.  None when below is the whole group."""
+    return min(_minimal_normals_over(G, below.elems), key=lambda M: M.elems,
+               default=None)
 
 
 def minimal_normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    nontrivial = [N for N in normal_subgroups(G) if N.order > 1]
-    return tuple(N for N in nontrivial
-                 if not any(M.elem_set < N.elem_set for M in nontrivial))
+    return _minimal_normals_over(G, (0,))
 
 
 def socle(G: FiniteGroup) -> Subgroup:
     """Join of all minimal normal subgroups."""
-    mins = minimal_normal_subgroups(G)
-    if not mins:
-        return trivial_subgroup(G)
-    seed: tuple[int, ...] = ()
-    for m in mins:
-        seed += m.elems
-    return Subgroup(G, _closure(G.table, seed))
+    return Subgroup(G, _closure(G.table, [x for M in minimal_normal_subgroups(G)
+                                          for x in M.elems]))
 
 
 def elems_soluble(G: FiniteGroup, elems: tuple[int, ...]) -> bool:
@@ -238,14 +252,8 @@ def elems_soluble(G: FiniteGroup, elems: tuple[int, ...]) -> bool:
 
 
 def soluble_radical(G: FiniteGroup) -> Subgroup:
-    """Largest normal soluble subgroup (join of all of them)."""
-    seed: tuple[int, ...] = (0,)
-    for N in normal_subgroups(G):
-        if elems_soluble(G, N.elems):
-            seed += N.elems
-    radical = Subgroup(G, _closure(G.table, seed))
-    assert elems_soluble(G, radical.elems), "join of soluble normals went insoluble"
-    return radical
+    """Largest normal soluble subgroup, up the soluble chief factors."""
+    return _climb(G, lambda M, Z: elems_soluble(G, M.elems))
 
 
 def frattini_socle(G: FiniteGroup) -> Subgroup:
@@ -305,13 +313,8 @@ def chief_series(G: FiniteGroup) -> ChiefSeries:
 
 
 def _is_chief_factor(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
-    if not (K.elem_set < H.elem_set):
-        return False
-    norms = {N.elems for N in normal_subgroups(G)}
-    if H.elems not in norms or K.elems not in norms:
-        return False
-    return not any(K.elem_set < N.elem_set < H.elem_set
-                   for N in normal_subgroups(G))
+    return is_normal(G, K) and any(
+        M.elems == H.elems for M in _minimal_normals_over(G, K.elems))
 
 
 def chief_factor_group(G: FiniteGroup, H: Subgroup, K: Subgroup) -> FiniteGroup:
@@ -343,25 +346,8 @@ def chief_factor_group(G: FiniteGroup, H: Subgroup, K: Subgroup) -> FiniteGroup:
 def hypercenter(G: FiniteGroup, spec) -> Subgroup:
     """Largest normal subgroup all of whose chief factors under G lie centrally
     for the class: each factor F satisfies F x| (G/C_G(F)) in the class.
-
-    Candidates are all normal subgroups; each is tested along one chief series
-    of G refined through it.
-    """
-    best = trivial_subgroup(G)
-    for N in normal_subgroups(G):
-        if N.order <= best.order:
-            continue
-        Z = trivial_subgroup(G)
-        ok = True
-        while Z.order < N.order:
-            M = minimal_normal_over(G, Z, within=N)
-            if M is None or not _factor_is_central(G, spec, M.elems, Z.elems):
-                ok = False
-                break
-            Z = M
-        if ok:
-            best = N
-    return best
+    Climbs the upper series through central factors."""
+    return _climb(G, lambda M, Z: _factor_is_central(G, spec, M.elems, Z.elems))
 
 
 @memoized

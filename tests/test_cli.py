@@ -310,6 +310,16 @@ def test_deeply_nested_spec_is_a_syntax_error(capsys):
     assert "nested deeper than" in err
 
 
+def test_oversized_builder_groups_are_refused_before_their_table(capsys):
+    import time
+
+    for token, order in (("Z100000", 100000), ("D300", 600), ("E(1|601)", 601)):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "check", token, "abelian")
+        assert time.perf_counter() - start < 0.5, token
+        assert (code, err) == (1, f"error: order {order} exceeds cap 512\n"), token
+
+
 def test_unbalanced_sn_expression_names_the_parenthesis(capsys):
     code, _, err = run_cli(capsys, "sn", "lcm(2^inf,3")
     assert code == 1

@@ -37,10 +37,16 @@ from formatio.groups import (
 )
 from formatio.regularity import isolated_set, maximal_intersection, non_class_graph
 from formatio.structure import (
+    _is_chief_factor,
+    _minimal_normals_over,
     all_subgroups,
     chief_series,
+    hypercenter,
     minimal_normal_over,
+    minimal_normal_subgroups,
     normal_subgroups,
+    socle,
+    soluble_radical,
 )
 from formatio.subnormality import _core_quotient, k_subnormal_chain, prime_index_chain
 
@@ -262,8 +268,12 @@ def test_minimal_normal_over_matches_the_normal_subgroup_list(catalog_groups):
             over = [N for N in normals if below.elem_set < N.elem_set]
             minimal = [N.elems for N in over
                        if not any(M.elem_set < N.elem_set for M in over)]
+            assert [M.elems for M in _minimal_normals_over(G, below.elems)] == minimal
             got = minimal_normal_over(G, below)
             assert (got.elems if got else None) == min(minimal, default=None), G.name
+            for above in normals:
+                chief = above.elems in minimal
+                assert _is_chief_factor(G, above, below) == chief, (G.name, above, below)
 
 
 def test_chief_series_does_not_list_normal_subgroups():
@@ -271,6 +281,11 @@ def test_chief_series_does_not_list_normal_subgroups():
     G = elementary_abelian(2, 8)
     assert chief_series(G).factor_orders == (2,) * 8
     assert is_member(G, parse_spec("supersoluble"))
+    whole = tuple(range(G.order))
+    assert hypercenter(G, parse_spec("nilpotent")).elems == whole
+    assert soluble_radical(G).elems == whole
+    assert len(minimal_normal_subgroups(G)) == 255
+    assert socle(G).elems == whole
     assert not any(key[0] == "_normal_subgroups" for key in G._memo)
 
 

@@ -19,6 +19,7 @@ from formatio.classes import (
     cap,
     is_member,
     p_nilpotent,
+    parse_spec,
     sylow_tower,
     vstar,
 )
@@ -80,6 +81,25 @@ def test_maximal_intersection_nilpotent_is_hypercenter(catalog_groups):
         if G.order > 30 and G.order != 60:
             continue
         assert maximal_intersection(G, NILPOTENT) == hypercenter(G, NILPOTENT).elems
+
+
+def test_maximal_intersection_is_hypercenter_on_soluble_groups(soluble_catalog_groups):
+    # Int_F(G) = Z_F(G) for these classes on every soluble catalog group
+    for text in ("N", "U", "vU", "reg(default->1)", "reg(default->full)",
+                 "cap(p_nilpotent:2,S)", "vstar(N)"):
+        spec = parse_spec(text)
+        for G in soluble_catalog_groups:
+            assert maximal_intersection(G, spec) == hypercenter(G, spec).elems, (
+                G.name, text)
+
+
+def test_maximal_intersection_exceeds_hypercenter_in_s4(s4):
+    # for these classes S4's maximal members meet in V4, yet no chief factor
+    # of S4 is central
+    for text in ("sylow_tower:2>3>5", "reg(2->2^inf*3,3->3^inf,default->1)"):
+        spec = parse_spec(text)
+        assert hypercenter(s4, spec).order == 1, text
+        assert len(maximal_intersection(s4, spec)) == 4, text
 
 
 def test_maximal_intersection_empty_class(s3):

@@ -274,28 +274,29 @@ def all_chief_series_through(G, N):
 
 def test_hypercenter_one_series_suffices(catalog_groups):
     # the one-series shortcut must agree with checking every chief series
-    from formatio.classes import NILPOTENT, is_member
+    from formatio.classes import SUPERSOLUBLE
     from formatio.groups import Subgroup
     from formatio.structure import chief_factor_group, normal_subgroups
 
-    for G in catalog_groups:
-        if G.order > 16:
-            continue
-        best = (0,)
-        for N in normal_subgroups(G):
-            fully_central_everywhere = True
-            for series in all_chief_series_through(G, N):
-                below = [t for t in series if len(t) <= N.order]
-                for low, high in zip(below, below[1:]):
-                    F = chief_factor_group(G, Subgroup(G, high), Subgroup(G, low))
-                    if not is_member(F, NILPOTENT):
-                        fully_central_everywhere = False
+    for spec in (NILPOTENT, SUPERSOLUBLE):
+        for G in catalog_groups:
+            if G.order > 16:
+                continue
+            best = (0,)
+            for N in normal_subgroups(G):
+                fully_central_everywhere = True
+                for series in all_chief_series_through(G, N):
+                    below = [t for t in series if len(t) <= N.order]
+                    for low, high in zip(below, below[1:]):
+                        F = chief_factor_group(G, Subgroup(G, high), Subgroup(G, low))
+                        if not is_member(F, spec):
+                            fully_central_everywhere = False
+                            break
+                    if not fully_central_everywhere:
                         break
-                if not fully_central_everywhere:
-                    break
-            if fully_central_everywhere and N.order > len(best):
-                best = N.elems
-        assert hypercenter(G, NILPOTENT).elems == best, G.name
+                if fully_central_everywhere and N.order > len(best):
+                    best = N.elems
+            assert hypercenter(G, spec).elems == best, (G.name, spec.text())
 
 
 def test_normal_subgroup_budget_boundary(monkeypatch):
