@@ -13,7 +13,7 @@ the declarations on the whole catalog.
 
 from __future__ import annotations
 
-from .arith import is_prime, p_part, prime_divisors
+from .arith import factorize, is_prime, p_part, prime_divisors
 from .config import limits
 from .errors import (
     EmptyClass,
@@ -23,7 +23,15 @@ from .errors import (
     SpecSyntaxError,
     UnsupportedParameter,
 )
-from .groups import FiniteGroup, Subgroup, _closure, quotient, subgroup
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    _closure,
+    derived_series,
+    derived_subgroup,
+    quotient,
+    subgroup,
+)
 from .records import record
 from .structure import (
     all_subgroups,
@@ -537,13 +545,69 @@ def regular_formation(fn: ExponentFunction) -> ExponentFormationClass:
 def residual(G: FiniteGroup, spec: ClassSpec) -> Subgroup:
     """Least normal subgroup with quotient in the class.
 
-    Computed as the intersection of all normal subgroups with member quotient;
-    the result's own quotient is re-checked, which catches classes that are
-    not really formations.
+    Three kinds of spec have a closed form, closed inside G's own table
+    (`_closed_residual`):
+    - soluble: the last term of the derived series.  G/N is soluble exactly
+      when N contains that term, which is perfect, so it has no soluble
+      quotient but the trivial one.
+    - abelian: the derived subgroup.  G/N is abelian exactly when N holds
+      every commutator.
+    - exponent-bounded, B of exponent dividing omega: the product of B's
+      residual and of the residual for exponent dividing omega, since a
+      quotient lies in an intersection of formations exactly when it lies in
+      each.  The latter is generated by the powers g^n(g), n(g) the largest
+      divisor of o(g) that divides omega: gN has order dividing omega exactly
+      when its order divides n(g), that is when g^n(g) lies in N.  The powers
+      are closed under conjugation, so with a normal residual they generate a
+      normal subgroup.  This applies when B has a closed form itself.
+    Every other spec is computed as the intersection of all normal subgroups
+    with member quotient, and the result's own quotient is re-checked, which
+    catches classes that are not really formations (`_residual_by_quotients`).
     """
     if not spec.formation:
         raise NotAFormationWitness(
             f"residuals need a formation-flagged spec, got {spec.text()}")
+    elems = _closed_residual(G, spec)
+    if elems is None:
+        return _residual_by_quotients(G, spec)
+    return Subgroup(G, elems)
+
+
+def _omega_part(n: int, omega: Supernatural) -> int:
+    """The largest divisor of n that divides omega."""
+    out = 1
+    for p, e in factorize(n).items():
+        out *= p ** min(e, omega.v(p))
+    return out
+
+
+def _closed_residual(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...] | None:
+    """The residual's element tuple by its closed form (see `residual`), or
+    None when the spec has none."""
+    if isinstance(spec, SolubleClass):
+        return derived_series(G, tuple(range(G.order)))[-1]
+    if isinstance(spec, AbelianClass):
+        return derived_subgroup(G, tuple(range(G.order)))
+    if isinstance(spec, ExponentBoundedClass):
+        base = _closed_residual(G, spec.base)
+        if base is None:
+            return None
+        table = G.table
+        power_of = {o: _omega_part(o, spec.omega) for o in set(G.element_order)}
+        seed = list(base)
+        for g, o in enumerate(G.element_order):
+            if (n := power_of[o]) < o:  # else g^n(g) is the identity
+                x = g
+                for _ in range(n - 1):
+                    x = table[x][g]
+                seed.append(x)
+        return _closure(table, seed)
+    return None
+
+
+def _residual_by_quotients(G: FiniteGroup, spec: ClassSpec) -> Subgroup:
+    """The residual as the intersection of the normal subgroups with member
+    quotient, with the formation law re-checked on the result."""
     good = []
     for N in normal_subgroups(G):
         Q, _ = quotient(G, N)

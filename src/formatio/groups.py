@@ -2,13 +2,13 @@
 
 The identity is pinned at index 0.  Groups and subgroups are immutable after
 construction.  Everything computed later from a group (its cyclic table,
-conjugacy classes, materialized subgroups, quotients, and in other modules its
-subgroup lattice, chief series and chain steps) goes through one decorator,
-`memoized`, which stores `fn(G, *args)` in the group's single memo under the
-key `(fn.__qualname__, *args)`.  Each entry is a deterministic function of the
-group and the key, so sharing instances stays safe.  Keys hold only plain
-values (element tuples, ints, spec records), never a group or a subgroup, so
-the memo pickles with its group.
+conjugacy classes, derived series, materialized subgroups, quotients, and in
+other modules its subgroup lattice, chief series and chain steps) goes through
+one decorator, `memoized`, which stores `fn(G, *args)` in the group's single
+memo under the key `(fn.__qualname__, *args)`.  Each entry is a deterministic
+function of the group and the key, so sharing instances stays safe.  Keys hold
+only plain values (element tuples, ints, spec records), never a group or a
+subgroup, so the memo pickles with its group.
 """
 
 from __future__ import annotations
@@ -493,6 +493,24 @@ def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     return Subgroup(G, _closure(G.table, sorted(union)))
 
 
+def derived_subgroup(G: FiniteGroup, elems: tuple[int, ...]) -> tuple[int, ...]:
+    """Commutator subgroup of the subgroup H with ascending element tuple
+    `elems`: the normal closure in H of the commutators of H's greedy
+    generators.
+
+    For H = <X>, that closure N lies in H', and H/N is abelian because the
+    images of X commute; so N = H'.  The commutators' conjugates under every
+    element of H generate N.
+    """
+    table = G.table
+    inv = G.inverse
+    gens = _generating_sequence(table, elems)
+    comms = {G.commutator(a, b) for i, a in enumerate(gens) for b in gens[:i]}
+    comms.discard(0)
+    return _closure(table, {table[table[h][c]][inv[h]] for h in elems for c in comms})
+
+
+@memoized
 def derived_series(G: FiniteGroup, elems: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Derived series of the subgroup with element set `elems`, from `elems`
     down to the first term that equals its own commutator subgroup.
@@ -500,12 +518,9 @@ def derived_series(G: FiniteGroup, elems: tuple[int, ...]) -> tuple[tuple[int, .
     The series ends in the trivial subgroup exactly when the subgroup is soluble.
     """
     series = [elems]
-    while True:
-        current = series[-1]
-        nxt = _closure(G.table, {G.commutator(a, b) for a in current for b in current})
-        if nxt == current:
-            return tuple(series)
+    while (nxt := derived_subgroup(G, series[-1])) != series[-1]:
         series.append(nxt)
+    return tuple(series)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from operator import and_
 
 from .arith import lcm_ints, prime_divisors
 from .config import limits
-from .errors import NotChiefFactor, TooLarge
+from .errors import NotChiefFactor, SizeCapExceeded, TooLarge
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -319,7 +319,10 @@ def _is_chief_factor(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
 
 def chief_factor_group(G: FiniteGroup, H: Subgroup, K: Subgroup) -> FiniteGroup:
     """The factor H/K extended by the action G induces on it:
-    (H/K) x| (G / C_G(H/K)), built through quotients and a checked action."""
+    (H/K) x| (G / C_G(H/K)), built through quotients and a checked action.
+
+    Raises SizeCapExceeded, as `is_member` would on the result, before the
+    table of an extension above `limits.max_order` is built."""
     if not _is_chief_factor(G, H, K):
         raise NotChiefFactor(
             f"{H.order}/{K.order} is not a chief factor of {G.name}")
@@ -329,6 +332,9 @@ def chief_factor_group(G: FiniteGroup, H: Subgroup, K: Subgroup) -> FiniteGroup:
     A, projA = quotient(hgroup, k_inside)
     C = centralizer_of_factor(G, H, K)
     B, projB = quotient(G, C)
+    if A.order * B.order > limits.max_order:
+        raise SizeCapExceeded(
+            f"group of order {A.order * B.order} exceeds the cap {limits.max_order}")
     # one automorphism of A per coset of C, induced by conjugation
     b_reps = [min(g for g in range(G.order) if projB.image[g] == i)
               for i in range(B.order)]

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import random
 
+from formatio.arith import prime_divisors
 from formatio.classes import (
     ABELIAN,
     NILPOTENT,
     SOLUBLE,
     SUPERSOLUBLE,
     V_SUPERSOLUBLE,
+    _residual_by_quotients,
     cap,
     exponent_formation_member,
     is_member,
@@ -57,6 +59,7 @@ from formatio.supernatural import (
     lcm,
     make_exponent_function,
     make_supernatural,
+    parse_exponent_function,
 )
 
 PASS = "ACCEPTANCE {num:>2} PASS  {what}"
@@ -134,9 +137,14 @@ def test_criterion_5_two_algorithm_equivalence(catalog_groups):
             direct = exponent_formation_member(G, fn)
             via_local = (is_member(G, SOLUBLE)
                          and local_member(G, lambda p: sigma(fn.at(p))))
-            assert direct == via_local, (G.name, str(fn))
-    announce(5, "residual-product membership equals soluble + local-definition "
-                "membership for 3 exponent functions x full catalog")
+            via_quotients = is_member(G, SOLUBLE) and all(
+                _residual_by_quotients(G, sigma(fn.at(p))).order % p
+                for p in prime_divisors(G.order))
+            assert direct == via_local == via_quotients, (G.name, str(fn))
+    announce(5, "residual-product membership (closed-form residuals) equals "
+                "soluble + local-definition membership and the residuals "
+                "found by intersecting normal subgroups, for 3 exponent "
+                "functions x full catalog")
 
 
 def _random_supernatural(rng):
@@ -249,3 +257,39 @@ def test_criterion_10_criticality(catalog_groups, s3, a4):
     assert witnesses, "sweep found no frattini-free minimal non-members"
     announce(10, f"Schmidt and minimal-non checks; socle quotients cyclic for "
                  f"frattini-free minimal non-members: {', '.join(witnesses)}")
+
+
+def test_plane_by_d8_separates_vu_from_u(e52_d8, e32_d8):
+    specs = (SUPERSOLUBLE, V_SUPERSOLUBLE, vstar(SUPERSOLUBLE))
+    assert [is_member(e52_d8, s) for s in specs] == [False, True, True]
+    assert [is_member(e32_d8, s) for s in specs] == [False, False, False]
+
+
+def _random_exponent_function(rng):
+    """An exponent function over the primes 2, 3, 5, 7: some primes p get
+    p^inf times a random part at the others, and the default is random."""
+    def part(skip):
+        return make_supernatural({q: rng.choice((1, 2, INF)) for q in (2, 3, 5, 7)
+                                  if q != skip and rng.random() < 0.5})
+
+    values = {p: lcm(part(p), make_supernatural({p: INF}))
+              for p in (2, 3, 5, 7) if rng.random() < 0.5}
+    return make_exponent_function(values, default=part(0))
+
+
+def test_theorem_1_reg_is_the_soluble_part_of_its_vstar(catalog_groups, e52_d8, e32_d8):
+    # Theorem 1: a hereditary saturated formation F of soluble groups is
+    # regular exactly when it holds every soluble group whose cyclic primary
+    # subgroups are K-F-subnormal; for reg(f), reg(f) = vstar(reg(f)) & S
+    rng = random.Random(1)
+    fns = [parse_exponent_function("5->2^inf*5^inf")]
+    fns += [_random_exponent_function(rng) for _ in range(7)]
+    assert is_member(e52_d8, regular_formation(fns[0]))
+    groups = catalog_groups + [e52_d8, e32_d8]
+    for fn in fns:
+        reg = regular_formation(fn)
+        soluble_vstar = cap(vstar(reg), SOLUBLE)
+        for G in groups:
+            assert is_member(G, reg) == is_member(G, soluble_vstar), (G.name, str(fn))
+    announce("T1", f"reg(f) = cap(vstar(reg(f)),S) for {len(fns)} exponent "
+                   f"functions x full catalog, E(5^2):D8 and E(3^2):D8")

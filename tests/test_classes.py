@@ -15,6 +15,7 @@ from formatio.classes import (
     AbelianClass,
     ClassSpec,
     PrimeOrdering,
+    _residual_by_quotients,
     cap,
     exponent_formation_member,
     is_member,
@@ -35,7 +36,7 @@ from formatio.classes import (
 )
 from formatio.constructions import cyclic, symmetric
 from formatio.errors import EmptyClass, SpecSyntaxError, UnsupportedParameter
-from formatio.groups import build_group, generated_subgroup, quotient
+from formatio.groups import FiniteGroup, build_group, generated_subgroup, quotient
 from formatio.records import record
 from formatio.structure import all_subgroups, normal_subgroups
 from formatio.supernatural import (
@@ -174,6 +175,51 @@ def test_residual_a4_nilpotent(a4):
 def test_residual_exponent_one_is_whole_group(s3):
     # the only member is the trivial group, so the residual is all of S3
     assert residual(s3, sigma(ONE)).order == 6
+
+
+def test_closed_form_residuals_match_the_quotient_route(catalog_groups):
+    # soluble, abelian and exponent-bounded residuals are closed from
+    # generators; the reference intersects every normal subgroup with a
+    # member quotient.  Subgroups with equal tables are checked once.
+    specs = [parse_spec(t) for t in ("S", "A", "S(1)", "S(2^inf*3)", "S(2*3^inf)",
+                                     "bounded(A;2^inf*3)")]
+    seen = set()
+    for G in catalog_groups + [symmetric(5)]:
+        for H in all_subgroups(G).subgroups:
+            K = H.as_group()
+            if K.fingerprint in seen:
+                continue
+            seen.add(K.fingerprint)
+            for spec in specs:
+                assert residual(K, spec) == _residual_by_quotients(K, spec), \
+                    (G.name, H.elems, spec.text())
+
+
+def _memo_keys(G):
+    """The memo key names of G and of every group found in its memo."""
+    names, stack, seen = set(), [G], set()
+    while stack:
+        H = stack.pop()
+        if id(H) in seen:
+            continue
+        seen.add(id(H))
+        for key, value in H._memo.items():
+            names.add(key[0])
+            stack += [x for x in (value if isinstance(value, tuple) else (value,))
+                      if isinstance(x, FiniteGroup)]
+    return names
+
+
+def test_reg_membership_lists_no_normal_subgroups_or_quotients(monkeypatch, catalog_groups):
+    from formatio import classes
+
+    monkeypatch.setattr(classes, "_MEMBER_CACHE", {})  # decide every verdict afresh
+    spec = parse_spec("reg(default->1)")
+    for G in catalog_groups:
+        fresh = build_group(G.table, G.name)
+        assert is_member(fresh, spec) == is_member(G, NILPOTENT)
+        keys = _memo_keys(fresh)
+        assert not keys & {"_normal_subgroups", "_quotient"}, (G.name, keys)
 
 
 def test_residual_empty_class(s3):

@@ -2,13 +2,15 @@
 
 The oracles close a set by multiplying every pair of collected elements (and,
 for the normal closure, by conjugating every collected element by the whole
-group).  They are slow but obviously correct; the library's closure must give
-the same element sets on every catalog group.
+group; for the derived series, by taking the commutator of every pair).  They
+are slow but obviously correct; the library's closure must give the same
+element sets on every catalog group.
 """
 
 from __future__ import annotations
 
-from formatio.groups import _closure, normal_closure
+from formatio.groups import _closure, derived_series, normal_closure
+from formatio.structure import all_subgroups
 
 
 def pairs_closure(table, seed):
@@ -77,3 +79,21 @@ def test_normal_closure_of_every_singleton(catalog_groups):
         for x in range(G.order):
             got = normal_closure(G, (x,)).elems
             assert got == pairs_normal_closure(G, (x,)), (G.name, x)
+
+
+def pairs_derived_series(G, elems):
+    """Each term generated by the commutators of all pairs of the one before."""
+    series = [elems]
+    while True:
+        current = series[-1]
+        nxt = _closure(G.table, {G.commutator(a, b) for a in current for b in current})
+        if nxt == current:
+            return tuple(series)
+        series.append(nxt)
+
+
+def test_derived_series_of_every_subgroup(catalog_groups):
+    for G in catalog_groups:
+        for H in all_subgroups(G).subgroups:
+            assert derived_series(G, H.elems) == pairs_derived_series(G, H.elems), \
+                (G.name, H.elems)

@@ -182,6 +182,29 @@ def test_chief_factor_group_a4(a4):
     assert is_isomorphic(F, a4)
 
 
+def test_chief_factor_group_checks_the_cap_before_building(monkeypatch):
+    # S5's chief factor A5/1 extends to A5 x| S5, 7,200 elements
+    from formatio import structure
+    from formatio.classes import ALL_GROUPS
+    from formatio.config import limits
+    from formatio.errors import SizeCapExceeded
+
+    built = []
+    real = structure.semidirect_product
+
+    def spy(N, H, action):
+        built.append((N.order, H.order))
+        assert N.order * H.order <= limits.max_order, "built an extension above the cap"
+        return real(N, H, action)
+
+    monkeypatch.setattr(structure, "semidirect_product", spy)
+    with pytest.raises(SizeCapExceeded, match=r"^group of order 7200 exceeds the cap 512$"):
+        hypercenter(symmetric(5), ALL_GROUPS)
+    assert built == []
+    assert hypercenter(symmetric(4), ALL_GROUPS).order == 24
+    assert built
+
+
 def test_chief_factor_group_rejects_non_factor(s4):
     full = Subgroup(s4, tuple(range(24)))
     with pytest.raises(NotChiefFactor):
