@@ -4,7 +4,9 @@ A ClassSpec is a declarative, parseable description of a class of finite
 groups.  Membership of a concrete group is decided structurally (derived
 series, element-order counting, normal Hall chains, chief factors, residuals,
 subnormal chains) and memoized by the group's table fingerprint, so repeated
-sweeps over materialized subgroups stay cheap.
+sweeps over materialized subgroups stay cheap.  Supersolubility needs no
+chief series: a climb inside the group's table moves up one normal subgroup
+of prime index over the last at a time (`_is_supersoluble`).
 
 Class flags (`formation`, `hereditary`, `saturated`, `soluble_only`) record
 which closure laws each spec is declared to satisfy; sweep tests spot-verify
@@ -27,6 +29,8 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _closure,
+    _coset_extension,
+    _generating_sequence,
     derived_series,
     derived_subgroup,
     quotient,
@@ -109,7 +113,46 @@ def _is_nilpotent(G: FiniteGroup) -> bool:
 
 
 def _is_supersoluble(G: FiniteGroup) -> bool:
-    return all(is_prime(o) for o in chief_series(G).factor_orders)
+    """Whether G has a normal series with prime-order factors (Huppert),
+    climbed inside G's own table.
+
+    From Z = 1, each level tries the elements g outside Z whose order modulo
+    Z is prime, least first.  S = <Z, g> is normal in G exactly when every
+    greedy generator h of G has h*g*h^-1 in S, as Z is normal and
+    h*S*h^-1 = <Z, h*g*h^-1>; the climb then moves up to S.  Every element of
+    S outside Z generates S over Z, so a failed S is marked tried as a whole.
+
+    Exact: a supersoluble G/Z is supersoluble, and its minimal normal
+    subgroups have prime order, so it has a normal S/Z of prime order, and
+    some tried g generates it; a climb that ends at G has built a normal
+    series with prime factors.  So G is supersoluble exactly when no level
+    runs out of candidates.
+    """
+    table = G.table
+    inv = G.inverse
+    gens = _generating_sequence(table, range(G.order))
+    elems: tuple[int, ...] = (0,)
+    z_gens: tuple[int, ...] = ()
+    while len(elems) < G.order:
+        inside = set(elems)
+        tried = set(inside)
+        for g in range(G.order):
+            if g in tried:
+                continue
+            x, k = g, 1  # x = g^k, until k is the order of g modulo Z
+            while x not in inside:
+                x, k = table[x][g], k + 1
+            if not is_prime(k):
+                continue
+            step = _coset_extension(table, elems, z_gens, g)
+            step_set = set(step)
+            if all(table[table[h][g]][inv[h]] in step_set for h in gens):
+                elems, z_gens = step, z_gens + (g,)
+                break
+            tried |= step_set
+        else:
+            return False
+    return True
 
 
 def _is_p_nilpotent(G: FiniteGroup, p: int) -> bool:

@@ -7,11 +7,18 @@ Two step relations are supported for a chain H = H_0 <= H_1 <= ... <= H_n = G:
 
 Chains are found by BFS over the materialized lattice, so a returned witness
 is always one of minimal length, with deterministic tie-breaking.
+
+vU membership asks only whether each cyclic primary subgroup tops a
+prime-step chain, not for the chain itself.  One memoized top-down pass over
+the lattice answers that for every member at once (`_prime_index_reach`), so
+`vu_obstruction` runs no search; `prime_index_chain` stays the only source of
+witnesses.
 """
 
 from __future__ import annotations
 
 from .arith import is_prime, prime_divisors
+from .config import limits
 from .errors import UnsupportedParameter
 from .groups import (
     FiniteGroup,
@@ -199,10 +206,38 @@ def vstar_member(G: FiniteGroup, spec: ClassSpec) -> bool:
     return vstar_obstruction(G, spec) is None
 
 
+@memoized
+def _prime_index_reach(G: FiniteGroup, budget: int) -> int:
+    """Bitmask of the lattice members that top a prime-index chain to G.
+
+    One top-down pass in (size, elements) order: G reaches itself, and a
+    member H reaches G when some reaching member above it has prime index
+    over H.  Members above H come later in the order, so each is settled
+    before H.  For each prime p, the members of order p*|H| form one mask.
+    """
+    lattice = all_subgroups(G, budget)
+    subs = lattice.subgroups
+    top = len(subs) - 1
+    by_order: dict[int, int] = {}
+    for i, H in enumerate(subs):
+        by_order[H.order] = by_order.get(H.order, 0) | 1 << i
+    up_orders = {n: tuple(n * p for p in prime_divisors(G.order // n)) for n in by_order}
+    reach = 1 << top
+    for i in range(top - 1, -1, -1):
+        ups = lattice.above[i] & reach
+        if ups and any(ups & by_order.get(m, 0) for m in up_orders[subs[i].order]):
+            reach |= 1 << i
+    return reach
+
+
 def vu_obstruction(G: FiniteGroup) -> Subgroup | None:
-    """First cyclic primary subgroup without a prime-index chain."""
+    """First cyclic primary subgroup without a prime-index chain, read off
+    the one-pass reachability mask; `prime_index_chain` finds the same
+    members reachable, one BFS each."""
+    reach = _prime_index_reach(G, limits.subgroup_budget)
+    index = all_subgroups(G).index
     for P in cyclic_primary_subgroups(G):
-        if prime_index_chain(G, P) is None:
+        if not reach >> index[P.elems] & 1:
             return P
     return None
 

@@ -16,6 +16,7 @@ position up to the configured horizon and exact lazily at any position via
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import inf as INF, isqrt, log10
 
 from .arith import factorize, is_prime, nth_prime, prime_index
@@ -231,13 +232,22 @@ class ExponentFunction:
                 raise InvalidExponentFunction(
                     f"value at {p} must have infinite {p}-part, got {omega}")
 
+    @cached_property
+    def _unlisted(self) -> dict[int, Supernatural]:
+        """lcm(default, p^inf) per unlisted prime p asked for so far.  Kept
+        beside the fields, so equality, hash and text do not see it."""
+        return {}
+
     def at(self, p: int) -> Supernatural:
         for q, omega in self.explicit:
             if q == p:
                 return omega
             if q > p:
                 break
-        return lcm(self.default, prime_power(p, INF))
+        got = self._unlisted.get(p)
+        if got is None:
+            got = self._unlisted[p] = lcm(self.default, prime_power(p, INF))
+        return got
 
     def __str__(self) -> str:
         return format_exponent_function(self)

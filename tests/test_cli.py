@@ -52,6 +52,20 @@ def test_check_a4_supersoluble(capsys):
     assert "4" in out  # the violating chief factor order
 
 
+@pytest.mark.parametrize("group, spec", [("A4", "U"), ("S4", "supersoluble")])
+def test_check_supersoluble_failure_names_chief_factor_orders(capsys, group, spec):
+    # the verdict comes from the prime-index climb, the detail from the chief series
+    code, out, _ = run_cli(capsys, "check", group, spec, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "detail": {"violating_chief_factor_orders": [4]},
+        "group": group,
+        "member": False,
+        "order": {"A4": 12, "S4": 24}[group],
+        "spec": "supersoluble",
+    }
+
+
 def test_check_trivial_group_member(capsys):
     code, out, _ = run_cli(capsys, "check", "Z1", "nilpotent")
     assert code == 0

@@ -188,6 +188,20 @@ def test_exponent_function_default_patching():
     assert g.at(7) == FULL
 
 
+def test_unlisted_values_are_built_once_and_stay_out_of_the_record():
+    import pickle
+
+    f = make_exponent_function({2: prime_power(2, INF)}, default=from_int(3))
+    fresh = make_exponent_function({2: prime_power(2, INF)}, default=from_int(3))
+    text, key = str(f), hash(f)
+    first = f.at(5)
+    assert first == lcm(from_int(3), prime_power(5, INF))
+    assert f.at(5) is first
+    assert f.at(2) == prime_power(2, INF)
+    assert (f == fresh, hash(f), str(f), repr(f)) == (True, key, text, text)
+    assert pickle.loads(pickle.dumps(f)) == fresh
+
+
 def test_encode_full_function_is_full():
     assert encode_function(make_exponent_function({}, default=FULL)) == FULL
 
