@@ -21,7 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from .config import overridden_limits
+from .config import limits, overridden_limits
 from .constructions import (
     CatalogConfig,
     alternating,
@@ -45,7 +45,7 @@ from .classes import (
     parse_spec,
     residual,
 )
-from .errors import FormatioError, TheoremViolation
+from .errors import FormatioError, TheoremViolation, TooLarge
 from .groups import FiniteGroup, group_from_json
 from .regularity import (
     ROW_SWEEPS,
@@ -75,21 +75,26 @@ _BUILTIN_GROUPS = {
 }
 
 
+_BUILDER_TOKENS = ((r"Z(\d+)", cyclic), (r"D(\d+)", dihedral),
+                   (r"E\((\d+)\|(\d+)\)", field_action_group))
+
+
 def _resolve_group(token: str, catalog_dir: str | None) -> FiniteGroup:
     path = Path(token)
     if path.suffix == ".json" and path.exists():
         return group_from_json(path.read_text(encoding="utf-8"))
     if token in _BUILTIN_GROUPS:
         return _BUILTIN_GROUPS[token]()
-    m = re.fullmatch(r"Z(\d+)", token)
-    if m:
-        return cyclic(int(m.group(1)))
-    m = re.fullmatch(r"D(\d+)", token)
-    if m:
-        return dihedral(int(m.group(1)))
-    m = re.fullmatch(r"E\((\d+)\|(\d+)\)", token)
-    if m:
-        return field_action_group(int(m.group(1)), int(m.group(2)))
+    for pattern, builder in _BUILDER_TOKENS:
+        if m := re.fullmatch(pattern, token):
+            params = [x.lstrip("0") or "0" for x in m.groups()]
+            # int() refuses digit strings past Python's int-string limit,
+            # which is at least 640; a builder's order is at least each of its
+            # parameters, so such a parameter is far above the cap
+            if max(map(len, params)) > 640:
+                raise TooLarge(f"a parameter of {token[:16]}... exceeds the order "
+                               f"cap {limits.max_order}")
+            return builder(*map(int, params))
     if catalog_dir:
         entry = read_catalog_entry(catalog_dir, token)
         if entry is not None:

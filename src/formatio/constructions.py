@@ -40,6 +40,8 @@ def cyclic(n: int) -> FiniteGroup:
 
 def elementary_abelian(p: int, d: int) -> FiniteGroup:
     """(Z_p)^d with vectors encoded as base-p digit strings."""
+    if d >= 1 and p > limits.max_order:  # the order p^d is at least p
+        raise TooLarge(f"E{p}^{d} has order at least {p} above the cap {limits.max_order}")
     if not is_prime(p):
         raise UnsupportedParameter(f"{p} is not prime")
     if d < 1:
@@ -202,10 +204,15 @@ def field_action_group(n: int, p: int) -> FiniteGroup:
 
     The degenerate case n = 1 returns the cyclic group of order p.
     """
-    if not is_prime(p):
-        raise UnsupportedParameter(f"{p} is not prime")
     if n < 1:
         raise UnsupportedParameter(f"n must be >= 1, got {n}")
+    # the order p^d * n is at least p * n; is_prime(p) and
+    # multiplicative_order(p, n) would take too long on huge parameters
+    if p * n > limits.max_order:
+        raise TooLarge(f"order {p} exceeds cap {limits.max_order}" if n == 1 else
+                       f"E({n}|{p}) has order at least {p * n} above the cap {limits.max_order}")
+    if not is_prime(p):
+        raise UnsupportedParameter(f"{p} is not prime")
     if n == 1:
         G = cyclic(p)
         return _trusted_group(G.table, name=f"E(1|{p})")

@@ -9,6 +9,11 @@ memo under the key `(fn.__qualname__, *args)`.  Each entry is a deterministic
 function of the group and the key, so sharing instances stays safe.  Keys hold
 only plain values (element tuples, ints, spec records), never a group or a
 subgroup, so the memo pickles with its group.
+
+Sets are closed under multiplication one way, by Dimino's coset step
+(`_coset_extension`; Holt, Eick and O'Brien, Handbook of Computational Group
+Theory), which `_dimino` folds over a seed; a section upper/lower becomes a
+standalone group one way, through `section`.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
+from bisect import bisect_left
 from functools import cached_property, wraps
 from math import gcd
 from operator import itemgetter
@@ -157,11 +163,12 @@ def _check_associativity(table: Table) -> None:
 
     The elements g with (x*g)*y = x*(g*y) for all x, y include the identity
     and are closed under products (apply the law for g and for h twice each
-    to (x*(g*h))*y).  The orbit of 0 under right multiplication by a greedy
-    generating sequence is the whole table, so the law needs checking only
-    for those generators, at most log2(n) of them in a group.  For each
-    (x, g) the check compares the row of x*g with the row of x read through
-    the row of g, one tuple comparison.
+    to (x*(g*h))*y).  `_dimino`, folded over every index, reaches only
+    products of the generators it picks, and every index is either reached
+    or picked; so when the generators pass, every element does, and the law
+    needs checking only for them, at most log2(n) of them in a group.  For
+    each (x, g) the check compares the row of x*g with the row of x read
+    through the row of g, one tuple comparison.
 
     On a failure, the lexicographically first failing triple is found by a
     per-(a, b) row comparison and named in the error.
@@ -289,43 +296,29 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(range(G.order)))
 
 
-def _orbit(table: Table, seed: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Orbit of the identity under right multiplication by generators taken
-    greedily from the seed, and those generators (Dimino's closure).
-
-    Each seed element not yet reached becomes a generator, and the reached set
-    is closed under right multiplication by the generators kept so far: in a
-    finite group the orbit of the identity under the generators is the
-    subgroup they generate.
-    """
-    elems = [0]
-    seen = {0}
-    gens: list[int] = []
+def _dimino(table: Table, seed: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Element tuple of the subgroup generated by the seed, and its greedy
+    generators: each seed element not yet reached extends the subgroup built
+    so far by one coset step and becomes the next generator."""
+    elems: tuple[int, ...] = (0,)
+    gens: tuple[int, ...] = ()
     for g in seed:
-        if g in seen:
-            continue
-        gens.append(g)
-        i = 0
-        while i < len(elems):
-            row = table[elems[i]]
-            for h in gens:
-                c = row[h]
-                if c not in seen:
-                    seen.add(c)
-                    elems.append(c)
-            i += 1
+        i = bisect_left(elems, g)
+        if i == len(elems) or elems[i] != g:  # not yet reached
+            elems = _coset_extension(table, elems, gens, g)
+            gens += (g,)
     return elems, gens
 
 
 def _closure(table: Table, seed: Iterable[int]) -> tuple[int, ...]:
     """Element set of the subgroup generated by the seed."""
-    return tuple(sorted(_orbit(table, seed)[0]))
+    return _dimino(table, seed)[0]
 
 
-def _generating_sequence(table: Table, elems: Iterable[int]) -> list[int]:
+def _generating_sequence(table: Table, elems: Iterable[int]) -> tuple[int, ...]:
     """Greedy generators of the subgroup with ascending element list `elems`:
     each is the least element not yet reached from the ones before it."""
-    return _orbit(table, elems)[1]
+    return _dimino(table, elems)[1]
 
 
 def _coset_getter(elems: tuple[int, ...]):
@@ -457,10 +450,12 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     return is_normal_in(G, H.elem_set, range(G.order))
 
 
-def normal_core(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Largest normal subgroup of G inside H: the intersection of H's conjugates."""
+def normal_core(G: FiniteGroup, H: Subgroup,
+                within: Iterable[int] | None = None) -> Subgroup:
+    """Largest subgroup of H normalized by `within` (default G), for H inside
+    it: the intersection of H's conjugates by its elements."""
     core = set(H.elems)
-    for g in range(G.order):
+    for g in range(G.order) if within is None else within:
         core &= conjugate_set(G, H.elems, g)
         if len(core) == 1:
             break
@@ -585,6 +580,15 @@ def _quotient(G: FiniteGroup, elems: tuple[int, ...]) -> tuple[FiniteGroup, Grou
                  for i in range(q))
     Q = _trusted_group(rows, name=f"{G.name}/n{len(elems)}")
     return Q, GroupHom(G, Q, tuple(coset_of))
+
+
+def section(G: FiniteGroup, upper: tuple[int, ...],
+            lower: Iterable[int]) -> tuple[FiniteGroup, GroupHom]:
+    """upper/lower as a standalone group, for a subgroup of G with ascending
+    element tuple `upper` and a normal subgroup `lower` of it, plus the
+    projection, which maps positions in `upper` (`materialize`'s labels)."""
+    pos = {e: i for i, e in enumerate(upper)}
+    return _quotient(materialize(G, upper), tuple(sorted(pos[e] for e in lower)))
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:

@@ -2,10 +2,13 @@
 
 The subgroup lattice is enumerated by cyclic extension over the zuppos, the
 cyclic subgroups of prime-power order: each zuppo joins every subgroup found
-before it, one Dimino coset step per join (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory).  Normal structure comes from one primitive: the
-normal closures of a normal subgroup N with one element per class outside N
-(`_class_closures`), and the minimal ones, the minimal normals over N
+before it, one Dimino coset step per join (`groups._coset_extension`, the one
+closure primitive; Holt, Eick and O'Brien, Handbook of Computational Group
+Theory).  Normal products multiply two known subgroups and close nothing.
+Chief factors are built as sections (`groups.section`), like the core
+quotients of the chain searches.  Normal structure comes from one primitive:
+the normal closures of a normal subgroup N with one element per class outside
+N (`_class_closures`), and the minimal ones, the minimal normals over N
 (`_minimal_normals_over`).  Normal subgroups are products of the closures
 over 1; chief series, the hypercentre and the soluble radical climb one
 minimal normal at a time, without listing the normal subgroups.
@@ -37,6 +40,7 @@ from .groups import (
     memoized,
     normal_closure,
     quotient,
+    section,
     semidirect_product,
     trivial_subgroup,
 )
@@ -326,26 +330,18 @@ def chief_factor_group(G: FiniteGroup, H: Subgroup, K: Subgroup) -> FiniteGroup:
     if not _is_chief_factor(G, H, K):
         raise NotChiefFactor(
             f"{H.order}/{K.order} is not a chief factor of {G.name}")
-    hgroup = H.as_group()
-    pos = {e: i for i, e in enumerate(H.elems)}
-    k_inside = Subgroup(hgroup, tuple(sorted(pos[e] for e in K.elems)))
-    A, projA = quotient(hgroup, k_inside)
+    A, projA = section(G, H.elems, K.elems)
     C = centralizer_of_factor(G, H, K)
     B, projB = quotient(G, C)
     if A.order * B.order > limits.max_order:
         raise SizeCapExceeded(
             f"group of order {A.order * B.order} exceeds the cap {limits.max_order}")
-    # one automorphism of A per coset of C, induced by conjugation
-    b_reps = [min(g for g in range(G.order) if projB.image[g] == i)
-              for i in range(B.order)]
-    action = []
-    for rep in b_reps:
-        perm = [0] * A.order
-        for i in range(A.order):
-            h = next(e for e in H.elems if projA.image[pos[e]] == i)
-            conj = G.conjugate(h, rep)
-            perm[i] = projA.image[pos[conj]]
-        action.append(tuple(perm))
+    # one automorphism of A per coset of C, induced by conjugation; each
+    # coset is represented by its least element
+    coset_of = dict(zip(H.elems, projA.image))
+    h_reps = [H.elems[projA.image.index(i)] for i in range(A.order)]
+    b_reps = [projB.image.index(j) for j in range(B.order)]
+    action = [tuple(coset_of[G.conjugate(h, b)] for h in h_reps) for b in b_reps]
     return semidirect_product(A, B, action)
 
 
@@ -362,15 +358,11 @@ def _factor_is_central(G: FiniteGroup, spec, upper: tuple[int, ...],
     """Whether the chief factor upper/lower lies centrally for the class."""
     from .classes import is_member  # deferred: classes builds on this module
 
-    M, Z = Subgroup(G, upper), Subgroup(G, lower)
-    if spec.hereditary:
-        # the factor embeds in the extension, so it must itself qualify
-        hgroup = M.as_group()
-        pos = {e: i for i, e in enumerate(upper)}
-        bare, _ = quotient(hgroup, Subgroup(hgroup, tuple(sorted(pos[e] for e in lower))))
-        if not is_member(bare, spec):
-            return False
-    return is_member(chief_factor_group(G, M, Z), spec)
+    # the factor embeds in the extension, so for a hereditary class it must
+    # itself qualify
+    if spec.hereditary and not is_member(section(G, upper, lower)[0], spec):
+        return False
+    return is_member(chief_factor_group(G, Subgroup(G, upper), Subgroup(G, lower)), spec)
 
 
 def exponent(G: FiniteGroup) -> int:

@@ -23,12 +23,11 @@ from .errors import UnsupportedParameter
 from .groups import (
     FiniteGroup,
     Subgroup,
-    conjugate_set,
     cyclic_table,
     is_normal_in,
-    materialize,
     memoized,
-    quotient,
+    normal_core,
+    section,
 )
 from .records import record
 from .structure import all_subgroups
@@ -83,16 +82,7 @@ class ChainWitness:
 
 def _core_quotient(G: FiniteGroup, small: Subgroup, big: Subgroup) -> FiniteGroup:
     """big / Core_big(small), materialized as a standalone group."""
-    core = small.elem_set
-    for g in big.elems:
-        core &= conjugate_set(G, small.elems, g)
-        if len(core) == 1:
-            break
-    bgroup = materialize(G, big.elems)
-    pos = {e: i for i, e in enumerate(big.elems)}
-    core_inside = Subgroup(bgroup, tuple(sorted(pos[e] for e in core)))
-    Q, _ = quotient(bgroup, core_inside)
-    return Q
+    return section(G, big.elems, normal_core(G, small, big.elems).elems)[0]
 
 
 def _bfs_chain(G: FiniteGroup,

@@ -332,6 +332,15 @@ def test_oversized_builder_groups_are_refused_before_their_table(capsys):
         code, _, err = run_cli(capsys, "check", token, "abelian")
         assert time.perf_counter() - start < 0.5, token
         assert (code, err) == (1, f"error: order {order} exceeds cap 512\n"), token
+    # past Python's int-string limit, or too large for is_prime's trial
+    # division and multiplicative_order's search
+    for token in ("Z" + "7" * 5000, "D" + "7" * 5000,
+                  "E(3|1000000000000000000000000000057)",
+                  "E(100000000000000000000000000000001|2)"):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "check", token, "U")
+        assert time.perf_counter() - start < 0.5, token[:40]
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, token[:40]
 
 
 def test_unbalanced_sn_expression_names_the_parenthesis(capsys):

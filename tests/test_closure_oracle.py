@@ -1,15 +1,16 @@
-"""Differential test: the generator-orbit closure against all-pairs oracles.
+"""Differential test: Dimino's closure against all-pairs oracles.
 
 The oracles close a set by multiplying every pair of collected elements (and,
 for the normal closure, by conjugating every collected element by the whole
 group; for the derived series, by taking the commutator of every pair).  They
 are slow but obviously correct; the library's closure must give the same
-element sets on every catalog group.
+element sets on every catalog group, and its greedy generators must be the
+least elements outside the oracle's closure of the generators before them.
 """
 
 from __future__ import annotations
 
-from formatio.groups import _closure, derived_series, normal_closure
+from formatio.groups import _closure, _generating_sequence, derived_series, normal_closure
 from formatio.structure import all_subgroups
 
 
@@ -97,3 +98,15 @@ def test_derived_series_of_every_subgroup(catalog_groups):
         for H in all_subgroups(G).subgroups:
             assert derived_series(G, H.elems) == pairs_derived_series(G, H.elems), \
                 (G.name, H.elems)
+
+
+def test_greedy_generators_of_every_subgroup(catalog_groups):
+    for G in catalog_groups:
+        for H in all_subgroups(G).subgroups:
+            gens = _generating_sequence(G.table, H.elems)
+            reached = (0,)
+            for k, g in enumerate(gens):
+                least = next(x for x in H.elems if x not in reached)
+                assert g == least, (G.name, H.elems, k)
+                reached = pairs_closure(G.table, gens[:k + 1])
+            assert reached == H.elems, (G.name, H.elems)

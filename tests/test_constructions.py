@@ -96,6 +96,11 @@ def test_field_action_rejects_common_factor():
 def test_field_action_size_guard():
     with pytest.raises(TooLarge):
         field_action_group(9, 2)  # 2^6 * 9 = 576
+    # refused by p * n before is_prime(p) trial-divides or
+    # multiplicative_order(p, n) searches
+    for n, p in ((3, 10**30 + 57), (10**32 + 1, 2), (1, 10**30 + 57)):
+        with pytest.raises(TooLarge):
+            field_action_group(n, p)
 
 
 def test_field_action_structure():
@@ -164,3 +169,5 @@ def test_catalog_round_trip(tmp_path):
 def test_elementary_abelian_size_guard():
     with pytest.raises(TooLarge):
         elementary_abelian(2, 10)
+    with pytest.raises(TooLarge):
+        elementary_abelian(10**30 + 57, 1)  # refused before is_prime
