@@ -379,9 +379,11 @@ class VSupersolubleClass(ClassSpec):
         return "vU"
 
     def _member(self, G):
+        # U is inside vU: every subgroup of a supersoluble group tops a chain
+        # of prime-index steps
         from .subnormality import vu_member
 
-        return vu_member(G)
+        return _is_supersoluble(G) or vu_member(G)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,23 @@
-"""Subnormal-chain searches over the subgroup lattice.
+"""Subnormal chains over the subgroup lattice.
 
 Two step relations are supported for a chain H = H_0 <= H_1 <= ... <= H_n = G:
   * class steps: H_{i-1} is normal in H_i, or H_i modulo the core of H_{i-1}
     lies in a given class;
   * prime steps: each containment has prime index.
 
-Chains are found by BFS over the materialized lattice, so a returned witness
-is always one of minimal length, with deterministic tie-breaking.
-
-vU membership asks only whether each cyclic primary subgroup tops a
-prime-step chain, not for the chain itself.  One memoized top-down pass over
-the lattice answers that for every member at once (`_prime_index_reach`), so
-`vu_obstruction` runs no search; `prime_index_chain` stays the only source of
-witnesses.
+Both kinds share one step test (`_step`) and one memoized reach test, run on
+demand (`_reaches`): whether a lattice member tops a chain to G of at most a
+given number of steps.  vstar and vU membership ask it of each cyclic primary
+subgroup, with no bound on the length.  A chain witness is read off the same
+test: its length is the least bound within which H reaches G, and from H each
+step goes to the least-index member above that reaches G in one step fewer.
+So a witness is always one of minimal length, and the lexicographically least
+such (in lattice indices).
 """
 
 from __future__ import annotations
 
 from .arith import is_prime, prime_divisors
-from .config import limits
 from .errors import UnsupportedParameter
 from .groups import (
     FiniteGroup,
@@ -85,44 +84,19 @@ def _core_quotient(G: FiniteGroup, small: Subgroup, big: Subgroup) -> FiniteGrou
     return section(G, big.elems, normal_core(G, small, big.elems).elems)[0]
 
 
-def _bfs_chain(G: FiniteGroup,
-               start: Subgroup, edge_ok) -> tuple[tuple[int, ...], ...] | None:
-    """Shortest path from start.elems to the full group, None if unreachable.
+def _ups(lattice, node: int):
+    """The members above lattice member `node`, in ascending index order."""
+    ups = lattice.above[node]
+    while ups:
+        yield (ups & -ups).bit_length() - 1
+        ups &= ups - 1
 
-    A node's proper supersets are its `above` bits in the lattice, tried in
-    ascending index order, which is (size, elements) order.
-    """
-    lattice = all_subgroups(G)
-    subs = lattice.subgroups
-    top = len(subs) - 1
-    node = lattice.index.get(start.elems)
+
+def _node(G: FiniteGroup, H: Subgroup) -> int:
+    node = all_subgroups(G).index.get(H.elems)
     if node is None:
-        raise ValueError(f"{start!r} is not a subgroup of {G.name}")
-    if node == top:
-        return (start.elems,)
-    frontier = [node]
-    parent: dict[int, int | None] = {node: None}
-    seen = 1 << node  # the bits of `parent`
-    while frontier:
-        nxt = []
-        for node in frontier:
-            ups = lattice.above[node] & ~seen
-            while ups:
-                low = ups & -ups
-                ups ^= low
-                up = low.bit_length() - 1
-                if not edge_ok(subs[node].elems, subs[up].elems):
-                    continue
-                seen |= low
-                parent[up] = node
-                if up == top:
-                    path = [up]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return tuple(subs[i].elems for i in reversed(path))
-                nxt.append(up)
-        frontier = nxt
-    return None
+        raise ValueError(f"{H!r} is not a subgroup of {G.name}")
+    return node
 
 
 @memoized
@@ -136,40 +110,84 @@ def _class_step(G: FiniteGroup, spec: ClassSpec, small: tuple[int, ...],
     return None
 
 
+def _step(G: FiniteGroup, kind: str | ClassSpec, small: tuple[int, ...],
+          big: tuple[int, ...]) -> str | None:
+    """The kind of the step small < big in a chain of the given kind (prime
+    steps, or class steps for a class), or None."""
+    if kind == STEP_PRIME_INDEX:
+        return STEP_PRIME_INDEX if is_prime(len(big) // len(small)) else None
+    return _class_step(G, kind, small, big)
+
+
+@memoized
+def _reaches(G: FiniteGroup, kind: str | ClassSpec, node: int, steps: int) -> bool:
+    """Whether lattice member `node` tops a chain of the given kind to G with
+    at most `steps` steps, or of any length when `steps` is -1.
+
+    G reaches itself.  Another member reaches G when some member above it
+    reaches G in one step fewer and the step to it passes `_step`.  The
+    members above are tried in ascending index order, and the first success
+    settles the answer.  A member's own reach is settled (and memoized) before
+    the step to it is tested, so the dear class steps are tested only on edges
+    into members that reach G.
+    """
+    lattice = all_subgroups(G)
+    subs = lattice.subgroups
+    if node == len(subs) - 1:
+        return True
+    small = subs[node].elems
+    return steps != 0 and any(
+        _reaches(G, kind, up, max(steps - 1, -1))
+        and _step(G, kind, small, subs[up].elems)
+        for up in _ups(lattice, node))
+
+
+def _chain(G: FiniteGroup, H: Subgroup, kind: str | ClassSpec,
+           spec_text: str | None) -> ChainWitness | None:
+    """A shortest chain of the given kind from H to G, None if there is none.
+
+    Its length n is the least bound within which H reaches G.  From H, each
+    step goes to the least-index member above that reaches G in one step
+    fewer, which gives the lexicographically least chain of length n (in
+    lattice indices): the one a breadth-first search from H returns when it
+    tries the members above in ascending index order.
+    """
+    lattice = all_subgroups(G)
+    subs = lattice.subgroups
+    path = [_node(G, H)]
+    # each step at least doubles the order, so no chain is longer than this
+    longest = (G.order // H.order).bit_length() - 1
+    length = next((n for n in range(longest + 1)
+                   if _reaches(G, kind, path[0], n)), None)
+    if length is None:
+        return None
+    for left in reversed(range(length)):
+        small = subs[path[-1]].elems
+        path.append(next(up for up in _ups(lattice, path[-1])
+                         if _reaches(G, kind, up, left)
+                         and _step(G, kind, small, subs[up].elems)))
+    chain = tuple(subs[i] for i in path)
+    kinds = tuple(_step(G, kind, a.elems, b.elems) for a, b in zip(chain, chain[1:]))
+    return ChainWitness(G, chain, kinds, spec_text)
+
+
 def k_subnormal_chain(G: FiniteGroup, H: Subgroup,
                       spec: ClassSpec) -> ChainWitness | None:
     """Chain from H to G with normal or class-core-quotient steps."""
-
-    def edge_ok(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-        return _class_step(G, spec, small, big) is not None
-
-    path = _bfs_chain(G, H, edge_ok)
-    if path is None:
-        return None
-    kinds = tuple(_class_step(G, spec, path[i], path[i + 1])
-                  for i in range(len(path) - 1))
-    return ChainWitness(G, tuple(Subgroup(G, t) for t in path), kinds, spec.text())
+    return _chain(G, H, spec, spec.text())
 
 
 def is_k_subnormal(G: FiniteGroup, H: Subgroup, spec: ClassSpec) -> bool:
-    return k_subnormal_chain(G, H, spec) is not None
+    return _reaches(G, spec, _node(G, H), -1)
 
 
 def prime_index_chain(G: FiniteGroup, H: Subgroup) -> ChainWitness | None:
     """Chain from H to G in which every containment has prime index."""
-
-    def edge_ok(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-        return is_prime(len(big) // len(small)) and len(big) % len(small) == 0
-
-    path = _bfs_chain(G, H, edge_ok)
-    if path is None:
-        return None
-    kinds = tuple(STEP_PRIME_INDEX for _ in range(len(path) - 1))
-    return ChainWitness(G, tuple(Subgroup(G, t) for t in path), kinds, None)
+    return _chain(G, H, STEP_PRIME_INDEX, None)
 
 
 def is_prime_index_subnormal(G: FiniteGroup, H: Subgroup) -> bool:
-    return prime_index_chain(G, H) is not None
+    return _reaches(G, STEP_PRIME_INDEX, _node(G, H), -1)
 
 
 def cyclic_primary_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -180,15 +198,19 @@ def cyclic_primary_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     return tuple(Subgroup(G, t) for t in sorted(primary, key=lambda t: (len(t), t)))
 
 
+def _obstruction(G: FiniteGroup, kind: str | ClassSpec) -> Subgroup | None:
+    """First cyclic primary subgroup that tops no chain of the given kind."""
+    index = all_subgroups(G).index
+    return next((P for P in cyclic_primary_subgroups(G)
+                 if not _reaches(G, kind, index[P.elems], -1)), None)
+
+
 def vstar_obstruction(G: FiniteGroup, spec: ClassSpec) -> Subgroup | None:
     """First cyclic primary subgroup without a class-subnormal chain."""
     if not spec.hereditary:
         raise UnsupportedParameter(
             f"vstar needs a hereditary-flagged spec, got {spec.text()}")
-    for P in cyclic_primary_subgroups(G):
-        if k_subnormal_chain(G, P, spec) is None:
-            return P
-    return None
+    return _obstruction(G, spec)
 
 
 def vstar_member(G: FiniteGroup, spec: ClassSpec) -> bool:
@@ -196,40 +218,9 @@ def vstar_member(G: FiniteGroup, spec: ClassSpec) -> bool:
     return vstar_obstruction(G, spec) is None
 
 
-@memoized
-def _prime_index_reach(G: FiniteGroup, budget: int) -> int:
-    """Bitmask of the lattice members that top a prime-index chain to G.
-
-    One top-down pass in (size, elements) order: G reaches itself, and a
-    member H reaches G when some reaching member above it has prime index
-    over H.  Members above H come later in the order, so each is settled
-    before H.  For each prime p, the members of order p*|H| form one mask.
-    """
-    lattice = all_subgroups(G, budget)
-    subs = lattice.subgroups
-    top = len(subs) - 1
-    by_order: dict[int, int] = {}
-    for i, H in enumerate(subs):
-        by_order[H.order] = by_order.get(H.order, 0) | 1 << i
-    up_orders = {n: tuple(n * p for p in prime_divisors(G.order // n)) for n in by_order}
-    reach = 1 << top
-    for i in range(top - 1, -1, -1):
-        ups = lattice.above[i] & reach
-        if ups and any(ups & by_order.get(m, 0) for m in up_orders[subs[i].order]):
-            reach |= 1 << i
-    return reach
-
-
 def vu_obstruction(G: FiniteGroup) -> Subgroup | None:
-    """First cyclic primary subgroup without a prime-index chain, read off
-    the one-pass reachability mask; `prime_index_chain` finds the same
-    members reachable, one BFS each."""
-    reach = _prime_index_reach(G, limits.subgroup_budget)
-    index = all_subgroups(G).index
-    for P in cyclic_primary_subgroups(G):
-        if not reach >> index[P.elems] & 1:
-            return P
-    return None
+    """First cyclic primary subgroup without a prime-index chain."""
+    return _obstruction(G, STEP_PRIME_INDEX)
 
 
 def vu_member(G: FiniteGroup) -> bool:

@@ -2,11 +2,11 @@
 
 The oracles are the earlier, slower algorithms: the lattice closed under joins
 with every cyclic subgroup, containment by an all-pairs subset scan (with the
-maximal intersection and the BFS chain searches built on it), and the
-isolated set and pair graph tested on every pair of elements.  The library's
-zuppo-layered lattice, its containment bitmasks and its cyclic-subgroup pair
-tests must give the same results, and relabelling a table must move every
-result along with it.
+maximal intersection and a BFS chain search built on it), and the isolated
+set and pair graph tested on every pair of elements.  The library's
+zuppo-layered lattice, its containment bitmasks, its chain witnesses read off
+the reach test and its cyclic-subgroup pair tests must give the same results,
+and relabelling a table must move every result along with it.
 """
 
 from __future__ import annotations
@@ -193,17 +193,18 @@ def test_maximal_intersection_matches_all_pairs_scan(catalog_groups):
 
 
 def test_chain_searches_match_bfs_over_superset_lists(catalog_groups):
-    nilpotent = parse_spec("N")
+    # N, and U: the inner class of vstar(U)
+    class_specs = [parse_spec("N"), parse_spec("U")]
 
     def prime_step(small, big):
         return "prime-index" if is_prime(len(big) // len(small)) else None
 
-    def class_step(G):
+    def class_step(G, spec):
         def kind(small, big):
             if is_normal_in(G, frozenset(small), big):
                 return "normal"
             core_quotient = _core_quotient(G, Subgroup(G, small), Subgroup(G, big))
-            return "class-quotient" if is_member(core_quotient, nilpotent) else None
+            return "class-quotient" if is_member(core_quotient, spec) else None
         return kind
 
     def found(witness):
@@ -221,8 +222,10 @@ def test_chain_searches_match_bfs_over_superset_lists(catalog_groups):
             H = Subgroup(G, P)
             assert found(prime_index_chain(G, H)) == bfs_chain_over_superset_lists(
                 G, P, prime_step, ups), (G.name, P)
-            assert found(k_subnormal_chain(G, H, nilpotent)) == (
-                bfs_chain_over_superset_lists(G, P, class_step(G), ups)), (G.name, P)
+            for spec in class_specs:
+                assert found(k_subnormal_chain(G, H, spec)) == (
+                    bfs_chain_over_superset_lists(G, P, class_step(G, spec), ups)), (
+                    G.name, P, spec.text())
 
 
 def test_budget_boundary_on_fresh_and_cached_lattice():
