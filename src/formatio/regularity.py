@@ -7,6 +7,11 @@ For a class spec F and a group G two element sets are computed:
   * the maximal intersection: common elements of all subgroups that are
     maximal among the F-subgroups of G.
 
+For a member G of a hereditary spec both sets are G, so a regularity row
+decides such a group by that one verdict; other rows compute both sets.  The
+maximal intersection walks the lattice top down and tests only subgroups with
+no member above them.
+
 For the spec shapes the theory guarantees to be regular, a sweep asserts the
 two sets agree on every soluble group and fails loudly otherwise.  The other
 sweep modes (Frattini-quotient saturation, the formation and hereditary laws,
@@ -74,18 +79,24 @@ def isolated_set(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
 
 
 def maximal_intersection(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
-    """Common elements of the subgroups maximal among the class members."""
+    """Common elements of the subgroups maximal among the class members.
+
+    The lattice is walked in descending index order, so every subgroup above
+    a subgroup comes before it, and a subgroup is tested only when no member
+    found so far lies above it.  A skipped subgroup has a found member above
+    it, so a subgroup is tested exactly when no member at all lies above it:
+    each member found is maximal, for every class, hereditary or not.
+    """
     lattice = all_subgroups(G)
-    members = [i for i, s in enumerate(lattice.subgroups)
-               if is_member(s.as_group(), spec)]
-    if not members:
-        raise EmptyClass(f"{G.name} has no subgroup in {spec.text()}")
-    member_bits = sum(1 << i for i in members)
-    # a member is maximal when no member lies above it
+    member_bits = 0
     common = set(range(G.order))
-    for i in members:
-        if not lattice.above[i] & member_bits:
-            common &= lattice.subgroups[i].elem_set
+    for i in reversed(range(len(lattice))):
+        sub = lattice.subgroups[i]
+        if not lattice.above[i] & member_bits and is_member(sub.as_group(), spec):
+            member_bits |= 1 << i
+            common &= sub.elem_set
+    if not member_bits:
+        raise EmptyClass(f"{G.name} has no subgroup in {spec.text()}")
     return tuple(sorted(common))
 
 
@@ -210,6 +221,19 @@ class RegularityReport:
 
 
 def regularity_row(G: FiniteGroup, spec: ClassSpec) -> SweepRow:
+    """The two element sets of G under the spec, and whether they agree.
+
+    A member of a hereditary spec is decided by that one verdict: every
+    <x, y> lies in G, so in the class, and G is the one maximal member, so
+    both sets are G.  The lattice is still enumerated, so the subgroup budget
+    holds on every row.  The hereditary flag itself is checked by the
+    formation-laws sweep, not here.
+    """
+    all_subgroups(G)
+    soluble = is_member(G, SOLUBLE)
+    if spec.hereditary and is_member(G, spec):
+        whole = tuple(range(G.order))
+        return SweepRow(G.name, G.order, soluble, whole, whole, True, None)
     int_set = maximal_intersection(G, spec)
     iso = isolated_set(G, spec)
     equal = int_set == iso
@@ -217,8 +241,7 @@ def regularity_row(G: FiniteGroup, spec: ClassSpec) -> SweepRow:
     if not equal:
         difference = sorted(set(int_set).symmetric_difference(iso))
         witness = difference[0]
-    return SweepRow(G.name, G.order, is_member(G, SOLUBLE), int_set, iso,
-                    equal, witness)
+    return SweepRow(G.name, G.order, soluble, int_set, iso, equal, witness)
 
 
 def _pool_call(payload):
@@ -228,10 +251,16 @@ def _pool_call(payload):
         return row_fn(_trusted_group(table, name), spec)
 
 
-# Pool start-up cost in units of the row estimate zuppo_count(G)**3: importing
-# concurrent.futures and starting and stopping a pool take about 0.05 s, and
-# vU regularity rows about 1.5 microseconds per unit (calibration in CHANGES.md).
-POOL_START_COST = 34_000
+# Pool start-up cost in units of the row estimate zuppo_count(G)**3, set from
+# end-to-end wall times of vU regularity sweeps, serial against a pool of two
+# (medians of 5 fresh processes on 2 CPUs, table in BENCH_18.json).  The pool
+# lost on every set whose saving estimate was 262,144 units or less, among
+# them the default catalog (59,465) and [S5, S4xS3] (175,616), and won on
+# every set from 438,976 up, such as [S4xD8, S4xS3xZ2] (912,673: 2.06 s
+# serially, 1.75 s pooled).  Besides starting, a pool loses what a serial
+# sweep shares between its groups: workers begin with empty memos and
+# verdict tables.
+POOL_START_COST = 350_000
 
 
 def zuppo_count(G: FiniteGroup) -> int:

@@ -17,7 +17,7 @@ such (in lattice indices).
 
 from __future__ import annotations
 
-from .arith import is_prime, prime_divisors
+from .arith import factorize, is_prime, prime_divisors
 from .errors import UnsupportedParameter
 from .groups import (
     FiniteGroup,
@@ -125,21 +125,33 @@ def _reaches(G: FiniteGroup, kind: str | ClassSpec, node: int, steps: int) -> bo
     at most `steps` steps, or of any length when `steps` is -1.
 
     G reaches itself.  Another member reaches G when some member above it
-    reaches G in one step fewer and the step to it passes `_step`.  The
-    members above are tried in ascending index order, and the first success
-    settles the answer.  A member's own reach is settled (and memoized) before
-    the step to it is tested, so the dear class steps are tested only on edges
-    into members that reach G.
+    reaches G in one step fewer and the step to it passes `_step`
+    (`_next_members`); the first such member settles the answer.
     """
     lattice = all_subgroups(G)
-    subs = lattice.subgroups
-    if node == len(subs) - 1:
+    if node == len(lattice) - 1:
         return True
+    return steps != 0 and next(
+        _next_members(G, lattice, kind, node, max(steps - 1, -1)), None) is not None
+
+
+def _next_members(G: FiniteGroup, lattice, kind: str | ClassSpec, node: int,
+                  steps: int):
+    """The members above `node`, in ascending index order, that the step from
+    `node` passes `_step` into and that reach G within `steps`; lazily.
+
+    A prime step is arithmetic, so it is tested first.  For a class step the
+    reach of the member above is settled (and memoized) first, so the dear
+    class steps are tested only on edges into members that reach G.
+    """
+    subs = lattice.subgroups
     small = subs[node].elems
-    return steps != 0 and any(
-        _reaches(G, kind, up, max(steps - 1, -1))
-        and _step(G, kind, small, subs[up].elems)
-        for up in _ups(lattice, node))
+    if kind == STEP_PRIME_INDEX:
+        return (up for up in _ups(lattice, node)
+                if _step(G, kind, small, subs[up].elems)
+                and _reaches(G, kind, up, steps))
+    return (up for up in _ups(lattice, node)
+            if _reaches(G, kind, up, steps) and _step(G, kind, small, subs[up].elems))
 
 
 def _chain(G: FiniteGroup, H: Subgroup, kind: str | ClassSpec,
@@ -155,17 +167,19 @@ def _chain(G: FiniteGroup, H: Subgroup, kind: str | ClassSpec,
     lattice = all_subgroups(G)
     subs = lattice.subgroups
     path = [_node(G, H)]
-    # each step at least doubles the order, so no chain is longer than this
-    longest = (G.order // H.order).bit_length() - 1
-    length = next((n for n in range(longest + 1)
-                   if _reaches(G, kind, path[0], n)), None)
+    index = G.order // H.order
+    if kind == STEP_PRIME_INDEX:
+        # a prime step takes one prime factor off the index, so every prime
+        # chain from H has as many steps as the index has prime factors
+        bounds = [sum(factorize(index).values())]
+    else:
+        # each step at least doubles the order, so no chain is longer
+        bounds = range(index.bit_length())
+    length = next((n for n in bounds if _reaches(G, kind, path[0], n)), None)
     if length is None:
         return None
     for left in reversed(range(length)):
-        small = subs[path[-1]].elems
-        path.append(next(up for up in _ups(lattice, path[-1])
-                         if _reaches(G, kind, up, left)
-                         and _step(G, kind, small, subs[up].elems)))
+        path.append(next(_next_members(G, lattice, kind, path[-1], left)))
     chain = tuple(subs[i] for i in path)
     kinds = tuple(_step(G, kind, a.elems, b.elems) for a, b in zip(chain, chain[1:]))
     return ChainWitness(G, chain, kinds, spec_text)

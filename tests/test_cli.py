@@ -228,6 +228,25 @@ def test_sweep_exit_code_follows_the_flagged_law(capsys, tmp_path, monkeypatch,
     assert culprit in {r["group"] for r in json.loads(out)["failures"]}
 
 
+def test_member_rows_trust_the_flag_that_formation_laws_checks(capsys, tmp_path,
+                                                              monkeypatch):
+    # D3 is a member, so its regularity row is decided by that one verdict
+    # and reads equal; the formation-laws sweep is what finds the false flag
+    cat = tmp_path / "cat"
+    run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "8")
+    spec = _OrderNotTwo()
+    monkeypatch.setattr("formatio.cli.parse_spec", lambda text: spec)
+    argv = ("sweep", "--spec", spec.text(), "--catalog", str(cat), "--format", "json")
+    code, out, _ = run_cli(capsys, *argv, "--mode", "regularity")
+    assert code == 0
+    row = next(r for r in json.loads(out)["rows"] if r["group"] == "D3")
+    assert row["equal"] and row["int"] == row["iset"] == list(range(6))
+    code, out, _ = run_cli(capsys, *argv, "--mode", "formation-laws")
+    assert code == 2
+    failures = json.loads(out)["failures"]
+    assert {"group": "D3", "law": "hereditary", "ok": False} in failures
+
+
 @pytest.mark.parametrize("command", ["check", "sweep"])
 def test_missing_catalog_directory_is_an_io_error(capsys, tmp_path, monkeypatch, command):
     missing = str(tmp_path / "no" / "such" / "dir")
@@ -259,6 +278,15 @@ def test_env_var_catalog(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("FORMATIO_CATALOG")
     code, _, err = run_cli(capsys, "check", "Z2xZ2", "nilpotent")
     assert code == 1
+
+
+def test_serial_sweep_keeps_budget(capsys, tmp_path):
+    cat = tmp_path / "cat"
+    run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "8")
+    code, out, err = run_cli(capsys, "--budget-subgroups", "3", "sweep", "--spec",
+                             "vU", "--mode", "regularity", "--catalog", str(cat))
+    assert (code, out) == (1, "")
+    assert "more than 3 subgroups" in err
 
 
 def test_pool_sweep_under_spawn_keeps_budget(capsys, tmp_path, forced_pool):

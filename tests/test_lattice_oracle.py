@@ -183,10 +183,11 @@ def test_lattice_matches_cyclic_joins_on_relabelled_copies(large_groups):
         assert_lattice_matches_oracle(relabelled(G, seed)[0])
 
 
-def test_maximal_intersection_matches_all_pairs_scan(catalog_groups):
+def test_maximal_intersection_matches_all_pairs_scan(catalog_groups, large_groups):
     specs = [parse_spec(t) for t in ("vU", "N", "reg(default->1)",
-                                     "cap(p_nilpotent:2,S)")]
-    for G in catalog_groups:
+                                     "cap(p_nilpotent:2,S)", "sylow_tower:2>3>5")]
+    copies = [relabelled(G, seed)[0] for seed, G in enumerate(large_groups)]
+    for G in [*catalog_groups, *copies]:
         for spec in specs:
             assert maximal_intersection(G, spec) == all_pairs_maximal_intersection(
                 G, spec), (G.name, spec.text())

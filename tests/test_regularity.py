@@ -10,6 +10,7 @@ import pytest
 
 from formatio.classes import (
     ABELIAN,
+    AllGroupsClass,
     NILPOTENT,
     SOLUBLE,
     NilpotentClass,
@@ -23,7 +24,13 @@ from formatio.classes import (
     sylow_tower,
     vstar,
 )
-from formatio.constructions import cyclic, dihedral, direct_product, symmetric
+from formatio.constructions import (
+    cyclic,
+    dihedral,
+    direct_product,
+    field_action_group,
+    symmetric,
+)
 from formatio.errors import EmptyClass, TheoremViolation
 from formatio.groups import center
 from formatio.regularity import (
@@ -32,12 +39,14 @@ from formatio.regularity import (
     isolated_set,
     maximal_intersection,
     non_class_graph,
+    SweepRow,
     pool_size,
+    regularity_row,
     regularity_sweep,
     report_to_text,
     zuppo_count,
 )
-from formatio.structure import hypercenter, soluble_radical
+from formatio.structure import all_subgroups, hypercenter, soluble_radical
 from formatio.subnormality import cyclic_primary_subgroups
 
 
@@ -259,7 +268,13 @@ def test_pool_only_where_the_estimated_saving_beats_start_up(monkeypatch,
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     small = [G for G in catalog_groups if G.name in SMALL_SWEEP]
     assert pool_size(small, 2) == 1
-    large = [symmetric(5), direct_product(symmetric(4), symmetric(3))]
+    # measured to run slower pooled than serially
+    assert len(catalog_groups) == 69
+    assert pool_size(catalog_groups, 2) == 1
+    assert pool_size([symmetric(5), direct_product(symmetric(4), symmetric(3))], 2) == 1
+    # measured to run faster pooled
+    large = [direct_product(symmetric(4), dihedral(4)),
+             direct_product(direct_product(symmetric(4), symmetric(3)), cyclic(2))]
     assert pool_size(large, 2) == 2
 
 
@@ -293,3 +308,53 @@ def test_pool_sweep_keeps_the_spec_record(s3, s4, forced_pool):
     serial = regularity_sweep([s3, s4], spec, enforce=False)
     assert pooled == serial
     assert [r.isolated for r in pooled.rows] == [tuple(range(6)), tuple(range(24))]
+
+
+ROW_SPECS = ("vU", "reg(default->1)", "cap(p_nilpotent:2,S)", "sylow_tower:2>3>5",
+             "N", "vstar(N)", "prod(abelian,nilpotent)")
+
+
+def full_row(G, spec):
+    """The row from both sets in full: every subgroup is tested, the maximal
+    members are found by an all-pairs subset scan, and no verdict on G
+    itself is taken as a shortcut."""
+    members = [s.elem_set for s in all_subgroups(G).subgroups
+               if is_member(s.as_group(), spec)]
+    maximal = [s for s in members if not any(s < t for t in members)]
+    int_set = tuple(sorted(frozenset.intersection(*maximal)))
+    iso = isolated_set(G, spec)
+    difference = sorted(set(int_set).symmetric_difference(iso))
+    return SweepRow(G.name, G.order, is_member(G, SOLUBLE), int_set, iso,
+                    int_set == iso, difference[0] if difference else None)
+
+
+class _UnflaggedOrderNotTwo(AllGroupsClass):
+    """Neither hereditary nor flagged so: S3 is a member, its subgroups of
+    order 2 are not."""
+
+    formation = False
+    hereditary = False
+
+    def text(self):
+        return "order-not-2-unflagged"
+
+    def _member(self, G):
+        return G.order != 2
+
+
+def test_row_matches_the_row_of_both_full_sets(catalog_groups, e52_d8, e32_d8, s3):
+    from test_lattice_oracle import relabelled
+
+    specs = [parse_spec(text) for text in ROW_SPECS] + [_UnflaggedOrderNotTwo()]
+    assert not any(spec.hereditary for spec in specs[-2:])
+    # a member row of an unflagged spec is computed in full
+    assert is_member(s3, specs[-1]) and not regularity_row(s3, specs[-1]).equal
+    non_nilpotent = [G for G in catalog_groups if not is_member(G, NILPOTENT)]
+    copies = [relabelled(G, seed)[0] for seed, G in enumerate(non_nilpotent[::2][:10])]
+    assert len(copies) == 10
+    groups = [*catalog_groups, symmetric(5),
+              direct_product(field_action_group(7, 2), cyclic(2)), e52_d8, e32_d8,
+              *copies]
+    for G in groups:
+        for spec in specs:
+            assert regularity_row(G, spec) == full_row(G, spec), (G.name, spec.text())
