@@ -7,11 +7,6 @@ For a class spec F and a group G two element sets are computed:
   * the maximal intersection: common elements of all subgroups that are
     maximal among the F-subgroups of G.
 
-For a member G of a hereditary spec both sets are G, so a regularity row
-decides such a group by that one verdict; other rows compute both sets.  The
-maximal intersection walks the lattice top down and tests only subgroups with
-no member above them.
-
 For the spec shapes the theory guarantees to be regular, a sweep asserts the
 two sets agree on every soluble group and fails loudly otherwise.  The other
 sweep modes (Frattini-quotient saturation, the formation and hereditary laws,
@@ -85,7 +80,9 @@ def maximal_intersection(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
     a subgroup comes before it, and a subgroup is tested only when no member
     found so far lies above it.  A skipped subgroup has a found member above
     it, so a subgroup is tested exactly when no member at all lies above it:
-    each member found is maximal, for every class, hereditary or not.
+    each member found is maximal, for every class, hereditary or not.  A
+    skipped subgroup is never judged, so an error its verdict would raise
+    does not appear.
     """
     lattice = all_subgroups(G)
     member_bits = 0
@@ -226,8 +223,11 @@ def regularity_row(G: FiniteGroup, spec: ClassSpec) -> SweepRow:
     A member of a hereditary spec is decided by that one verdict: every
     <x, y> lies in G, so in the class, and G is the one maximal member, so
     both sets are G.  The lattice is still enumerated, so the subgroup budget
-    holds on every row.  The hereditary flag itself is checked by the
-    formation-laws sweep, not here.
+    holds on every row.  The row trusts the hereditary flag: a member of a
+    wrongly flagged spec reads equal here, and the formation-laws sweep is
+    what checks the flag.  Errors that judging a subgroup or closing a pair
+    would raise (SizeCapExceeded, UnsupportedParameter) cannot come from a
+    member row, which does neither.
     """
     all_subgroups(G)
     soluble = is_member(G, SOLUBLE)
@@ -252,15 +252,13 @@ def _pool_call(payload):
 
 
 # Pool start-up cost in units of the row estimate zuppo_count(G)**3, set from
-# end-to-end wall times of vU regularity sweeps, serial against a pool of two
-# (medians of 5 fresh processes on 2 CPUs, table in BENCH_18.json).  The pool
-# lost on every set whose saving estimate was 262,144 units or less, among
-# them the default catalog (59,465) and [S5, S4xS3] (175,616), and won on
-# every set from 438,976 up, such as [S4xD8, S4xS3xZ2] (912,673: 2.06 s
-# serially, 1.75 s pooled).  Besides starting, a pool loses what a serial
-# sweep shares between its groups: workers begin with empty memos and
-# verdict tables.
-POOL_START_COST = 350_000
+# end-to-end wall times of serial against pooled sweeps in every mode (2 CPUs,
+# table in BENCH_18.json).  One estimate serves every mode, so no value is
+# right everywhere: formation-laws sweeps lost pooled on every set measured,
+# and at 262,144 units the pool won or lost by spec.  A value between 175,616
+# and 262,144 left the least excess time over the table.  A pool also loses
+# what a serial sweep shares between groups: workers begin with empty memos.
+POOL_START_COST = 200_000
 
 
 def zuppo_count(G: FiniteGroup) -> int:
