@@ -50,7 +50,6 @@ from .groups import FiniteGroup, group_from_json
 from .regularity import (
     ROW_SWEEPS,
     graph_to_dot,
-    map_groups,
     non_class_graph,
     regularity_sweep,
     report_to_text,
@@ -195,7 +194,7 @@ def cmd_sweep(args) -> int:
     spec = parse_spec(args.spec)
     if args.mode == "regularity":
         try:
-            report = regularity_sweep(groups, spec, workers=args.workers)
+            report = regularity_sweep(groups, spec)
         except TheoremViolation as exc:
             sys.stderr.write(f"THEOREM VIOLATION: {exc}\n")
             if exc.report is not None:
@@ -204,8 +203,7 @@ def cmd_sweep(args) -> int:
         _emit(args, report.to_json(), report_to_text(report))
         return 0
     row_fn, enforced = ROW_SWEEPS[args.mode]
-    rows = [row for group_rows in map_groups(row_fn, groups, spec, args.workers)
-            for row in group_rows]
+    rows = [row for G in groups for row in row_fn(G, spec)]
     failures = [r for r in rows if not r["ok"]]
     payload = {"spec": spec.text(), "mode": args.mode, "rows": rows,
                "failures": failures}
@@ -322,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="regularity", choices=["regularity", *ROW_SWEEPS])
     p.add_argument("--catalog", default=os.environ.get("FORMATIO_CATALOG"))
     p.add_argument("--max-order", type=_at_least_one, default=None)
-    p.add_argument("--workers", type=_at_least_one, default=1)
+    p.add_argument("--workers", type=_at_least_one, default=1,
+                   help="checked to be >= 1, with no other effect: "
+                        "sweeps run in one process")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)

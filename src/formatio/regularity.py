@@ -1,5 +1,5 @@
 """Every catalog sweep: the isolated-set vs maximal-intersection comparison
-and the closure-law sweeps, behind one driver.
+and the closure-law sweeps.
 
 For a class spec F and a group G two element sets are computed:
   * the isolated set: elements x with <x, y> in F for every y (exactly the
@@ -11,15 +11,11 @@ For the spec shapes the theory guarantees to be regular, a sweep asserts the
 two sets agree on every soluble group and fails loudly otherwise.  The other
 sweep modes (Frattini-quotient saturation, the formation and hereditary laws,
 vstar idempotence) are row functions of one group, listed in `ROW_SWEEPS`.
-Every mode runs through `map_groups`, serially or in a process pool.
+Every mode calls its row function once per group, in one process.
 """
 
 from __future__ import annotations
 
-import os
-from collections import Counter
-
-from .arith import prime_divisors
 from .classes import (
     ClassSpec,
     ExponentFormationClass,
@@ -32,11 +28,9 @@ from .classes import (
     VSupersolubleClass,
     is_member,
 )
-from .config import limits, overridden_limits
 from .errors import EmptyClass, TheoremViolation
-from .groups import (FiniteGroup, _closure, _trusted_group, cyclic_table, materialize,
-                     memoized, quotient)
-from .records import asdict, record
+from .groups import FiniteGroup, _closure, cyclic_table, materialize, memoized, quotient
+from .records import record
 from .structure import all_subgroups, frattini, minimal_normal_subgroups
 
 
@@ -244,78 +238,14 @@ def regularity_row(G: FiniteGroup, spec: ClassSpec) -> SweepRow:
     return SweepRow(G.name, G.order, soluble, int_set, iso, equal, witness)
 
 
-def _pool_call(payload):
-    """One row function call in a pool worker, under the parent's limits."""
-    row_fn, table, name, spec, parent_limits = payload
-    with overridden_limits(**parent_limits):
-        return row_fn(_trusted_group(table, name), spec)
-
-
-# Pool start-up cost in units of the row estimate zuppo_count(G)**3, set from
-# end-to-end wall times of serial against pooled sweeps in every mode (2 CPUs,
-# table in BENCH_18.json).  One estimate serves every mode, so no value is
-# right everywhere: formation-laws sweeps lost pooled on every set measured,
-# and at 262,144 units the pool won or lost by spec.  A value between 175,616
-# and 262,144 left the least excess time over the table.  A pool also loses
-# what a serial sweep shares between groups: workers begin with empty memos.
-POOL_START_COST = 200_000
-
-
-def zuppo_count(G: FiniteGroup) -> int:
-    """Number of cyclic subgroups of prime-power order > 1, read off the
-    element orders: one of order p^k has phi(p^k) = p^k - p^(k-1) generators."""
-    zuppos = 0
-    for order, count in Counter(G.element_order).items():
-        primes = prime_divisors(order)
-        if len(primes) == 1:
-            zuppos += count // (order - order // primes[0])
-    return zuppos
-
-
-def pool_size(groups, workers: int) -> int:
-    """Processes worth starting for a sweep over `groups`; 1 means serial.
-
-    At most `workers`, one per group and one per CPU.  A row is estimated to
-    cost zuppo_count(G)**3.  On w processes a sweep still takes its largest
-    row and a w-th of the total, and the pool runs only when it saves more
-    than POOL_START_COST.
-    """
-    w = min(workers, len(groups), os.cpu_count() or 1)
-    if w <= 1:
-        return 1
-    costs = [zuppo_count(G) ** 3 for G in groups]
-    total = sum(costs)
-    saving = total - max(max(costs), total / w)
-    return w if saving > POOL_START_COST else 1
-
-
-def map_groups(row_fn, groups, spec: ClassSpec, workers: int = 1) -> list:
-    """[row_fn(G, spec) for G in groups], in the order of the groups.
-
-    With `workers` > 1 the calls run in a process pool of `pool_size` workers,
-    or serially when that is one.  A worker gets the spec record itself and
-    the parent's limits, so it answers exactly as the parent would.
-    """
-    groups = list(groups)
-    workers = pool_size(groups, workers)
-    if workers == 1:
-        return [row_fn(G, spec) for G in groups]
-    from concurrent.futures import ProcessPoolExecutor
-
-    payloads = [(row_fn, G.table, G.name, spec, asdict(limits)) for G in groups]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_pool_call, payloads))
-
-
-def regularity_sweep(groups, spec: ClassSpec, enforce: bool = True,
-                     workers: int = 1) -> RegularityReport:
+def regularity_sweep(groups, spec: ClassSpec, enforce: bool = True) -> RegularityReport:
     """Compare the two element sets on every group.
 
-    Rows come from `map_groups` and are sorted by (order, name).  With
-    `enforce`, a disagreement on a soluble group under a theorem-backed spec
-    raises TheoremViolation carrying the full report.
+    Rows are sorted by (order, name).  With `enforce`, a disagreement on a
+    soluble group under a theorem-backed spec raises TheoremViolation
+    carrying the full report.
     """
-    rows = map_groups(regularity_row, groups, spec, workers)
+    rows = [regularity_row(G, spec) for G in groups]
     rows = tuple(sorted(rows, key=lambda r: (r.order, r.group_name)))
     report = RegularityReport(spec.text(), is_theorem_backed_regular(spec), rows)
     if enforce and report.violations:

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-
 import pytest
 
 from formatio.constructions import (
@@ -98,22 +95,3 @@ def catalog_groups(catalog):
 @pytest.fixture(scope="session")
 def soluble_catalog_groups(catalog):
     return [e.group for e in catalog if "soluble" in e.tags]
-
-
-@pytest.fixture
-def forced_pool(monkeypatch):
-    """Sweeps with more than one worker run in a pool, whatever their size,
-    on a machine taken to have 2 CPUs.  Returns the size of each pool built."""
-    from formatio import regularity
-
-    built = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    def spy(max_workers):
-        built.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(regularity, "POOL_START_COST", -1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
-    return built

@@ -178,19 +178,23 @@ def test_sweep_formation_laws(capsys, tmp_path):
     ("regularity", "vU"), ("saturation", "reg(default->1)"),
     ("formation-laws", "U"), ("vstar-idempotence", "N"),
 ])
-def test_sweep_parallel_workers_match_serial(capsys, tmp_path, forced_pool,
+def test_sweep_parallel_workers_match_serial(capsys, tmp_path, monkeypatch,
                                             mode, spec):
+    # --workers is accepted and checked, and every sweep still runs in one
+    # process: starting any child process, a pool worker included, fails
+    import multiprocessing.process
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a child process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     cat = tmp_path / "cat"
     run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "12")
     argv = ("sweep", "--spec", spec, "--mode", mode, "--catalog", str(cat),
             "--format", "json")
-    code, serial_out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert forced_pool == []
-    code, parallel_out, _ = run_cli(capsys, *argv, "--workers", "2")
-    assert code == 0
-    assert forced_pool == [2]
-    assert serial_out == parallel_out
+    serial = run_cli(capsys, *argv)
+    assert serial[0] == 0
+    assert run_cli(capsys, *argv, "--workers", "2") == serial
 
 
 class _SaturatedAbelian(AbelianClass):
@@ -280,33 +284,15 @@ def test_env_var_catalog(capsys, tmp_path, monkeypatch):
     assert code == 1
 
 
-def test_serial_sweep_keeps_budget(capsys, tmp_path):
+@pytest.mark.parametrize("mode", ["regularity", "saturation", "formation-laws",
+                                  "vstar-idempotence"])
+def test_serial_sweep_keeps_budget(capsys, tmp_path, mode):
     cat = tmp_path / "cat"
     run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "8")
     code, out, err = run_cli(capsys, "--budget-subgroups", "3", "sweep", "--spec",
-                             "vU", "--mode", "regularity", "--catalog", str(cat))
+                             "vU", "--mode", mode, "--catalog", str(cat))
     assert (code, out) == (1, "")
     assert "more than 3 subgroups" in err
-
-
-def test_pool_sweep_under_spawn_keeps_budget(capsys, tmp_path, forced_pool):
-    import multiprocessing
-
-    cat = tmp_path / "cat"
-    run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "8")
-    previous = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("spawn", force=True)
-    try:
-        # a pool worker gets a row function and a spec record by pickle
-        for mode in ("regularity", "saturation"):
-            code, _, err = run_cli(capsys, "--budget-subgroups", "3", "sweep",
-                                   "--spec", "vU", "--mode", mode, "--workers", "2",
-                                   "--catalog", str(cat))
-            assert code == 1, mode
-            assert "more than 3 subgroups" in err, mode
-        assert forced_pool == [2, 2]
-    finally:
-        multiprocessing.set_start_method(previous, force=True)
 
 
 def test_limit_overrides_last_one_command(capsys):

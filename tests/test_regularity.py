@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
-import json
-import os
-
 import pytest
 
 from formatio.classes import (
@@ -13,7 +9,6 @@ from formatio.classes import (
     AllGroupsClass,
     NILPOTENT,
     SOLUBLE,
-    NilpotentClass,
     SUPERSOLUBLE,
     TRIVIAL,
     V_SUPERSOLUBLE,
@@ -40,14 +35,10 @@ from formatio.regularity import (
     maximal_intersection,
     non_class_graph,
     SweepRow,
-    pool_size,
     regularity_row,
     regularity_sweep,
-    report_to_text,
-    zuppo_count,
 )
 from formatio.structure import all_subgroups, hypercenter, soluble_radical
-from formatio.subnormality import cyclic_primary_subgroups
 
 
 def brute_isolated(G, spec):
@@ -92,12 +83,14 @@ def test_maximal_intersection_nilpotent_is_hypercenter(catalog_groups):
         assert maximal_intersection(G, NILPOTENT) == hypercenter(G, NILPOTENT).elems
 
 
-def test_maximal_intersection_is_hypercenter_on_soluble_groups(soluble_catalog_groups):
-    # Int_F(G) = Z_F(G) for these classes on every soluble catalog group
+def test_maximal_intersection_is_hypercenter_on_soluble_groups(soluble_catalog_groups,
+                                                               e52_d8):
+    # Int_F(G) = Z_F(G) for these classes on every soluble catalog group and
+    # on E(5^2):D8, which is in vU but not in U
     for text in ("N", "U", "vU", "reg(default->1)", "reg(default->full)",
                  "cap(p_nilpotent:2,S)", "vstar(N)"):
         spec = parse_spec(text)
-        for G in soluble_catalog_groups:
+        for G in [*soluble_catalog_groups, e52_d8]:
             assert maximal_intersection(G, spec) == hypercenter(G, spec).elems, (
                 G.name, text)
 
@@ -236,78 +229,14 @@ def test_informational_sweep_for_non_regular_specs(catalog_groups):
                 (spec.text(), row.group_name)
 
 
-# the catalog the benchmark's cold-checks sweeps run on
-SMALL_SWEEP = ("Z2xZ2", "D3", "Q8", "A4", "D6", "E(3|7)", "S4")
-
-
-def no_pool(*args, **kwargs):
-    raise AssertionError("a pool was built")
-
-
-def test_one_group_sweep_never_builds_a_pool(monkeypatch, s3, catalog_groups):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    pooled = regularity_sweep([s3], V_SUPERSOLUBLE, workers=2)
-    assert pooled == regularity_sweep([s3], V_SUPERSOLUBLE)
-    # seven small groups: the estimated saving is below the pool's start-up
-    small = [G for G in catalog_groups if G.name in SMALL_SWEEP]
-    assert len(small) == len(SMALL_SWEEP)
-    pooled = regularity_sweep(small, V_SUPERSOLUBLE, workers=2)
-    serial = regularity_sweep(small, V_SUPERSOLUBLE)
-    assert report_to_text(pooled) == report_to_text(serial)
-    assert json.dumps(pooled.to_json()) == json.dumps(serial.to_json())
-
-
-def test_zuppo_count_from_element_orders(catalog_groups):
-    for G in catalog_groups:
-        assert zuppo_count(G) == len(cyclic_primary_subgroups(G)), G.name
-
-
-def test_pool_only_where_the_estimated_saving_beats_start_up(monkeypatch,
-                                                              catalog_groups):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    small = [G for G in catalog_groups if G.name in SMALL_SWEEP]
-    assert pool_size(small, 2) == 1
-    # measured to run slower pooled than serially
-    assert len(catalog_groups) == 69
-    assert pool_size(catalog_groups, 2) == 1
-    assert pool_size([symmetric(5), direct_product(symmetric(4), symmetric(3))], 2) == 1
-    # measured to run faster pooled
-    large = [direct_product(symmetric(4), dihedral(4)),
-             direct_product(direct_product(symmetric(4), symmetric(3)), cyclic(2))]
-    assert pool_size(large, 2) == 2
-
-
-def test_pool_is_capped_at_one_process_per_cpu(monkeypatch, s3, s4, a4, q8):
-    from formatio import regularity
-
-    monkeypatch.setattr(regularity, "POOL_START_COST", -1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert pool_size([s3, s4], 8) == 1
-    pooled = regularity_sweep([s3, s4], V_SUPERSOLUBLE, workers=8)
-    assert pooled == regularity_sweep([s3, s4], V_SUPERSOLUBLE)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert pool_size([s3, s4], 8) == 2
-    assert pool_size([s3, s4, a4, q8], 8) == 3
-
-
-class _EveryGroupAsNilpotent(NilpotentClass):
-    """Prints as `nilpotent`, but every group is a member.  Module level, so
-    that a pool can pickle it."""
-
-    def _member(self, G):
-        return True
-
-
-def test_pool_sweep_keeps_the_spec_record(s3, s4, forced_pool):
-    # a worker that re-parsed the spec's text would answer for nilpotent
-    spec = _EveryGroupAsNilpotent()
-    pooled = regularity_sweep([s3, s4], spec, enforce=False, workers=2)
-    assert forced_pool == [2]
-    serial = regularity_sweep([s3, s4], spec, enforce=False)
-    assert pooled == serial
-    assert [r.isolated for r in pooled.rows] == [tuple(range(6)), tuple(range(24))]
+def test_u_sweep_reports_e52_d8_unequal_without_a_violation(e52_d8):
+    # U is not theorem-backed, so an unequal soluble row is informational:
+    # E(5^2):D8 is in vU but not in U, and its U-maximal subgroups meet trivially
+    report = regularity_sweep([e52_d8], SUPERSOLUBLE, enforce=True)
+    assert not report.theorem_backed and report.violations == ()
+    (row,) = report.rows
+    assert row.soluble and not row.equal and row.witness == 4
+    assert row.maximal_intersection == (0,) and len(row.isolated) == 50
 
 
 ROW_SPECS = ("vU", "reg(default->1)", "cap(p_nilpotent:2,S)", "sylow_tower:2>3>5",
