@@ -16,7 +16,6 @@ the declarations on the whole catalog.
 from __future__ import annotations
 
 from .arith import factorize, is_prime, p_part, prime_divisors
-from .config import limits
 from .errors import (
     EmptyClass,
     InvalidExponentFunction,
@@ -26,6 +25,7 @@ from .errors import (
     UnsupportedParameter,
 )
 from .groups import (
+    MAX_ORDER,
     FiniteGroup,
     Subgroup,
     _closure,
@@ -81,9 +81,9 @@ _MEMBER_CACHE: dict[tuple[str, ClassSpec], bool] = {}
 
 def is_member(G: FiniteGroup, spec: ClassSpec) -> bool:
     """Whether G belongs to the class, memoized by table fingerprint and spec."""
-    if G.order > limits.max_order:
+    if G.order > MAX_ORDER:
         raise SizeCapExceeded(
-            f"group of order {G.order} exceeds the cap {limits.max_order}")
+            f"group of order {G.order} exceeds the cap {MAX_ORDER}")
     key = (G.fingerprint, spec)
     got = _MEMBER_CACHE.get(key)
     if got is None:
@@ -172,7 +172,7 @@ def _sylow_subgroup_if_normal(G: FiniteGroup, p: int) -> Subgroup | None:
     return subgroup(G, pelems)
 
 
-@record(frozen=True)
+@record
 class PrimeOrdering:
     """A linear ordering of all primes: the listed ones first, in the order
     given, then all unlisted primes in increasing natural order."""
@@ -211,7 +211,7 @@ def _has_sylow_tower(G: FiniteGroup, ordering: PrimeOrdering) -> bool:
 # Named specs
 
 
-@record(frozen=True)
+@record
 class TrivialClass(ClassSpec):
     formation = True
     hereditary = True
@@ -225,7 +225,7 @@ class TrivialClass(ClassSpec):
         return G.order == 1
 
 
-@record(frozen=True)
+@record
 class AbelianClass(ClassSpec):
     formation = True
     hereditary = True
@@ -240,7 +240,7 @@ class AbelianClass(ClassSpec):
         return all(t[a][b] == t[b][a] for a in range(G.order) for b in range(a))
 
 
-@record(frozen=True)
+@record
 class NilpotentClass(ClassSpec):
     formation = True
     hereditary = True
@@ -254,7 +254,7 @@ class NilpotentClass(ClassSpec):
         return _is_nilpotent(G)
 
 
-@record(frozen=True)
+@record
 class PGroupsClass(ClassSpec):
     p: int
     formation = True
@@ -269,7 +269,7 @@ class PGroupsClass(ClassSpec):
         return G.order == p_part(G.order, self.p)
 
 
-@record(frozen=True)
+@record
 class SolubleClass(ClassSpec):
     formation = True
     hereditary = True
@@ -283,7 +283,7 @@ class SolubleClass(ClassSpec):
         return elems_soluble(G, tuple(range(G.order)))
 
 
-@record(frozen=True)
+@record
 class SupersolubleClass(ClassSpec):
     formation = True
     hereditary = True
@@ -297,7 +297,7 @@ class SupersolubleClass(ClassSpec):
         return _is_supersoluble(G)
 
 
-@record(frozen=True)
+@record
 class PNilpotentClass(ClassSpec):
     p: int
     formation = True
@@ -312,7 +312,7 @@ class PNilpotentClass(ClassSpec):
         return _is_p_nilpotent(G, self.p)
 
 
-@record(frozen=True)
+@record
 class SolublePiClass(ClassSpec):
     """Soluble groups whose prime divisors lie in the given set (or in its
     complement when `complement` is set)."""
@@ -336,7 +336,7 @@ class SolublePiClass(ClassSpec):
                 and is_member(G, SOLUBLE))
 
 
-@record(frozen=True)
+@record
 class SylowTowerClass(ClassSpec):
     ordering: PrimeOrdering
     formation = True
@@ -351,7 +351,7 @@ class SylowTowerClass(ClassSpec):
         return _has_sylow_tower(G, self.ordering)
 
 
-@record(frozen=True)
+@record
 class AllGroupsClass(ClassSpec):
     formation = True
     hereditary = True
@@ -365,7 +365,7 @@ class AllGroupsClass(ClassSpec):
         return True
 
 
-@record(frozen=True)
+@record
 class VSupersolubleClass(ClassSpec):
     """Groups whose cyclic prime-power subgroups all sit at the top of a
     chain of prime-index steps."""
@@ -390,7 +390,7 @@ class VSupersolubleClass(ClassSpec):
 # Composite specs
 
 
-@record(frozen=True)
+@record
 class ExponentBoundedClass(ClassSpec):
     """Members of `base` whose exponent divides `omega`."""
 
@@ -418,7 +418,7 @@ class ExponentBoundedClass(ClassSpec):
         return divides_int(exponent(G), self.omega) and is_member(G, self.base)
 
 
-@record(frozen=True)
+@record
 class ProductClass(ClassSpec):
     """Groups whose residual for `outer` falls inside `inner`."""
 
@@ -440,7 +440,7 @@ class ProductClass(ClassSpec):
         return product_member(G, self.inner, self.outer)
 
 
-@record(frozen=True)
+@record
 class IntersectionClass(ClassSpec):
     parts: tuple[ClassSpec, ...]
 
@@ -467,7 +467,7 @@ class IntersectionClass(ClassSpec):
         return all(is_member(G, s) for s in self.parts)
 
 
-@record(frozen=True)
+@record
 class LocalClass(ClassSpec):
     """Groups whose chief-factor automizers lie in h(p) for each prime p
     dividing the factor order."""
@@ -497,7 +497,7 @@ class LocalClass(ClassSpec):
         return local_member(G, self.spec_at)
 
 
-@record(frozen=True)
+@record
 class VStarClass(ClassSpec):
     """Groups whose cyclic prime-power subgroups are all reachable by chains
     of steps that are normal or have core-quotient inside `inner`."""
@@ -523,7 +523,7 @@ class VStarClass(ClassSpec):
         return vstar_member(G, self.inner)
 
 
-@record(frozen=True)
+@record
 class ExponentFormationClass(ClassSpec):
     """The soluble class cut out per prime p by: the residual for
     exponent-dividing-f(p) soluble groups must be a p'-group."""
@@ -860,8 +860,12 @@ def _parse_spec(text: str) -> ClassSpec:
                 body = body.strip()[len("omega="):]
             return sigma(parse_supernatural(body))
         if head == "bounded":
-            spec_text, _, sn_text = body.rpartition(";")
-            if not spec_text:
+            # omega holds no ')' but may hold ';default=...', so the spec ends
+            # at the first ';' after the last ')'
+            tail = body.rfind(")") + 1
+            spec_tail, sep, sn_text = body[tail:].partition(";")
+            spec_text = body[:tail] + spec_tail
+            if not (sep and spec_text):
                 raise SpecSyntaxError(f"bounded needs 'spec;omega' in {text!r}")
             return ExponentBoundedClass(_parse_spec(spec_text), parse_supernatural(sn_text))
         if head == "prod":

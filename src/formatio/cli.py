@@ -21,7 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from .config import limits, overridden_limits
+from . import structure
 from .constructions import (
     CatalogConfig,
     alternating,
@@ -46,7 +46,7 @@ from .classes import (
     residual,
 )
 from .errors import FormatioError, TheoremViolation, TooLarge
-from .groups import FiniteGroup, group_from_json
+from .groups import MAX_ORDER, FiniteGroup, group_from_json
 from .regularity import (
     ROW_SWEEPS,
     graph_to_dot,
@@ -54,8 +54,10 @@ from .regularity import (
     regularity_sweep,
     report_to_text,
 )
-from .structure import chief_series
 from .supernatural import (
+    PRIME_HORIZON,
+    Supernatural,
+    complement,
     decode_supernatural,
     divides,
     encode_function,
@@ -92,7 +94,7 @@ def _resolve_group(token: str, catalog_dir: str | None) -> FiniteGroup:
             # parameters, so such a parameter is far above the cap
             if max(map(len, params)) > 640:
                 raise TooLarge(f"a parameter of {token[:16]}... exceeds the order "
-                               f"cap {limits.max_order}")
+                               f"cap {MAX_ORDER}")
             return builder(*map(int, params))
     if catalog_dir:
         entry = read_catalog_entry(catalog_dir, token)
@@ -153,7 +155,7 @@ def _explain_failure(G: FiniteGroup, spec: ClassSpec) -> dict:
 
     detail: dict = {}
     if isinstance(spec, SupersolubleClass):
-        series = chief_series(G)
+        series = structure.chief_series(G)
         detail["violating_chief_factor_orders"] = [
             o for o in series.factor_orders if not is_prime(o)]
     elif isinstance(spec, VStarClass):
@@ -197,8 +199,7 @@ def cmd_sweep(args) -> int:
             report = regularity_sweep(groups, spec)
         except TheoremViolation as exc:
             sys.stderr.write(f"THEOREM VIOLATION: {exc}\n")
-            if exc.report is not None:
-                _emit(args, exc.report.to_json(), report_to_text(exc.report))
+            _emit(args, exc.report.to_json(), report_to_text(exc.report))
             return 2
         _emit(args, report.to_json(), report_to_text(report))
         return 0
@@ -236,34 +237,35 @@ def cmd_graph(args) -> int:
 _SN_CALL = re.compile(r"^(lcm|gcd|divides|encode|decode|complement)\((.*)\)$")
 
 
-def _eval_sn(expr: str):
-    from .supernatural import complement as sn_complement
+_SN_OPS = {"lcm": lcm, "gcd": gcd, "divides": divides,
+           "decode": decode_supernatural, "complement": complement}
 
+
+def _eval_sn(expr: str, horizon: int):
     s = expr.strip()
     m = _SN_CALL.match(s)
     if not m:
         return parse_supernatural(s)
     head, body = m.group(1), m.group(2)
     if head == "encode":
-        return encode_function(parse_exponent_function(body))
-    if head == "decode":
-        return decode_supernatural(_eval_sn(body))
-    if head == "complement":
-        return sn_complement(_eval_sn(body))
-    parts = _split_args(body)
-    if len(parts) != 2:
-        raise FormatioError(f"{head} takes two arguments")
-    a, b = _eval_sn(parts[0]), _eval_sn(parts[1])
-    if head == "lcm":
-        return lcm(a, b)
-    if head == "gcd":
-        return gcd(a, b)
-    return divides(a, b)
+        return encode_function(parse_exponent_function(body), horizon)
+    if head in ("decode", "complement"):
+        parts = [body]
+    else:
+        parts = _split_args(body)
+        if len(parts) != 2:
+            raise FormatioError(f"{head} takes two arguments")
+    values = [_eval_sn(part, horizon) for part in parts]
+    # `decode` yields an exponent function and `divides` a bool
+    for part, value in zip(parts, values):
+        if not isinstance(value, Supernatural):
+            raise FormatioError(f"{head} takes supernatural numbers, got {part.strip()!r}")
+    return _SN_OPS[head](*values)
 
 
 def cmd_sn(args) -> int:
     _check_nesting(args.expression)
-    value = _eval_sn(args.expression)
+    value = _eval_sn(args.expression, args.horizon_primes)
     if isinstance(value, bool):
         sys.stdout.write(("true" if value else "false") + "\n")
     elif hasattr(value, "at"):  # an exponent function, from decode
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Formation calculus on concrete finite groups.")
     parser.add_argument("--budget-subgroups", type=_at_least_one, default=None,
                         help="cap on enumerated subgroups per group (>= 1)")
-    parser.add_argument("--horizon-primes", type=_at_least_one, default=None,
+    parser.add_argument("--horizon-primes", type=_at_least_one, default=PRIME_HORIZON,
                         help="materialized positions of the pairing codec (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -344,10 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved_budget = structure.subgroup_budget
     try:
-        with overridden_limits(subgroup_budget=args.budget_subgroups,
-                               prime_horizon=args.horizon_primes):
-            return args.func(args)
+        if args.budget_subgroups is not None:
+            structure.subgroup_budget = args.budget_subgroups
+        return args.func(args)
     except TheoremViolation as exc:
         sys.stderr.write(f"THEOREM VIOLATION: {exc}\n")
         return 2
@@ -357,6 +360,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 1
+    finally:
+        structure.subgroup_budget = saved_budget
 
 
 if __name__ == "__main__":

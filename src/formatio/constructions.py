@@ -15,9 +15,9 @@ from itertools import permutations
 from pathlib import Path
 
 from .arith import factorize, is_prime, multiplicative_order
-from .config import limits
 from .errors import GroupConstructionError, NotCoprime, TooLarge, UnsupportedParameter
 from .groups import (
+    MAX_ORDER,
     FiniteGroup,
     _trusted_group,
     direct_product,
@@ -32,23 +32,23 @@ from .records import record
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise UnsupportedParameter(f"cyclic order must be >= 1, got {n}")
-    if n > limits.max_order:
-        raise TooLarge(f"order {n} exceeds cap {limits.max_order}")
+    if n > MAX_ORDER:
+        raise TooLarge(f"order {n} exceeds cap {MAX_ORDER}")
     rows = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return _trusted_group(rows, name=f"Z{n}")
 
 
 def elementary_abelian(p: int, d: int) -> FiniteGroup:
     """(Z_p)^d with vectors encoded as base-p digit strings."""
-    if d >= 1 and p > limits.max_order:  # the order p^d is at least p
-        raise TooLarge(f"E{p}^{d} has order at least {p} above the cap {limits.max_order}")
+    if d >= 1 and p > MAX_ORDER:  # the order p^d is at least p
+        raise TooLarge(f"E{p}^{d} has order at least {p} above the cap {MAX_ORDER}")
     if not is_prime(p):
         raise UnsupportedParameter(f"{p} is not prime")
     if d < 1:
         raise UnsupportedParameter(f"rank must be >= 1, got {d}")
     n = p ** d
-    if n > limits.max_order:
-        raise TooLarge(f"order {n} exceeds cap {limits.max_order}")
+    if n > MAX_ORDER:
+        raise TooLarge(f"order {n} exceeds cap {MAX_ORDER}")
 
     def add(a: int, b: int) -> int:
         out = 0
@@ -68,8 +68,8 @@ def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n; elements r^i and r^i*s."""
     if n < 3:
         raise UnsupportedParameter(f"dihedral needs n >= 3, got {n}")
-    if 2 * n > limits.max_order:
-        raise TooLarge(f"order {2 * n} exceeds cap {limits.max_order}")
+    if 2 * n > MAX_ORDER:
+        raise TooLarge(f"order {2 * n} exceeds cap {MAX_ORDER}")
 
     # encode r^i as 2i, r^i s as 2i+1
     def mul(a: int, b: int) -> int:
@@ -208,9 +208,9 @@ def field_action_group(n: int, p: int) -> FiniteGroup:
         raise UnsupportedParameter(f"n must be >= 1, got {n}")
     # the order p^d * n is at least p * n; is_prime(p) and
     # multiplicative_order(p, n) would take too long on huge parameters
-    if p * n > limits.max_order:
-        raise TooLarge(f"order {p} exceeds cap {limits.max_order}" if n == 1 else
-                       f"E({n}|{p}) has order at least {p * n} above the cap {limits.max_order}")
+    if p * n > MAX_ORDER:
+        raise TooLarge(f"order {p} exceeds cap {MAX_ORDER}" if n == 1 else
+                       f"E({n}|{p}) has order at least {p * n} above the cap {MAX_ORDER}")
     if not is_prime(p):
         raise UnsupportedParameter(f"{p} is not prime")
     if n == 1:
@@ -220,9 +220,9 @@ def field_action_group(n: int, p: int) -> FiniteGroup:
         raise NotCoprime(f"need gcd(n, p) = 1, got n={n}, p={p}")
     d = multiplicative_order(p, n)
     size = p ** d
-    if size * n > limits.max_order:
+    if size * n > MAX_ORDER:
         raise TooLarge(
-            f"E({n}|{p}) has order {size * n} above the cap {limits.max_order}")
+            f"E({n}|{p}) has order {size * n} above the cap {MAX_ORDER}")
     modulus = _least_irreducible(p, d)
 
     def decode(i: int) -> tuple[int, ...]:
@@ -293,14 +293,14 @@ def _verify_field_action(G: FiniteGroup, a_size: int, n: int) -> None:
 # The catalog
 
 
-@record(frozen=True)
+@record
 class CatalogEntry:
     group: FiniteGroup
     tags: tuple[str, ...]
     provenance: str
 
 
-@record(frozen=True)
+@record
 class CatalogConfig:
     max_order: int = 60
 

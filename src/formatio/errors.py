@@ -76,6 +76,6 @@ class SpecSyntaxError(FormatioError, ValueError):
 class TheoremViolation(FormatioError):
     """A sweep contradicted an equality the theory guarantees."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report

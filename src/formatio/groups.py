@@ -27,7 +27,6 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .config import limits
 from .errors import (
     ActionNotAutomorphism,
     ActionNotHomomorphism,
@@ -39,6 +38,9 @@ from .errors import (
     SizeCapExceeded,
 )
 from .records import record
+
+# the largest group any operation will accept
+MAX_ORDER = 512
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
@@ -191,8 +193,8 @@ def _check_associativity(table: Table) -> None:
 def build_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Validate a Cayley table and return the group it defines."""
     rows = _normalize_table(table)
-    if len(rows) > limits.max_order:
-        raise SizeCapExceeded(f"order {len(rows)} exceeds cap {limits.max_order}")
+    if len(rows) > MAX_ORDER:
+        raise SizeCapExceeded(f"order {len(rows)} exceeds cap {MAX_ORDER}")
     _check_identity(rows)
     inverse = _compute_inverses(rows)
     _check_associativity(rows)
@@ -238,7 +240,7 @@ def group_from_json(text: str) -> FiniteGroup:
 # Subgroups
 
 
-@record(frozen=True)
+@record
 class Subgroup:
     """A subgroup of `parent`, stored as a strictly sorted index tuple."""
 
@@ -522,7 +524,7 @@ def derived_series(G: FiniteGroup, elems: tuple[int, ...]) -> tuple[tuple[int, .
 # Homomorphisms, quotients, products
 
 
-@record(frozen=True)
+@record
 class GroupHom:
     """A verified homomorphism, stored as an index map."""
 

@@ -1,17 +1,17 @@
-"""Value classes built from closures.
+"""Frozen value classes built from closures.
 
-`record(frozen=...)`, with `replace` and `asdict`, does for formatio's
-value classes what `dataclasses` does, without compiling source for each
-class: `dataclasses` generates every method through `exec` and pulls in
-`inspect`, and at import that cost more than a typical `check` command.
+`record` does for formatio's value classes what `dataclass(frozen=True)`
+does, without compiling source for each class: `dataclasses` generates every
+method through `exec` and pulls in `inspect`, and at import that cost more
+than a typical `check` command.
 
 Fields are the class's own annotated names, after those of record bases;
 a class attribute of the same name is the field's default.  The decorator
 installs `__init__` (then `__post_init__`, if the class has one), `__repr__`,
-`__eq__` (same class only) and `__hash__` (of the field tuple; `None` for a
-mutable record), plus, for frozen records, `__setattr__` and `__delattr__`
-that raise.  Methods the class body defines itself are kept.  Instances keep
-their `__dict__`, so `functools.cached_property` works on them.
+`__eq__` (same class only), `__hash__` (of the field tuple), and
+`__setattr__` and `__delattr__` that raise.  Methods the class body defines
+itself are kept.  Instances keep their `__dict__`, so
+`functools.cached_property` works on them.
 """
 
 from __future__ import annotations
@@ -27,22 +27,8 @@ _MISSING = object()
 _setattr = object.__setattr__
 
 
-def asdict(obj) -> dict:
-    """{field: value} of a record instance; values are not copied."""
-    return {name: getattr(obj, name) for name in obj.__record_fields__}
-
-
-def replace(obj, **changes):
-    """A new instance of obj's class with the given fields changed."""
-    return obj.__class__(**{**asdict(obj), **changes})
-
-
-def record(*, frozen: bool = False):
-    """Class decorator: turn annotated class attributes into fields."""
-    return lambda cls: _build(cls, frozen)
-
-
-def _build(cls, frozen):
+def record(cls):
+    """Class decorator: turn annotated class attributes into frozen fields."""
     spec: dict[str, object] = {}  # field name -> default, or _MISSING
     for base in reversed(cls.__mro__[1:]):
         spec.update(base.__dict__.get("__record_fields__", {}))
@@ -70,7 +56,7 @@ def _build(cls, frozen):
     def __init__(self, *args, **kwargs):
         if len(args) != n or kwargs:
             args = bind(args, kwargs)
-        # object's __setattr__: a frozen record's own raises, and writing to
+        # object's __setattr__: the record's own raises, and writing to
         # __dict__ would cost CPython 3.11+ its faster inline attribute storage
         for name, value in zip(names, args):
             _setattr(self, name, value)
@@ -104,14 +90,11 @@ def _build(cls, frozen):
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    methods = [__init__, __repr__, __eq__]
-    if frozen:
-        methods += [__setattr__, __delattr__]
-    for fn in methods:
+    for fn in (__init__, __repr__, __eq__, __setattr__, __delattr__):
         if fn.__name__ not in cls.__dict__:
             setattr(cls, fn.__name__, fn)
     # a body that defines __eq__ but no __hash__ leaves __hash__ = None in it
     if cls.__dict__.get("__hash__") is None:
-        cls.__hash__ = __hash__ if frozen else None
+        cls.__hash__ = __hash__
     cls.__record_fields__ = spec
     return cls

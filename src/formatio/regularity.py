@@ -91,7 +91,7 @@ def maximal_intersection(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
     return tuple(sorted(common))
 
 
-@record(frozen=True)
+@record
 class NonClassGraph:
     """Pair graph of a group: an edge joins x and y when <x, y> is not in the
     class; loops (x = x) follow the same rule through <x>."""
@@ -164,7 +164,7 @@ def is_theorem_backed_regular(spec: ClassSpec) -> bool:
     return False
 
 
-@record(frozen=True)
+@record
 class SweepRow:
     group_name: str
     order: int
@@ -187,7 +187,7 @@ class SweepRow:
         }
 
 
-@record(frozen=True)
+@record
 class RegularityReport:
     spec_text: str
     theorem_backed: bool
@@ -238,17 +238,17 @@ def regularity_row(G: FiniteGroup, spec: ClassSpec) -> SweepRow:
     return SweepRow(G.name, G.order, soluble, int_set, iso, equal, witness)
 
 
-def regularity_sweep(groups, spec: ClassSpec, enforce: bool = True) -> RegularityReport:
+def regularity_sweep(groups, spec: ClassSpec) -> RegularityReport:
     """Compare the two element sets on every group.
 
-    Rows are sorted by (order, name).  With `enforce`, a disagreement on a
-    soluble group under a theorem-backed spec raises TheoremViolation
-    carrying the full report.
+    Rows are sorted by (order, name).  A disagreement on a soluble group
+    under a theorem-backed spec raises TheoremViolation carrying the full
+    report.
     """
     rows = [regularity_row(G, spec) for G in groups]
     rows = tuple(sorted(rows, key=lambda r: (r.order, r.group_name)))
     report = RegularityReport(spec.text(), is_theorem_backed_regular(spec), rows)
-    if enforce and report.violations:
+    if report.violations:
         bad = ", ".join(r.group_name for r in report.violations)
         raise TheoremViolation(
             f"regular spec {spec.text()} has unequal sets on: {bad}", report)

@@ -24,9 +24,9 @@ from functools import cached_property, reduce
 from operator import and_
 
 from .arith import lcm_ints, prime_divisors
-from .config import limits
 from .errors import NotChiefFactor, SizeCapExceeded, TooLarge
 from .groups import (
+    MAX_ORDER,
     FiniteGroup,
     Subgroup,
     _closure,
@@ -47,7 +47,7 @@ from .groups import (
 from .records import record
 
 
-@record(frozen=True)
+@record
 class SubgroupLattice:
     """Every subgroup of `parent` in (size, elements) order, with normality
     flags and containment: bit j of above[i] is set when j properly contains i."""
@@ -75,6 +75,11 @@ class SubgroupLattice:
         return len(self.subgroups)
 
 
+# the most subgroups, or normal subgroups, one enumeration may find; read at
+# each call, so that the CLI can set it for one command
+subgroup_budget = 20000
+
+
 def _over_budget(G: FiniteGroup, budget: int, what: str) -> TooLarge:
     return TooLarge(f"{G.name} has more than {budget} {what}; raise the budget")
 
@@ -96,10 +101,10 @@ def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
     z_j's turn; so U = <z_1, ..., z_k> is found.
 
     The enumeration raises TooLarge as soon as it finds more subgroups than
-    `budget` (default `limits.subgroup_budget`).  The lattice is memoized per
+    `budget` (default: the module's `subgroup_budget`).  The lattice is memoized per
     budget, so a call under a smaller budget enumerates again and raises.
     """
-    return _lattice(G, limits.subgroup_budget if budget is None else budget)
+    return _lattice(G, subgroup_budget if budget is None else budget)
 
 
 @memoized
@@ -182,10 +187,10 @@ def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     `all_subgroups` every one is found.
 
     Like `all_subgroups`, the enumeration raises TooLarge as soon as it finds
-    more normal subgroups than `limits.subgroup_budget`, and the list is
+    more normal subgroups than the module's `subgroup_budget`, and the list is
     memoized per budget.
     """
-    return _normal_subgroups(G, limits.subgroup_budget)
+    return _normal_subgroups(G, subgroup_budget)
 
 
 @memoized
@@ -272,7 +277,7 @@ def frattini_socle(G: FiniteGroup) -> Subgroup:
 # Chief series and chief factors
 
 
-@record(frozen=True)
+@record
 class ChiefSeries:
     """Ascending chain of normal subgroups with simple-as-possible steps."""
 
@@ -326,16 +331,16 @@ def chief_factor_group(G: FiniteGroup, H: Subgroup, K: Subgroup) -> FiniteGroup:
     (H/K) x| (G / C_G(H/K)), built through quotients and a checked action.
 
     Raises SizeCapExceeded, as `is_member` would on the result, before the
-    table of an extension above `limits.max_order` is built."""
+    table of an extension above `MAX_ORDER` is built."""
     if not _is_chief_factor(G, H, K):
         raise NotChiefFactor(
             f"{H.order}/{K.order} is not a chief factor of {G.name}")
     A, projA = section(G, H.elems, K.elems)
     C = centralizer_of_factor(G, H, K)
     B, projB = quotient(G, C)
-    if A.order * B.order > limits.max_order:
+    if A.order * B.order > MAX_ORDER:
         raise SizeCapExceeded(
-            f"group of order {A.order * B.order} exceeds the cap {limits.max_order}")
+            f"group of order {A.order * B.order} exceeds the cap {MAX_ORDER}")
     # one automorphism of A per coset of C, induced by conjugation; each
     # coset is represented by its least element
     coset_of = dict(zip(H.elems, projA.image))

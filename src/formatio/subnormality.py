@@ -37,7 +37,7 @@ STEP_CLASS_QUOTIENT = "class-quotient"
 STEP_PRIME_INDEX = "prime-index"
 
 
-@record(frozen=True)
+@record
 class ChainWitness:
     group: FiniteGroup
     chain: tuple[Subgroup, ...]

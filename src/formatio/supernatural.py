@@ -10,8 +10,8 @@ value is infinite; they are stored the same way, with the convention that an
 unlisted prime p maps to lcm(default, p^inf).  The codec between exponent
 functions and single supernatural numbers interleaves all (p, q) positions
 through a fixed pairing bijection; the encoded value is exact at every
-position up to the configured horizon and exact lazily at any position via
-`encode_value_at`.
+position up to a horizon (default `PRIME_HORIZON`) and exact lazily at any
+position via `encode_value_at`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from functools import cached_property
 from math import inf as INF, isqrt, log10
 
 from .arith import factorize, is_prime, nth_prime, prime_index
-from .config import limits
 from .errors import (DiagonalPair, InvalidExponentFunction, SpecSyntaxError, TooLarge,
                      UnsupportedParameter)
 from .records import record
@@ -37,6 +36,8 @@ TRIAL_LIMIT = 10**6
 MAX_LITERAL_DIGITS = 12
 # CPython's default limit on the digits of an int converted to a string.
 MAX_DECIMAL_DIGITS = 4300
+# Positions of the pairing codec that `encode_function` materializes.
+PRIME_HORIZON = 128
 
 
 def _check_exponent(e: Exponent) -> Exponent:
@@ -47,7 +48,7 @@ def _check_exponent(e: Exponent) -> Exponent:
     raise ValueError(f"exponent must be a natural number or inf, got {e!r}")
 
 
-@record(frozen=True)
+@record
 class Supernatural:
     """Formal product of prime powers; `default` applies to unlisted primes."""
 
@@ -208,7 +209,7 @@ def pair_index(n1: int, n2: int) -> int:
 # Exponent functions
 
 
-@record(frozen=True)
+@record
 class ExponentFunction:
     """A map from primes to supernatural numbers with v_p(f(p)) infinite.
 
@@ -279,7 +280,7 @@ def encode_value_at(f: ExponentFunction, i: int) -> Exponent:
     return f.at(nth_prime(k)).v(nth_prime(j))
 
 
-def encode_function(f: ExponentFunction, horizon: int | None = None) -> Supernatural:
+def encode_function(f: ExponentFunction, horizon: int = PRIME_HORIZON) -> Supernatural:
     """Interleave all values of f into one supernatural number.
 
     Position i carries the q-adic value of f(r) where (index of r, index of q)
@@ -287,10 +288,9 @@ def encode_function(f: ExponentFunction, horizon: int | None = None) -> Supernat
     tail is represented by the generic default (exact whenever all of f's
     deviations pair into positions below the horizon).
     """
-    h = horizon if horizon is not None else limits.prime_horizon
     tail_default = f.default.default
     values: dict[int, Exponent] = {}
-    for i in range(1, h + 1):
+    for i in range(1, horizon + 1):
         e = encode_value_at(f, i)
         if e != tail_default:
             values[nth_prime(i)] = e

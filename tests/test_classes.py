@@ -359,6 +359,7 @@ def test_parser_round_trips():
         "trivial", "abelian", "nilpotent", "soluble", "supersoluble", "all",
         "vU", "p_groups:3", "p_nilpotent:2", "S_pi:{2,3}", "S_pi':{2}",
         "sylow_tower:2>3>5", "S(2^inf*3)", "bounded(abelian;4)",
+        "bounded(abelian;2^3;default=inf)",
         "prod(S_pi':{2},S(2^inf))", "cap(p_nilpotent:2,soluble)",
         "vstar(supersoluble)", "vstar(vstar(nilpotent))",
         "reg(2->2^inf*3,3->3^inf,default->full)",
@@ -399,7 +400,7 @@ def test_parser_rejects_empty_list_items():
 def test_equal_tables_share_one_verdict_per_spec(s3):
     calls = []
 
-    @record(frozen=True)
+    @record
     class Counting(ClassSpec):
         def text(self):
             return "counting"
@@ -415,7 +416,7 @@ def test_equal_tables_share_one_verdict_per_spec(s3):
 
 
 def test_specs_with_equal_text_keep_their_own_verdicts(s3):
-    @record(frozen=True)
+    @record
     class NonAbelian(AbelianClass):
         def _member(self, G):
             return not super()._member(G)
@@ -455,14 +456,13 @@ def test_fake_formation_detected(s3):
         residual(v4, CyclicOnly())
 
 
-def test_size_cap_enforced(s3):
-    from formatio.config import limits
+def test_size_cap_enforced():
+    from formatio.constructions import cyclic, symmetric
     from formatio.errors import SizeCapExceeded
+    from formatio.groups import direct_product
 
-    old = limits.max_order
-    limits.max_order = 5
-    try:
-        with pytest.raises(SizeCapExceeded):
-            is_member(s3, NILPOTENT)
-    finally:
-        limits.max_order = old
+    # direct_product builds its table unchecked, so it can exceed the cap
+    G = direct_product(symmetric(5), cyclic(5))
+    assert G.order == 600
+    with pytest.raises(SizeCapExceeded, match=r"^group of order 600 exceeds the cap 512$"):
+        is_member(G, NILPOTENT)

@@ -515,6 +515,30 @@ def test_complement_of_an_incomplete_number_is_an_error(capsys):
     assert run_cli(capsys, "sn", "complement(2)") == (1, "", "error: 2 is not complete\n")
 
 
+@pytest.mark.parametrize("expr, head, operand", [
+    ("lcm(decode(6),2)", "lcm", "decode(6)"),
+    ("divides(decode(6),decode(6))", "divides", "decode(6)"),
+    ("decode(decode(6))", "decode", "decode(6)"),
+    ("complement(decode(full))", "complement", "decode(full)"),
+    ("decode(divides(2,6))", "decode", "divides(2,6)"),
+    ("lcm(divides(2,6),2)", "lcm", "divides(2,6)"),
+    ("complement(divides(2,6))", "complement", "divides(2,6)"),
+])
+def test_sn_operand_that_is_not_a_supernatural_number(capsys, expr, head, operand):
+    assert run_cli(capsys, "sn", expr) == (
+        1, "", f"error: {head} takes supernatural numbers, got {operand!r}\n")
+
+
+@pytest.mark.parametrize("argv, value", [
+    ((), "7"),
+    (("--horizon-primes", "3"), "1"),
+    (("--horizon-primes", "4"), "7"),
+])
+def test_horizon_primes_reaches_encode(capsys, argv, value):
+    # the 2-adic value of f(5), 1, sits at position 4 of the pairing: the prime 7
+    assert run_cli(capsys, *argv, "sn", "encode(5->5^inf*2,default->1)") == (0, f"{value}\n", "")
+
+
 @pytest.mark.parametrize("command", ["check", "graph", "sweep"])
 def test_vstar_of_a_non_hereditary_spec_is_an_error(capsys, tmp_path, command):
     spec = "vstar(prod(A,N))"

@@ -1,7 +1,7 @@
 """The `record` value classes against their model, the stdlib dataclass.
 
-Every record class in formatio gets a `dataclasses.make_dataclass` twin with
-the same fields, flags and class body; instances built from a corpus that
+Every record class in formatio gets a frozen `dataclasses.make_dataclass`
+twin with the same fields and class body; instances built from a corpus that
 reaches every record class must behave the same in both.
 """
 
@@ -16,7 +16,6 @@ import pytest
 import formatio.cli  # noqa: F401  (imports every formatio module)
 from formatio import records
 from formatio.classes import PrimeOrdering, is_member, parse_spec
-from formatio.config import Limits
 from formatio.constructions import CatalogConfig, alternating, build_catalog, symmetric
 from formatio.groups import FiniteGroup, quotient
 from formatio.regularity import non_class_graph, regularity_row, regularity_sweep
@@ -50,12 +49,16 @@ def fields(cls_or_obj) -> tuple[str, ...]:
     return tuple(cls_or_obj.__record_fields__)
 
 
+def asdict(x) -> dict:
+    return {name: getattr(x, name) for name in fields(x)}
+
+
 def _is_frozen(cls) -> bool:
     return getattr(cls.__dict__.get("__setattr__"), "__module__", None) == records.__name__
 
 
 def _twin(cls):
-    """The stdlib dataclass with cls's fields, flags and class body."""
+    """The frozen stdlib dataclass with cls's fields and class body."""
     names = fields(cls)
     specs = [(n, cls.__annotations__[n]) if n not in cls.__dict__
              else (n, cls.__annotations__[n], cls.__dict__[n]) for n in names]
@@ -64,7 +67,7 @@ def _twin(cls):
             and k not in ("__dict__", "__weakref__", "__annotations__", "__record_fields__")
             and getattr(v, "__module__", None) != records.__name__}
     return dataclasses.make_dataclass(cls.__name__, specs, bases=cls.__bases__,
-                                      namespace=body, frozen=_is_frozen(cls))
+                                      namespace=body, frozen=True)
 
 
 TWINS = {cls: _twin(cls) for cls in RECORD_CLASSES}
@@ -87,7 +90,7 @@ def corpus():
     out = specs + [s.ordering for s in specs if hasattr(s, "ordering")]
     out += [parse_supernatural(t) for t in ("1", "full", "12", "2^3*5^inf", "7^2;default=inf")]
     out += [parse_exponent_function(t) for t in ("default->1", "2->2^inf*3,3->3^inf,default->full")]
-    out += [Limits(), Limits(max_order=60), CatalogConfig(), CatalogConfig(12)]
+    out += [CatalogConfig(), CatalogConfig(12)]
     out += [lattice, chief_series(S4), quotient(S3, lattice.subgroups[-2])[1]]
     out += list(lattice.subgroups)
     out += [k_subnormal_chain(S4, all_subgroups(S4).subgroups[1], parse_spec("S")),
@@ -99,7 +102,7 @@ def corpus():
 
 
 def test_corpus_reaches_every_record_class(corpus):
-    assert len(RECORD_CLASSES) == 31
+    assert len(RECORD_CLASSES) == 30
     assert {type(x) for x in corpus} == RECORD_CLASSES
 
 
@@ -112,7 +115,7 @@ def test_fields_defaults_and_flags_match_the_dataclass(cls):
             == {f.name: f.default for f in dataclasses.fields(twin)
                 if f.default is not dataclasses.MISSING})
     assert (cls.__hash__ is None) == (twin.__hash__ is None)
-    assert _is_frozen(cls) == (cls is not Limits)
+    assert _is_frozen(cls)
     if any(n not in cls.__dict__ for n in fields(cls)):
         with pytest.raises(TypeError):
             cls()
@@ -125,8 +128,7 @@ def test_repr_hash_and_equality_match_the_dataclass(corpus):
     for x, tx in zip(corpus, twins):
         assert repr(x) == repr(tx)
         assert set(vars(x)) >= set(fields(x))  # cached_property needs __dict__
-        if type(x).__hash__ is not None:
-            assert hash(x) == hash(tx) == hash(copy_of(x))
+        assert hash(x) == hash(tx) == hash(copy_of(x))
         y = copy_of(x)
         assert y is not x and x == y and not x != y
     for x, tx in zip(corpus, twins):
@@ -141,18 +143,13 @@ def test_repr_hash_and_equality_match_the_dataclass(corpus):
 
 def test_frozen_fields_reject_assignment_and_deletion(corpus):
     for x in corpus:
-        if not _is_frozen(type(x)):
-            continue
-        before = records.asdict(x)
+        before = asdict(x)
         for name in fields(x) + ("not_a_field",):
             with pytest.raises(AttributeError):
                 setattr(x, name, None)
             with pytest.raises(records.FrozenInstanceError):
                 delattr(x, name)
-        assert records.asdict(x) == before
-    limits = Limits()
-    limits.max_order = 7
-    assert limits == Limits(max_order=7) != Limits()
+        assert asdict(x) == before
 
 
 @pytest.mark.parametrize("cls, args", [
@@ -175,29 +172,15 @@ def test_post_init_errors_are_unchanged(cls, args):
     assert (type(ours.value), str(ours.value)) == (type(theirs.value), str(theirs.value))
 
 
-def test_replace_and_asdict_match_the_dataclass_on_limits():
-    ours, theirs = Limits(), TWINS[Limits]()
-    assert records.asdict(ours) == dataclasses.asdict(theirs)
-    changed = records.replace(ours, max_order=7, prime_horizon=3)
-    assert records.asdict(changed) == dataclasses.asdict(
-        dataclasses.replace(theirs, max_order=7, prime_horizon=3))
-    assert changed is not ours and records.asdict(ours) == dataclasses.asdict(theirs)
-    with pytest.raises(TypeError):
-        records.replace(ours, no_such_field=1)
-    with pytest.raises(TypeError):
-        dataclasses.replace(theirs, no_such_field=1)
-
-
 def test_pickle_round_trip(corpus):
     for x in corpus:
         y = pickle.loads(pickle.dumps(x))
         assert type(y) is type(x) and repr(y) == repr(x)
         # a group compares by identity, so only group-free records compare equal
-        if not any(isinstance(v, FiniteGroup) for v in records.asdict(x).values()):
+        if not any(isinstance(v, FiniteGroup) for v in asdict(x).values()):
             assert y == x
-        if _is_frozen(type(x)):
-            with pytest.raises(AttributeError):
-                setattr(y, fields(y)[0] if fields(y) else "x", None)
+        with pytest.raises(AttributeError):
+            setattr(y, fields(y)[0] if fields(y) else "x", None)
     spec = pickle.loads(pickle.dumps(parse_spec("reg(2->2^inf*3,default->1)")))
     assert spec.text() == "reg(2->2^inf*3,default->1)"
     assert is_member(symmetric(3), spec) == is_member(symmetric(3), parse_spec(spec.text()))

@@ -181,7 +181,7 @@ def test_sweep_empty_catalog():
 
 
 def test_sweep_rows_sorted_and_witnessed(s3, a4):
-    report = regularity_sweep([a4, s3, cyclic(2)], SUPERSOLUBLE, enforce=False)
+    report = regularity_sweep([a4, s3, cyclic(2)], SUPERSOLUBLE)
     assert [r.group_name for r in report.rows] == ["Z2", "S3", "A4"]
     a4_row = report.rows[-1]
     # A4: the supersoluble-maximal subgroups are V4 and the Z3s, meeting
@@ -208,7 +208,7 @@ def test_sweep_violation_raises():
 
 
 def test_sweep_json_shape(s3):
-    report = regularity_sweep([s3], NILPOTENT, enforce=False)
+    report = regularity_sweep([s3], NILPOTENT)
     payload = report.to_json()
     row = payload["rows"][0]
     assert set(row) == {"group", "spec", "order", "soluble", "int", "iset",
@@ -223,7 +223,7 @@ def test_informational_sweep_for_non_regular_specs(catalog_groups):
     # inside the maximal intersection for these hereditary classes
     for spec in (ABELIAN, SUPERSOLUBLE):
         report = regularity_sweep(
-            [G for G in catalog_groups if G.order <= 24], spec, enforce=False)
+            [G for G in catalog_groups if G.order <= 24], spec)
         for row in report.rows:
             assert set(row.isolated) <= set(row.maximal_intersection), \
                 (spec.text(), row.group_name)
@@ -232,7 +232,7 @@ def test_informational_sweep_for_non_regular_specs(catalog_groups):
 def test_u_sweep_reports_e52_d8_unequal_without_a_violation(e52_d8):
     # U is not theorem-backed, so an unequal soluble row is informational:
     # E(5^2):D8 is in vU but not in U, and its U-maximal subgroups meet trivially
-    report = regularity_sweep([e52_d8], SUPERSOLUBLE, enforce=True)
+    report = regularity_sweep([e52_d8], SUPERSOLUBLE)
     assert not report.theorem_backed and report.violations == ()
     (row,) = report.rows
     assert row.soluble and not row.equal and row.witness == 4

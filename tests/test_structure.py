@@ -186,15 +186,15 @@ def test_chief_factor_group_checks_the_cap_before_building(monkeypatch):
     # S5's chief factor A5/1 extends to A5 x| S5, 7,200 elements
     from formatio import structure
     from formatio.classes import ALL_GROUPS
-    from formatio.config import limits
     from formatio.errors import SizeCapExceeded
+    from formatio.groups import MAX_ORDER
 
     built = []
     real = structure.semidirect_product
 
     def spy(N, H, action):
         built.append((N.order, H.order))
-        assert N.order * H.order <= limits.max_order, "built an extension above the cap"
+        assert N.order * H.order <= MAX_ORDER, "built an extension above the cap"
         return real(N, H, action)
 
     monkeypatch.setattr(structure, "semidirect_product", spy)
@@ -323,18 +323,18 @@ def test_hypercenter_one_series_suffices(catalog_groups):
 
 
 def test_normal_subgroup_budget_boundary(monkeypatch):
-    from formatio.config import limits
+    from formatio import structure
     from formatio.constructions import elementary_abelian
 
     # (Z2)^4 has 67 subgroups, all of them normal
     G = elementary_abelian(2, 4)
-    monkeypatch.setattr(limits, "subgroup_budget", 66)
+    monkeypatch.setattr(structure, "subgroup_budget", 66)
     with pytest.raises(TooLarge, match=r"^E2\^4 has more than 66 normal subgroups; "
                                        r"raise the budget$"):
         normal_subgroups(G)
-    monkeypatch.setattr(limits, "subgroup_budget", 67)
+    monkeypatch.setattr(structure, "subgroup_budget", 67)
     assert len(normal_subgroups(G)) == 67
-    monkeypatch.setattr(limits, "subgroup_budget", 66)
+    monkeypatch.setattr(structure, "subgroup_budget", 66)
     with pytest.raises(TooLarge, match="more than 66 normal subgroups"):
         normal_subgroups(G)
 
