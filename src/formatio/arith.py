@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress
+from math import gcd, isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -20,23 +22,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_PRIMES = [2]  # the least primes in increasing order, grown on demand
+_PRIMES = [2]  # every prime up to _sieved, in increasing order
+_sieved = 2
 
 
-def _grow_primes(done) -> None:
-    """Append the next primes to _PRIMES until done() holds."""
-    n = _PRIMES[-1]
-    while not done():
-        n += 1 if n == 2 else 2
-        if is_prime(n):
-            _PRIMES.append(n)
+def _sieve(limit: int) -> None:
+    """List every prime up to limit in _PRIMES, by the sieve of Eratosthenes
+    over the odd numbers (entry i stands for 2i + 1)."""
+    global _sieved
+    odd = bytearray([1]) * ((limit + 1) // 2)
+    odd[0] = 0
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2::p] = bytes(len(range(p * p // 2, len(odd), p)))
+    _PRIMES[:] = [2, *compress(range(1, limit + 1, 2), odd)]
+    _sieved = limit
 
 
 def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed (nth_prime(1) == 2)."""
     if i < 1:
         raise ValueError(f"prime index must be >= 1, got {i}")
-    _grow_primes(lambda: len(_PRIMES) >= i)
+    while len(_PRIMES) < i:
+        _sieve(2 * _sieved)
     return _PRIMES[i - 1]
 
 
@@ -44,7 +53,9 @@ def prime_index(p: int) -> int:
     """Position of the prime p in the increasing enumeration, 1-indexed."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    _grow_primes(lambda: _PRIMES[-1] >= p)
+    if _sieved < p:
+        # at least doubling keeps a run of rising primes to few sieves
+        _sieve(max(p, 2 * _sieved))
     return bisect_left(_PRIMES, p) + 1
 
 
@@ -85,9 +96,7 @@ def p_part(n: int, p: int) -> int:
 
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a modulo n; requires gcd(a, n) == 1."""
-    import math
-
-    if math.gcd(a, n) != 1:
+    if gcd(a, n) != 1:
         raise ValueError(f"{a} is not invertible modulo {n}")
     x = a % n
     k = 1
@@ -98,9 +107,7 @@ def multiplicative_order(a: int, n: int) -> int:
 
 
 def lcm_ints(values) -> int:
-    import math
-
     out = 1
     for v in values:
-        out = out * v // math.gcd(out, v)
+        out = out * v // gcd(out, v)
     return out

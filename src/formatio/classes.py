@@ -2,11 +2,11 @@
 
 A ClassSpec is a declarative, parseable description of a class of finite
 groups.  Membership of a concrete group is decided structurally (derived
-series, element-order counting, normal Hall chains, chief factors, residuals,
-subnormal chains) and memoized by the group's table fingerprint, so repeated
-sweeps over materialized subgroups stay cheap.  Supersolubility needs no
-chief series: a climb inside the group's table moves up one normal subgroup
-of prime index over the last at a time (`_is_supersoluble`).
+series, counts of pi-elements for nilpotence and Sylow towers, chief factors,
+residuals, subnormal chains) and memoized by the group's table fingerprint,
+so repeated sweeps over materialized subgroups stay cheap.  Supersolubility
+needs no chief series: a climb inside the group's table moves up one normal
+subgroup of prime index over the last at a time (`_is_supersoluble`).
 
 Class flags (`formation`, `hereditary`, `saturated`, `soluble_only`) record
 which closure laws each spec is declared to satisfy; sweep tests spot-verify
@@ -34,7 +34,6 @@ from .groups import (
     derived_series,
     derived_subgroup,
     quotient,
-    subgroup,
 )
 from .records import record
 from .structure import (
@@ -95,21 +94,17 @@ def is_member(G: FiniteGroup, spec: ClassSpec) -> bool:
 # Structural predicates
 
 
-def _p_element_count(G: FiniteGroup, p: int) -> int:
-    count = 0
-    for o in G.element_order:
-        while o % p == 0:
-            o //= p
-        if o == 1:
-            count += 1
-    return count
+def _pi_element_count(G: FiniteGroup, m: int) -> int:
+    """The number of elements whose order divides m.  Element orders divide
+    |G|, so for m the pi-part of |G| these are the pi-elements of G."""
+    return sum(1 for o in G.element_order if m % o == 0)
 
 
 def _is_nilpotent(G: FiniteGroup) -> bool:
     # every Sylow subgroup is normal iff for each p the p-elements are exactly
     # a full Sylow subgroup, which is a pure counting condition
-    return all(_p_element_count(G, p) == p_part(G.order, p)
-               for p in prime_divisors(G.order))
+    return all(_pi_element_count(G, pa) == pa
+               for pa in (p_part(G.order, p) for p in prime_divisors(G.order)))
 
 
 def _is_supersoluble(G: FiniteGroup) -> bool:
@@ -163,15 +158,6 @@ def _is_p_nilpotent(G: FiniteGroup, p: int) -> bool:
     return len(_closure(G.table, tuple(coprime))) == m
 
 
-def _sylow_subgroup_if_normal(G: FiniteGroup, p: int) -> Subgroup | None:
-    pa = p_part(G.order, p)
-    pelems = [x for x in range(G.order)
-              if p_part(G.element_order[x], p) == G.element_order[x]]
-    if len(pelems) != pa:
-        return None
-    return subgroup(G, pelems)
-
-
 @record
 class PrimeOrdering:
     """A linear ordering of all primes: the listed ones first, in the order
@@ -198,12 +184,25 @@ class PrimeOrdering:
 
 
 def _has_sylow_tower(G: FiniteGroup, ordering: PrimeOrdering) -> bool:
-    while G.order > 1:
-        p = min(prime_divisors(G.order), key=ordering.sort_key)
-        P = _sylow_subgroup_if_normal(G, p)
-        if P is None:
+    """Whether G has normal subgroups 1 = H_0 < ... < H_k = G, each H_i/H_(i-1)
+    a Sylow p_i-subgroup of G/H_(i-1), for p_1, ..., p_k the prime divisors
+    of |G| in the ordering.
+
+    With pi_i = {p_1, ..., p_i}: exactly when G has |G|_pi_i pi_i-elements
+    for each i < k.  By induction, H = H_(i-1) is the set of
+    pi_(i-1)-elements.  g is a pi_i-element exactly when gH is a p_i-element
+    of G/H (the order of gH divides that of g and is prime to pi_(i-1); if
+    g^(p_i^a) lies in H, it is a pi_(i-1)-element), so G has |H| times as
+    many pi_i-elements as G/H has p_i-elements.  By Sylow, a Sylow
+    p_i-subgroup of G/H is normal exactly when the p_i-elements number its
+    order, and its preimage H_i is then the set of pi_i-elements.
+    """
+    primes = sorted(prime_divisors(G.order), key=ordering.sort_key)
+    m = 1
+    for p in primes[:-1]:
+        m *= p_part(G.order, p)
+        if _pi_element_count(G, m) != m:
             return False
-        G, _ = quotient(G, P)
     return True
 
 
@@ -699,11 +698,13 @@ def local_member(G: FiniteGroup, h) -> bool:
 
 def exponent_formation_member(G: FiniteGroup, fn: ExponentFunction) -> bool:
     """Membership in the soluble class defined by an exponent function:
-    soluble, and for each prime p dividing |G| the residual for soluble
-    groups of exponent dividing fn(p) is a p'-group.
+    soluble, and for each prime p dividing |G| the residual R for soluble
+    groups of exponent dividing fn(p) is a soluble p'-group.
 
-    Primes not dividing |G| are skipped: a soluble p'-group lies in that
-    factor class automatically.
+    R is closed in G's own table (see `residual`) and only its order is read:
+    as a subgroup of the soluble G it is soluble, so it is a soluble p'-group
+    exactly when p does not divide |R|.  Primes not dividing |G| are skipped:
+    a soluble p'-group lies in that factor class automatically.
     """
     if not is_member(G, SOLUBLE):
         return False
@@ -712,7 +713,7 @@ def exponent_formation_member(G: FiniteGroup, fn: ExponentFunction) -> bool:
         if omega.v(p) != INF:
             raise InvalidExponentFunction(
                 f"exponent function must have infinite {p}-part at {p}")
-        if not product_member(G, soluble_pi((p,), complement=True), sigma(omega)):
+        if len(_closed_residual(G, sigma(omega))) % p == 0:
             return False
     return True
 

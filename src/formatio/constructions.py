@@ -86,8 +86,6 @@ def dihedral(n: int) -> FiniteGroup:
 def quaternion() -> FiniteGroup:
     """The quaternion group of order 8 on {1,-1,i,-i,j,-j,k,-k}."""
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    mult = {}
-    sign = lambda s, t: s * t
     base = {("1", "1"): "1", ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
             ("i", "j"): "k", ("j", "i"): "-k", ("j", "k"): "i", ("k", "j"): "-i",
             ("k", "i"): "j", ("i", "k"): "-j"}
@@ -96,15 +94,14 @@ def quaternion() -> FiniteGroup:
         sa, ua = (-1, a[1:]) if a.startswith("-") else (1, a)
         sb, ub = (-1, b[1:]) if b.startswith("-") else (1, b)
         if ua == "1":
-            prod, s = ub, 1
+            prod = ub
         elif ub == "1":
-            prod, s = ua, 1
+            prod = ua
         else:
             prod = base[(ua, ub)]
-            s = 1
+        s = sa * sb
         if prod.startswith("-"):
             prod, s = prod[1:], -s
-        s *= sign(sa, sb)
         return prod if s == 1 else f"-{prod}"
 
     index = {u: i for i, u in enumerate(names)}
@@ -142,6 +139,11 @@ def alternating(n: int) -> FiniteGroup:
 
 # ---------------------------------------------------------------------------
 # Field-action groups
+
+
+def _digits(i: int, p: int, d: int) -> tuple[int, ...]:
+    """The d lowest base-p digits of i, least significant first."""
+    return tuple(i // p ** k % p for k in range(d))
 
 
 def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...],
@@ -183,18 +185,11 @@ def _least_irreducible(p: int, d: int) -> tuple[int, ...]:
 
     def monics(degree):
         for code in range(p ** degree):
-            coeffs = []
-            c = code
-            for _ in range(degree):
-                coeffs.append(c % p)
-                c //= p
-            yield tuple(coeffs) + (1,)
+            yield _digits(code, p, degree) + (1,)
 
     lower = [g for degree in range(1, d // 2 + 1) for g in monics(degree)]
-    for candidate in monics(d):
-        if all(not _poly_divisible(candidate, g, p) for g in lower):
-            return candidate
-    raise AssertionError("no irreducible polynomial found")
+    return next(candidate for candidate in monics(d)
+                if not any(_poly_divisible(candidate, g, p) for g in lower))
 
 
 def field_action_group(n: int, p: int) -> FiniteGroup:
@@ -225,37 +220,20 @@ def field_action_group(n: int, p: int) -> FiniteGroup:
             f"E({n}|{p}) has order {size * n} above the cap {MAX_ORDER}")
     modulus = _least_irreducible(p, d)
 
-    def decode(i: int) -> tuple[int, ...]:
-        coeffs = []
-        for _ in range(d):
-            coeffs.append(i % p)
-            i //= p
-        return tuple(coeffs)
-
-    def encode(coeffs: tuple[int, ...]) -> int:
-        out = 0
-        for c in reversed(coeffs):
-            out = out * p + c
-        return out
-
-    elements = [decode(i) for i in range(size)]
+    # element i is the polynomial whose coefficients are i's base-p digits
+    elements = [_digits(i, p, d) for i in range(size)]
+    index = {x: i for i, x in enumerate(elements)}
     one = (1,) + (0,) * (d - 1)
-    # least field element of multiplicative order exactly n
-    zeta = None
-    for i in range(1, size):
-        x = elements[i]
-        power = x
-        order = 1
-        while power != one:
-            power = _poly_mul_mod(power, x, modulus, p)
-            order += 1
-            if order > n:
-                break
-        if order == n:
-            zeta = x
-            break
-    if zeta is None:
-        raise AssertionError(f"no element of order {n} in GF({p}^{d})")
+
+    def order_up_to_n(x: tuple[int, ...]) -> int:  # n + 1 for any larger order
+        power, order = x, 1
+        while power != one and order <= n:
+            power, order = _poly_mul_mod(power, x, modulus, p), order + 1
+        return order
+
+    # least field element of multiplicative order exactly n: the group of
+    # units is cyclic of order p^d - 1, which n divides
+    zeta = next(x for x in elements[1:] if order_up_to_n(x) == n)
 
     additive = elementary_abelian(p, d)
     cyc = cyclic(n)
@@ -263,30 +241,12 @@ def field_action_group(n: int, p: int) -> FiniteGroup:
     # identity scalar, then successive powers of zeta
     scalar = one
     for _ in range(n):
-        perm = tuple(encode(_poly_mul_mod(elements[i], scalar, modulus, p))
+        perm = tuple(index[_poly_mul_mod(elements[i], scalar, modulus, p)]
                      for i in range(size))
         action.append(perm)
         scalar = _poly_mul_mod(scalar, zeta, modulus, p)
     G = semidirect_product(additive, cyc, action)
-    G = _trusted_group(G.table, name=f"E({n}|{p})")
-    _verify_field_action(G, size, n)
-    return G
-
-
-def _verify_field_action(G: FiniteGroup, a_size: int, n: int) -> None:
-    from .groups import centralizer
-    from .structure import minimal_normal_subgroups
-
-    # the additive part sits at indices {k*n : k}, the acting cyclic at 0..n-1
-    a_elems = tuple(sorted(k * n for k in range(a_size)))
-    mins = minimal_normal_subgroups(G)
-    if len(mins) != 1 or mins[0].elems != a_elems:
-        raise GroupConstructionError(
-            f"{G.name}: the module is not the unique minimal normal subgroup")
-    cent = centralizer(G, a_elems)
-    inside_c = [g for g in cent.elems if g < n]
-    if inside_c != [0]:
-        raise GroupConstructionError(f"{G.name}: the action is not faithful")
+    return _trusted_group(G.table, name=f"E({n}|{p})")
 
 
 # ---------------------------------------------------------------------------

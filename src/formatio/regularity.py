@@ -124,7 +124,6 @@ def non_class_graph(G: FiniteGroup, spec: ClassSpec) -> NonClassGraph:
     rows = {a: tuple(leader[y] in joined[a] for y in range(n)) for a in leads}
     adjacency = tuple(rows[leader[x]] for x in range(n))
     isolated = tuple(x for x in range(n) if not joined[leader[x]])
-    assert isolated == isolated_set(G, spec), "graph/isolated-set disagreement"
     return NonClassGraph(G, spec.text(), adjacency, isolated)
 
 

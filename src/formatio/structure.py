@@ -49,13 +49,12 @@ from .records import record
 
 @record
 class SubgroupLattice:
-    """Every subgroup of `parent` in (size, elements) order, with normality
-    flags and containment: bit j of above[i] is set when j properly contains i."""
+    """Every subgroup of `parent` in (size, elements) order, with
+    containment: bit j of above[i] is set when j properly contains i."""
 
     parent: FiniteGroup
     subgroups: tuple[Subgroup, ...]
     above: tuple[int, ...]
-    normal_flags: tuple[bool, ...]
 
     @property
     def maximal_flags(self) -> tuple[bool, ...]:
@@ -137,16 +136,8 @@ def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
     # K contains H exactly when K holds the identity and H's generators
     above = [reduce(and_, [containing[g] for g in gens], containing[0]) & ~(1 << i)
              for i, (_, _, gens) in enumerate(found)]
-    # H is normal when each generator's conjugacy class lies inside it
-    classes = conjugacy_classes(G)
-    normal = [all(classes[g] <= eset for g in gens)
-              for _, eset, gens in found]
     return SubgroupLattice(
-        G,
-        tuple(Subgroup(G, elems) for elems, _, _ in found),
-        tuple(above),
-        tuple(normal),
-    )
+        G, tuple(Subgroup(G, elems) for elems, _, _ in found), tuple(above))
 
 
 def maximal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:

@@ -38,6 +38,9 @@ MAX_LITERAL_DIGITS = 12
 MAX_DECIMAL_DIGITS = 4300
 # Positions of the pairing codec that `encode_function` materializes.
 PRIME_HORIZON = 128
+# The largest prime `decode_supernatural` accepts: finding a prime's position
+# sieves every number up to it, in about 0.2 s for this bound.
+DECODE_PRIME_BOUND = 10**7
 
 
 def _check_exponent(e: Exponent) -> Exponent:
@@ -300,7 +303,10 @@ def encode_function(f: ExponentFunction, horizon: int = PRIME_HORIZON) -> Supern
 def decode_supernatural(omega: Supernatural) -> ExponentFunction:
     """The exponent function whose encoding is omega (exactly)."""
     deviations: dict[int, dict[int, Exponent]] = {}
-    for p, e in omega.explicit:
+    # the largest prime first, so that one sieve finds every position
+    for p, e in reversed(omega.explicit):
+        if p > DECODE_PRIME_BOUND:
+            raise TooLarge(f"decode lists the prime {p}, above the bound {DECODE_PRIME_BOUND}")
         k, j = pair_components(prime_index(p))
         deviations.setdefault(k, {})[j] = e
     values: dict[int, Supernatural] = {}

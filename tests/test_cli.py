@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -509,6 +510,23 @@ def test_decode_of_the_ten_thousandth_prime_finishes_promptly():
                           env=_fresh_process_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "281->281^inf*431,default->1\n", "")
+
+
+@pytest.mark.parametrize("expr, code, out, err", [
+    # 1299709 is the 100,000th prime: finding its position sieves up to it
+    ("decode(1299709)", 0, "503->503^inf*2381,default->1\n", ""),
+    ("decode(15485863)", 1, "",
+     "error: decode lists the prime 15485863, above the bound 10000000\n"),
+    ("decode(999999999989)", 1, "",
+     "error: decode lists the prime 999999999989, above the bound 10000000\n"),
+])
+def test_decode_of_a_large_prime_ends_within_a_second(expr, code, out, err):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "formatio.cli", "sn", expr],
+                          capture_output=True, text=True, timeout=10,
+                          env=_fresh_process_env())
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_complement_of_an_incomplete_number_is_an_error(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from formatio.arith import lcm_ints, multiplicative_order
 from formatio.constructions import (
+    FIELD_ACTION_PARAMS,
     CatalogConfig,
     alternating,
     build_catalog,
@@ -104,17 +105,25 @@ def test_field_action_size_guard():
 
 
 def test_field_action_structure():
-    for n, p in [(2, 3), (3, 2), (4, 3), (4, 5), (6, 7)]:
-        E = field_action_group(n, p)
+    # every catalog parameter pair within the order cap, and fields of degree 3
+    # and 4; the module sits at the indices {k*n}, the acting cyclic at 0..n-1
+    params = []
+    for n, p in FIELD_ACTION_PARAMS + ((7, 2), (5, 2)):
+        try:
+            params.append((n, p, field_action_group(n, p)))
+        except TooLarge:
+            pass
+    assert {(7, 2), (5, 2), (6, 7), (8, 3)} <= {(n, p) for n, p, _ in params}
+    for n, p, E in params:
         d = multiplicative_order(p, n)
         assert E.order == p ** d * n
         mins = minimal_normal_subgroups(E)
-        assert len(mins) == 1
+        assert [m.elems for m in mins] == [tuple(range(0, E.order, n))], E.name
         module = mins[0]
-        assert module.order == p ** d
         assert socle(E).elems == module.elems
-        # self-centralizing module
+        # self-centralizing module, so the action is faithful
         assert centralizer(E, module).elems == module.elems
+        assert [g for g in centralizer(E, module).elems if g < n] == [0], E.name
 
 
 def test_catalog_contains_one_a4():

@@ -21,6 +21,15 @@ EXPONENTS = st.one_of(st.integers(0, 4), st.just("inf"))
 SUFFIXES = st.sampled_from(("", "", ";default=inf", ";default=0"))
 NAMED = ("trivial", "abelian", "A", "nilpotent", "N", "soluble", "S",
          "supersoluble", "U", "all", "vU")
+# A decimal up to 10^12 has at most one prime factor above 10^6, as the
+# literal rules require.  Few drawn integers have one, so some decimals are
+# multiples of a prime above 10^6: `decode` sieves up to the first three and
+# refuses the other two.
+LARGE_PRIMES = (1000003, 1299709, 9999991, 15485863, 2147483647)
+DECIMALS = st.one_of(
+    st.integers(1, 10**12),
+    st.sampled_from(LARGE_PRIMES).flatmap(
+        lambda q: st.integers(1, 10**12 // q).map(lambda a: a * q)))
 MALFORMED = ("0", "x", "", "2^", "4^2", "2*2", "2^-1", "2;default=1", "2^1234567890123",
              "2->3", "2->2^inf,default->1,default->1", "f:", "(", "lcm(2)")
 
@@ -35,9 +44,7 @@ def supernatural_texts(draw) -> str:
     if kind == "full":
         return "full"
     if kind == "decimal":
-        # below 10^4: `decode` of a prime with 7 or more digits enumerates
-        # every prime below it, which takes minutes
-        body = str(draw(st.integers(1, 10**4)))
+        body = str(draw(DECIMALS))
     else:
         primes = draw(st.lists(PRIMES, min_size=1, max_size=3, unique=True))
         body = "*".join(_power(p, draw(EXPONENTS)) for p in primes)

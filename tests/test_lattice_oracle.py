@@ -30,6 +30,7 @@ from formatio.groups import (
     _closure,
     _trusted_group,
     build_group,
+    is_normal,
     is_normal_in,
     materialize,
     quotient,
@@ -55,7 +56,7 @@ ISOLATED_SPECS = ("vU", "N", "reg(default->1)", "sylow_tower:2>3>5")
 
 def cyclic_joins_lattice(G):
     """Every subgroup, by joining each subgroup found with every cyclic
-    subgroup from scratch; with the maximal and normal flags."""
+    subgroup from scratch; with the maximal flags."""
     table = G.table
     cyclics = sorted({_closure(table, (x,)) for x in range(G.order)})
     subs = set(cyclics)
@@ -73,8 +74,7 @@ def cyclic_joins_lattice(G):
     maximal = tuple(
         len(t) < n and not any(len(t) < len(u) < n and set(t) <= set(u) for u in ordered)
         for t in ordered)
-    normal = tuple(is_normal_in(G, frozenset(t), range(n)) for t in ordered)
-    return ordered, maximal, normal
+    return ordered, maximal
 
 
 def proper_superset_lists(ordered):
@@ -158,10 +158,9 @@ def large_groups():
 
 def assert_lattice_matches_oracle(G):
     lattice = all_subgroups(G)
-    ordered, maximal, normal = cyclic_joins_lattice(G)
+    ordered, maximal = cyclic_joins_lattice(G)
     assert [s.elems for s in lattice.subgroups] == ordered, G.name
     assert lattice.maximal_flags == maximal, G.name
-    assert lattice.normal_flags == normal, G.name
     position = {t: i for i, t in enumerate(ordered)}
     supersets = proper_superset_lists(ordered)
     above = tuple(sum(1 << position[u] for u in supersets[t]) for t in ordered)
@@ -259,10 +258,8 @@ def test_identical_copies_are_the_group_itself(catalog_groups):
 
 def test_normal_subgroups_match_lattice_flags(catalog_groups):
     for G in catalog_groups:
-        lattice = all_subgroups(G)
-        flagged = [s.elems for s, normal in zip(lattice.subgroups, lattice.normal_flags)
-                   if normal]
-        assert [N.elems for N in normal_subgroups(G)] == flagged, G.name
+        normal = [s.elems for s in all_subgroups(G).subgroups if is_normal(G, s)]
+        assert [N.elems for N in normal_subgroups(G)] == normal, G.name
 
 
 def test_minimal_normal_over_matches_the_normal_subgroup_list(catalog_groups):

@@ -128,15 +128,23 @@ def test_complement_requires_complete():
         complement(from_int(12))
 
 
-def test_prime_enumeration_and_its_inverse():
-    from formatio.arith import is_prime, nth_prime, prime_index
+def test_prime_enumeration_and_its_inverse(monkeypatch):
+    from formatio import arith
 
-    primes = [p for p in range(2, 2000) if is_prime(p)]
-    assert [nth_prime(i) for i in range(1, len(primes) + 1)] == primes
-    assert [prime_index(p) for p in reversed(primes)] == list(range(len(primes), 0, -1))
-    assert nth_prime(10000) == 104729
+    # the first 10^4 primes by trial division
+    primes = [p for p in range(2, 104730) if arith.is_prime(p)]
+    assert len(primes) == 10**4 and primes[-1] == 104729
+    indices = list(range(1, len(primes) + 1))
+    for nth_first in (True, False):
+        # sieve from scratch, grown by either function
+        monkeypatch.setattr(arith, "_PRIMES", [2])
+        monkeypatch.setattr(arith, "_sieved", 2)
+        if nth_first:
+            assert [arith.nth_prime(i) for i in indices] == primes
+        assert [arith.prime_index(p) for p in primes] == indices
+        assert [arith.nth_prime(i) for i in indices] == primes
     with pytest.raises(ValueError):
-        prime_index(104730)
+        arith.prime_index(104730)
 
 
 def test_pairing_first_index():
