@@ -31,6 +31,7 @@ from .groups import (
     _closure,
     _coset_extension,
     _generating_sequence,
+    cyclic_table,
     derived_series,
     derived_subgroup,
     quotient,
@@ -94,17 +95,20 @@ def is_member(G: FiniteGroup, spec: ClassSpec) -> bool:
 # Structural predicates
 
 
-def _pi_element_count(G: FiniteGroup, m: int) -> int:
-    """The number of elements whose order divides m.  Element orders divide
-    |G|, so for m the pi-part of |G| these are the pi-elements of G."""
-    return sum(1 for o in G.element_order if m % o == 0)
+def _pi_element_count(orders: list[int] | tuple[int, ...], m: int) -> int:
+    """The number of elements whose order divides m, among a group's element
+    `orders`.  Element orders divide the group's order, so for m its pi-part
+    these are the pi-elements."""
+    return sum(1 for o in orders if m % o == 0)
 
 
-def _is_nilpotent(G: FiniteGroup) -> bool:
-    # every Sylow subgroup is normal iff for each p the p-elements are exactly
-    # a full Sylow subgroup, which is a pure counting condition
-    return all(_pi_element_count(G, pa) == pa
-               for pa in (p_part(G.order, p) for p in prime_divisors(G.order)))
+def _orders_nilpotent(orders: list[int] | tuple[int, ...]) -> bool:
+    """Whether the group with element `orders` is nilpotent: every Sylow
+    subgroup is normal iff for each p the p-elements are exactly a full
+    Sylow subgroup, which is a pure counting condition."""
+    n = len(orders)
+    return all(_pi_element_count(orders, pa) == pa
+               for pa in (p_part(n, p) for p in prime_divisors(n)))
 
 
 def _is_supersoluble(G: FiniteGroup) -> bool:
@@ -201,7 +205,7 @@ def _has_sylow_tower(G: FiniteGroup, ordering: PrimeOrdering) -> bool:
     m = 1
     for p in primes[:-1]:
         m *= p_part(G.order, p)
-        if _pi_element_count(G, m) != m:
+        if _pi_element_count(G.element_order, m) != m:
             return False
     return True
 
@@ -250,7 +254,7 @@ class NilpotentClass(ClassSpec):
         return "nilpotent"
 
     def _member(self, G):
-        return _is_nilpotent(G)
+        return _orders_nilpotent(G.element_order)
 
 
 @record
@@ -732,7 +736,11 @@ def _proper_subgroups_member(G: FiniteGroup, spec: ClassSpec) -> bool:
 
 
 def is_minimal_non(G: FiniteGroup, spec: ClassSpec) -> bool:
-    """G is outside the class while every proper subgroup is inside."""
+    """G is outside the class while every proper subgroup is inside.
+
+    This is the definition, decided over G's whole subgroup lattice; it
+    serves any spec, and it is the oracle for `is_schmidt`.
+    """
     if is_member(G, spec):
         return False
     return _proper_subgroups_member(G, spec)
@@ -752,8 +760,44 @@ def is_strongly_critical(G: FiniteGroup, spec: ClassSpec) -> bool:
 
 
 def is_schmidt(G: FiniteGroup) -> bool:
-    """Non-nilpotent with every proper subgroup nilpotent."""
-    return is_minimal_non(G, NILPOTENT)
+    """Non-nilpotent with every proper subgroup nilpotent, decided by a scan
+    of zuppo pairs inside G's table, with no subgroup lattice.
+
+    G is a Schmidt group exactly when it is not nilpotent and no pair of
+    zuppo generators (`cyclic_table`), x a p-element and y a q-element with
+    p != q, generates a proper non-nilpotent subgroup.  Nilpotence of
+    U = <x, y> is counted in G's element orders (`_orders_nilpotent`).
+
+    Exact: a witness is a proper non-nilpotent subgroup.  Conversely a
+    proper non-nilpotent U contains a Schmidt subgroup S, and by Schmidt's
+    theorem (O. Yu. Schmidt, 1924; Huppert, Endliche Gruppen I, Satz
+    III.5.2) S = P<y>, with P its normal Sylow p-subgroup, <y> a cyclic
+    Sylow q-subgroup, and P/Phi(P) a chief factor of S.  For x in P outside
+    Phi(P), the y-conjugates of x span a nonzero <y>-invariant subspace of
+    P/Phi(P), so they generate P modulo Phi(P), hence P, and S = <x, y>.
+    The least generators of <x> and <y> are again such a pair, with the
+    same closure.
+    """
+    if is_member(G, NILPOTENT):
+        return False
+    table = G.table
+    orders = G.element_order
+    by_prime: dict[int, list[int]] = {}
+    for z in cyclic_table(G)[1]:
+        primes = prime_divisors(orders[z])
+        if len(primes) == 1:
+            by_prime.setdefault(primes[0], []).append(z)
+    zuppos = sorted(by_prime.items())
+    # <x, y> = <y, x>, so each pair of primes is scanned once
+    for i, (_, xs) in enumerate(zuppos):
+        for _, ys in zuppos[i + 1:]:
+            for x in xs:
+                for y in ys:
+                    U = _closure(table, (x, y))
+                    if (len(U) < G.order
+                            and not _orders_nilpotent([orders[u] for u in U])):
+                        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

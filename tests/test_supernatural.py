@@ -314,6 +314,68 @@ def test_decimal_literal_factors_below_the_trial_limit():
             parse_supernatural(bad)
 
 
+def test_long_literals_parse_in_under_a_tenth_of_a_second(monkeypatch):
+    import time
+
+    from formatio import arith
+
+    for text in ("999999999989", "999999999989*2", "3000000000117",
+                 "99999999999999999989"):
+        best = 1.0
+        for _ in range(3):
+            # each attempt from an empty sieve
+            monkeypatch.setattr(arith, "_PRIMES", [2])
+            monkeypatch.setattr(arith, "_sieved", 2)
+            start = time.perf_counter()
+            try:
+                parse_supernatural(text)
+            except SpecSyntaxError:
+                pass
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.1, (text, best)
+
+
+def test_trial_division_by_sieved_primes_matches_the_odd_number_loop(monkeypatch):
+    from formatio import arith
+
+    def odd_loop(n, trial_limit):
+        out, d = {}, 2
+        while d * d <= n and d < trial_limit:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            d += 1 if d == 2 else 2
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+
+    monkeypatch.setattr(arith, "_PRIMES", [2])
+    monkeypatch.setattr(arith, "_sieved", 2)
+    rng = random.Random(22)
+    sample = [rng.randrange(1, 10**13) for _ in range(6)]
+    sample += [999999999989, 1999999999978, 3000000000117, 1000003 ** 2,
+               999983 * 999979, 2**40]
+    for n in sample:
+        assert arith.factorize(n, trial_limit=10**6) == odd_loop(n, 10**6), n
+    for n in (999999999989, 999983 * 999979, 10**12 + 39):
+        assert arith.is_prime(n) == (odd_loop(n, n) == {n: 1}), n
+    # past the sieve, trial division goes on over the odd numbers
+    assert not arith.is_prime(1000003 ** 2)
+    # small numbers never start the sieve
+    for n in range(1, 5000):
+        assert arith.factorize(n) == odd_loop(n, n), n
+    assert arith._sieved > 2
+    monkeypatch.setattr(arith, "_PRIMES", [2])
+    monkeypatch.setattr(arith, "_sieved", 2)
+    assert [n for n in range(1000) if arith.is_prime(n)][-1] == 997
+    assert arith.factorize(997 * 991) == {991: 1, 997: 1}
+    # nor do large numbers whose small factors leave less than 10^6
+    assert arith.factorize(2**80 * 999983) == {2: 80, 999983: 1}
+    assert arith.is_prime(999983) and not arith.is_prime(2**80 * 999983)
+    assert parse_supernatural("1" + "0" * 60) == make_supernatural({2: 60, 5: 60})
+    assert arith._sieved == 2
+
+
 def test_to_int_refuses_more_than_4300_digits():
     assert len(format_supernatural(prime_power(2, 14284))) == 4300
     with pytest.raises(TooLarge):
