@@ -361,15 +361,15 @@ def test_trial_division_by_sieved_primes_matches_the_odd_number_loop(monkeypatch
         assert arith.is_prime(n) == (odd_loop(n, n) == {n: 1}), n
     # past the sieve, trial division goes on over the odd numbers
     assert not arith.is_prime(1000003 ** 2)
-    # small numbers never start the sieve
-    for n in range(1, 5000):
-        assert arith.factorize(n) == odd_loop(n, n), n
     assert arith._sieved > 2
+    # small numbers, and large ones whose small factors leave less than
+    # 10^6, never start the sieve
     monkeypatch.setattr(arith, "_PRIMES", [2])
     monkeypatch.setattr(arith, "_sieved", 2)
+    for n in range(1, 5000):
+        assert arith.factorize(n) == odd_loop(n, n), n
     assert [n for n in range(1000) if arith.is_prime(n)][-1] == 997
     assert arith.factorize(997 * 991) == {991: 1, 997: 1}
-    # nor do large numbers whose small factors leave less than 10^6
     assert arith.factorize(2**80 * 999983) == {2: 80, 999983: 1}
     assert arith.is_prime(999983) and not arith.is_prime(2**80 * 999983)
     assert parse_supernatural("1" + "0" * 60) == make_supernatural({2: 60, 5: 60})
