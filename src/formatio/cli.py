@@ -45,7 +45,7 @@ from .classes import (
     parse_spec,
     residual,
 )
-from .errors import FormatioError, TheoremViolation, TooLarge
+from .errors import FormatioError, TooLarge
 from .groups import MAX_ORDER, FiniteGroup, group_from_json
 from .regularity import (
     ROW_SWEEPS,
@@ -119,9 +119,11 @@ def _catalog_groups(catalog_dir: str | None,
 
 
 def _emit(args, payload: dict, text: str) -> None:
+    """Write the payload as JSON under `--format json`, else the text, to
+    `--out` when given, else to stdout."""
     rendered = (json.dumps(payload, indent=1, sort_keys=True) + "\n"
                 if args.format == "json" else text)
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
     else:
         sys.stdout.write(rendered)
@@ -195,25 +197,27 @@ def cmd_sweep(args) -> int:
     groups = _catalog_groups(args.catalog, args.max_order)
     spec = parse_spec(args.spec)
     if args.mode == "regularity":
-        try:
-            report = regularity_sweep(groups, spec)
-        except TheoremViolation as exc:
-            sys.stderr.write(f"THEOREM VIOLATION: {exc}\n")
-            _emit(args, exc.report.to_json(), report_to_text(exc.report))
-            return 2
-        _emit(args, report.to_json(), report_to_text(report))
-        return 0
-    row_fn, enforced = ROW_SWEEPS[args.mode]
-    rows = [row for G in groups for row in row_fn(G, spec)]
-    failures = [r for r in rows if not r["ok"]]
-    payload = {"spec": spec.text(), "mode": args.mode, "rows": rows,
-               "failures": failures}
-    text_lines = [f"{args.mode} sweep for {spec.text()}: "
-                  f"{len(rows) - len(failures)}/{len(rows)} ok"]
-    for r in failures:
-        text_lines.append(f"  FAIL {r}")
-    _emit(args, payload, "\n".join(text_lines) + "\n")
-    return 2 if failures and enforced(spec) else 0
+        report = regularity_sweep(groups, spec)
+        payload, text = report.to_json(), report_to_text(report)
+        violated = bool(report.violations)
+        if violated:
+            bad = ", ".join(r.group_name for r in report.violations)
+            sys.stderr.write(f"THEOREM VIOLATION: regular spec {spec.text()} "
+                             f"has unequal sets on: {bad}\n")
+    else:
+        row_fn, enforced = ROW_SWEEPS[args.mode]
+        rows = [row for G in groups for row in row_fn(G, spec)]
+        failures = [r for r in rows if not r["ok"]]
+        payload = {"spec": spec.text(), "mode": args.mode, "rows": rows,
+                   "failures": failures}
+        text_lines = [f"{args.mode} sweep for {spec.text()}: "
+                      f"{len(rows) - len(failures)}/{len(rows)} ok"]
+        for r in failures:
+            text_lines.append(f"  FAIL {r}")
+        text = "\n".join(text_lines) + "\n"
+        violated = bool(failures) and enforced(spec)
+    _emit(args, payload, text)
+    return 2 if violated else 0
 
 
 def cmd_graph(args) -> int:
@@ -226,11 +230,7 @@ def cmd_graph(args) -> int:
                    "edges": graph.edge_count}
         _emit(args, payload, "")
     else:
-        dot = graph_to_dot(graph)
-        if args.out:
-            Path(args.out).write_text(dot, encoding="utf-8")
-        else:
-            sys.stdout.write(dot)
+        _emit(args, {}, graph_to_dot(graph))
     return 0
 
 
@@ -351,9 +351,6 @@ def main(argv=None) -> int:
         if args.budget_subgroups is not None:
             structure.subgroup_budget = args.budget_subgroups
         return args.func(args)
-    except TheoremViolation as exc:
-        sys.stderr.write(f"THEOREM VIOLATION: {exc}\n")
-        return 2
     except FormatioError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

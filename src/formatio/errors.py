@@ -71,11 +71,3 @@ class DiagonalPair(FormatioError, ValueError):
 
 class SpecSyntaxError(FormatioError, ValueError):
     """A class-spec or supernatural expression failed to parse."""
-
-
-class TheoremViolation(FormatioError):
-    """A sweep contradicted an equality the theory guarantees."""
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report

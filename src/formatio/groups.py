@@ -7,8 +7,9 @@ other modules its subgroup lattice, chief series and chain steps) goes through
 one decorator, `memoized`, which stores `fn(G, *args)` in the group's single
 memo under the key `(fn.__qualname__, *args)`.  Each entry is a deterministic
 function of the group and the key, so sharing instances stays safe.  Keys hold
-only plain values (element tuples, ints, spec records), never a group or a
-subgroup, so the memo pickles with its group.
+only values that compare by value (element tuples, ints, spec records), never
+a group or a subgroup: groups compare by identity, so such a key would miss
+for every equal copy of its group.
 
 Sets are closed under multiplication one way, by Dimino's coset step
 (`_coset_extension`; Holt, Eick and O'Brien, Handbook of Computational Group
@@ -75,9 +76,6 @@ class FiniteGroup:
         t = self.table
         inv = self.inverse
         return t[t[t[inv[a]][inv[b]]][a]][b]
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -531,9 +529,6 @@ class GroupHom:
     source: FiniteGroup
     target: FiniteGroup
     image: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.image[a]
 
 
 def group_hom(source: FiniteGroup, target: FiniteGroup,

@@ -83,7 +83,7 @@ def _over_budget(G: FiniteGroup, budget: int, what: str) -> TooLarge:
     return TooLarge(f"{G.name} has more than {budget} {what}; raise the budget")
 
 
-def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
+def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     """Enumerate every subgroup by cyclic extension over the zuppos.
 
     A zuppo is a cyclic subgroup of prime-power order; it enters as its least
@@ -100,10 +100,10 @@ def all_subgroups(G: FiniteGroup, budget: int | None = None) -> SubgroupLattice:
     z_j's turn; so U = <z_1, ..., z_k> is found.
 
     The enumeration raises TooLarge as soon as it finds more subgroups than
-    `budget` (default: the module's `subgroup_budget`).  The lattice is memoized per
-    budget, so a call under a smaller budget enumerates again and raises.
+    the module's `subgroup_budget`.  The lattice is memoized per budget, so a
+    call under a smaller budget enumerates again and raises.
     """
-    return _lattice(G, subgroup_budget if budget is None else budget)
+    return _lattice(G, subgroup_budget)
 
 
 @memoized

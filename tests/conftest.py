@@ -1,6 +1,9 @@
-"""Shared fixtures: named groups and the session-wide catalog."""
+"""Shared fixtures: named groups, the session-wide catalog and the oracle
+corpus of its subgroup tables."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -13,7 +16,8 @@ from formatio.constructions import (
     quaternion,
     symmetric,
 )
-from formatio.groups import semidirect_product
+from formatio.groups import build_group, semidirect_product
+from formatio.structure import all_subgroups
 
 
 @pytest.fixture(scope="session")
@@ -95,3 +99,32 @@ def catalog_groups(catalog):
 @pytest.fixture(scope="session")
 def soluble_catalog_groups(catalog):
     return [e.group for e in catalog if "soluble" in e.tags]
+
+
+def relabelled(G, seed):
+    """G with its elements renamed by a seeded permutation fixing 0."""
+    rest = list(range(1, G.order))
+    random.Random(seed).shuffle(rest)
+    perm = [0] + rest
+    table = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            table[perm[a]][perm[b]] = perm[G.table[a][b]]
+    return build_group(table, G.name + "~")
+
+
+def subgroup_tables_of(groups):
+    """Every distinct subgroup table of the groups, in order of discovery."""
+    tables = {}
+    for G in groups:
+        for H in all_subgroups(G).subgroups:
+            K = H.as_group()
+            tables.setdefault(K.fingerprint, K)
+    return list(tables.values())
+
+
+@pytest.fixture(scope="session")
+def subgroup_tables(catalog_groups, e52_d8, e32_d8):
+    """The oracle corpus: every distinct subgroup table of the catalog groups
+    and of the E(p^2) x| D8 fixtures."""
+    return subgroup_tables_of(catalog_groups + [e52_d8, e32_d8])

@@ -101,9 +101,10 @@ def test_criterion_2_theorem_backed_regularity(catalog_groups):
         regular_formation(FN_MIXED),
     ]
     for spec in specs:
-        report = regularity_sweep(catalog_groups, spec)  # raises on mismatch
+        report = regularity_sweep(catalog_groups, spec)
         soluble_rows = [r for r in report.rows if r.soluble]
         assert soluble_rows and all(r.equal for r in soluble_rows), spec.text()
+        assert report.theorem_backed and report.violations == (), spec.text()
     announce(2, f"equality of both element sets on every soluble group for "
                 f"{len(specs)} theorem-backed regular specs")
 

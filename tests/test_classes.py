@@ -14,7 +14,11 @@ from formatio.classes import (
     V_SUPERSOLUBLE,
     AbelianClass,
     ClassSpec,
+    ExponentBoundedClass,
+    IntersectionClass,
+    LocalClass,
     PrimeOrdering,
+    ProductClass,
     _residual_by_quotients,
     cap,
     exponent_formation_member,
@@ -267,6 +271,73 @@ def test_local_member_trivial_group():
 def test_local_member_s3_mixed(s3):
     h = lambda p: SOLUBLE if p == 2 else TRIVIAL
     assert not local_member(s3, h)
+
+
+@pytest.mark.parametrize("text, h", [
+    ("local(2->N,default->A)", lambda p: NILPOTENT if p == 2 else ABELIAN),
+    ("local(default->trivial)", lambda p: TRIVIAL),
+    ("local(3->S,default->U)", lambda p: SOLUBLE if p == 3 else SUPERSOLUBLE),
+])
+def test_local_spec_membership_matches_local_member(catalog_groups, text, h):
+    spec = parse_spec(text)
+    verdicts = set()
+    for G in catalog_groups:
+        got = is_member(G, spec)
+        assert got == local_member(G, h), (text, G.name)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@record
+class _Unflagged(ClassSpec):
+    """A spec with every flag False, so a composite cannot inherit one."""
+
+    def text(self):
+        return "unflagged"
+
+    def _member(self, G):
+        return True
+
+
+@pytest.mark.parametrize("spec, flags", [
+    # (formation, hereditary, saturated, soluble_only)
+    ("bounded(A;6)", (True, True, False, True)),
+    ("S(6)", (True, True, False, True)),
+    ("bounded(p_nilpotent:2;2^inf*3)", (True, True, False, False)),
+    (ExponentBoundedClass(_Unflagged(), from_int(6)), (False, False, False, False)),
+    ("prod(N,A)", (True, False, False, True)),
+    ("prod(p_nilpotent:2,N)", (True, False, False, False)),
+    (ProductClass(NILPOTENT, _Unflagged()), (False, False, False, False)),
+    ("cap(A,p_nilpotent:2)", (True, True, False, True)),
+    ("cap(p_nilpotent:2,p_nilpotent:3)", (True, True, True, False)),
+    ("cap(N,prod(N,A))", (True, False, False, True)),
+    (IntersectionClass((NILPOTENT, _Unflagged())), (False, False, False, True)),
+    ("local(2->N,default->A)", (True, True, True, False)),
+    ("local(2->prod(N,A),default->A)", (True, False, True, False)),
+    (LocalClass(((2, NILPOTENT),), _Unflagged()), (True, False, True, False)),
+    ("vstar(N)", (True, True, True, True)),
+    ("vstar(A)", (True, True, True, True)),
+    ("vstar(p_nilpotent:2)", (True, True, False, False)),
+])
+def test_composite_flags(spec, flags):
+    if isinstance(spec, str):
+        spec = parse_spec(spec)
+    assert (spec.formation, spec.hereditary, spec.saturated, spec.soluble_only) == flags
+
+
+@pytest.mark.parametrize("text", ["bounded(p_nilpotent:2;2^inf*3)", "prod(N,A)",
+                                  "cap(A,p_nilpotent:2)", "local(2->N,default->A)",
+                                  "vstar(p_nilpotent:2)"])
+def test_composite_flags_hold_on_small_catalog_groups(catalog_groups, text):
+    # the formation-laws and saturation sweeps find no counterexample to a flag
+    from formatio.regularity import formation_law_rows, saturation_rows
+
+    spec = parse_spec(text)
+    small = [G for G in catalog_groups if G.order <= 24]
+    rows = [row for G in small for row in formation_law_rows(G, spec)]
+    assert all(r["ok"] for r in rows) and rows
+    if spec.saturated:
+        assert all(r["ok"] for G in small for r in saturation_rows(G, spec))
 
 
 def test_exponent_formation_default_is_nilpotency(catalog_groups):

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from formatio.classes import ABELIAN, AbelianClass, AllGroupsClass
+from formatio.classes import ABELIAN, AbelianClass, AllGroupsClass, VSupersolubleClass
 from formatio.cli import main
 
 
@@ -580,3 +580,87 @@ def test_vstar_of_a_non_hereditary_spec_is_an_error(capsys, tmp_path, command):
 ])
 def test_empty_list_item_is_a_syntax_error(capsys, argv, err):
     assert run_cli(capsys, *argv) == (1, "", f"error: {err}\n")
+
+
+class _LyingVU(VSupersolubleClass):
+    """Claims the theorem-backed vU shape but answers like the trivial class,
+    so every non-trivial soluble group has unequal sets."""
+
+    def text(self):
+        return "lying-vU"
+
+    def _member(self, G):
+        return G.order == 1
+
+
+def test_sweep_regularity_violation_exits_2(capsys, monkeypatch):
+    monkeypatch.delenv("FORMATIO_CATALOG", raising=False)
+    monkeypatch.setattr("formatio.cli.parse_spec", lambda text: _LyingVU())
+    argv = ("sweep", "--spec", "lying-vU", "--mode", "regularity", "--max-order", "8")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    payload = json.loads(out)
+    bad = [r["group"] for r in payload["violations"]]
+    assert bad and payload["theorem_backed"]
+    assert err == ("THEOREM VIOLATION: regular spec lying-vU has unequal sets on: "
+                   + ", ".join(bad) + "\n")
+    # the text report goes to stdout with the same one stderr line
+    code, text, text_err = run_cli(capsys, *argv)
+    assert (code, text_err) == (2, err)
+    lines = text.splitlines()
+    assert lines[0] == "spec lying-vU (theorem-backed)"
+    assert len(lines) == payload["groups"] + 2
+    assert lines[-1] == f"{payload['equal']}/{payload['groups']} equal"
+    for row in payload["rows"]:
+        status = "equal" if row["equal"] else f"DIFFER at {row['witness']}"
+        assert f"  {row['group']:<16} order {row['order']:<4} {status}" in lines
+
+
+def test_check_json_details_for_vu_prod_and_reg(capsys):
+    from formatio.constructions import alternating, symmetric
+    from formatio.groups import derived_subgroup
+    from formatio.subnormality import vu_obstruction
+
+    def detail(group, spec):
+        code, out, _ = run_cli(capsys, "check", group, spec, "--format", "json")
+        payload = json.loads(out)
+        assert (code, payload["member"]) == (0, False)
+        return payload["detail"]
+
+    stuck = detail("A4", "vU")["stuck_cyclic_subgroup"]
+    assert stuck == list(vu_obstruction(alternating(4)).elems) and len(stuck) == 3
+    # the abelian residual of S4 is its derived subgroup A4
+    S4 = symmetric(4)
+    residual = detail("S4", "prod(N,A)")["residual"]
+    assert residual == list(derived_subgroup(S4, tuple(range(24)))) and len(residual) == 12
+    assert detail("A5", "reg(2->2^inf,default->full)") == {"reason": "not soluble"}
+
+
+def test_default_catalog_under_max_order_matches_a_written_catalog(capsys, tmp_path,
+                                                                  monkeypatch):
+    monkeypatch.delenv("FORMATIO_CATALOG", raising=False)
+    cat = tmp_path / "cat"
+    run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "12")
+    for mode, spec in [("regularity", "vU"), ("saturation", "N")]:
+        argv = ("sweep", "--spec", spec, "--mode", mode, "--format", "json")
+        in_memory = run_cli(capsys, *argv, "--max-order", "12")
+        assert in_memory[0] == 0 and json.loads(in_memory[1])
+        assert run_cli(capsys, *argv, "--catalog", str(cat)) == in_memory
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "S3", "N"),
+    ("check", "S3", "N", "--format", "json"),
+    ("sweep", "--spec", "N", "--max-order", "6"),
+    ("sweep", "--spec", "N", "--mode", "saturation", "--max-order", "6"),
+    ("graph", "S3", "N"),
+    ("graph", "S3", "N", "--format", "json"),
+])
+def test_out_file_holds_what_stdout_would(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("FORMATIO_CATALOG", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    path = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == out
+

@@ -11,9 +11,9 @@ of the E(p^2) x| D8 fixtures and of a relabelled copy of E(3^2) x| D8.
 
 from __future__ import annotations
 
-import random
-
 import pytest
+
+from conftest import relabelled, subgroup_tables_of
 
 from formatio.arith import p_part, prime_divisors
 from formatio.classes import (
@@ -26,8 +26,7 @@ from formatio.classes import (
     sigma,
     soluble_pi,
 )
-from formatio.groups import build_group, quotient, subgroup
-from formatio.structure import all_subgroups
+from formatio.groups import quotient, subgroup
 from formatio.supernatural import parse_exponent_function
 
 ORDERINGS = ("2>3>5", "3>2>5", "5>3>2", "3", "7>2>3")
@@ -40,26 +39,11 @@ EXPONENT_FUNCTIONS = (
 )
 
 
-def relabelled(G, seed):
-    """G with its elements renamed by a seeded permutation fixing 0."""
-    rest = list(range(1, G.order))
-    random.Random(seed).shuffle(rest)
-    perm = [0] + rest
-    table = [[0] * G.order for _ in range(G.order)]
-    for a in range(G.order):
-        for b in range(G.order):
-            table[perm[a]][perm[b]] = perm[G.table[a][b]]
-    return build_group(table, G.name + "~")
-
-
 @pytest.fixture(scope="module")
-def corpus(catalog_groups, e52_d8, e32_d8):
-    tables = {}
-    for G in catalog_groups + [e52_d8, e32_d8, relabelled(e32_d8, 1)]:
-        for H in all_subgroups(G).subgroups:
-            K = H.as_group()
-            tables.setdefault(K.fingerprint, K)
-    return list(tables.values())
+def corpus(subgroup_tables, e32_d8):
+    seen = {K.fingerprint for K in subgroup_tables}
+    return subgroup_tables + [K for K in subgroup_tables_of([relabelled(e32_d8, 1)])
+                              if K.fingerprint not in seen]
 
 
 def quotient_tower(G, ordering):

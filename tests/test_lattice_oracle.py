@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from formatio import structure
 from formatio.arith import is_prime, prime_divisors
 from formatio.classes import is_member, parse_spec
 from formatio.constructions import (
@@ -228,24 +229,25 @@ def test_chain_searches_match_bfs_over_superset_lists(catalog_groups):
                     G.name, P, spec.text())
 
 
-def test_budget_boundary_on_fresh_and_cached_lattice():
+def test_budget_boundary_on_fresh_and_cached_lattice(monkeypatch):
     fresh = _trusted_group(symmetric(4).table, "S4-fresh")
-    with pytest.raises(TooLarge, match=r"^S4-fresh has more than 29 subgroups; "
-                                       r"raise the budget$"):
-        all_subgroups(fresh, budget=29)
-    assert len(all_subgroups(fresh, budget=30)) == 30
-    with pytest.raises(TooLarge, match=r"^S4-fresh has more than 29 subgroups; "
-                                       r"raise the budget$"):
-        all_subgroups(fresh, budget=29)
-    assert len(all_subgroups(fresh, budget=30)) == 30
+    for _ in range(2):
+        monkeypatch.setattr(structure, "subgroup_budget", 29)
+        with pytest.raises(TooLarge, match=r"^S4-fresh has more than 29 subgroups; "
+                                           r"raise the budget$"):
+            all_subgroups(fresh)
+        monkeypatch.setattr(structure, "subgroup_budget", 30)
+        assert len(all_subgroups(fresh)) == 30
 
 
-def test_budget_holds_on_a_cyclic_group():
+def test_budget_holds_on_a_cyclic_group(monkeypatch):
     # every subgroup of Z8 is cyclic; the first call must still count them all
     fresh = _trusted_group(cyclic(8).table, "Z8-fresh")
+    monkeypatch.setattr(structure, "subgroup_budget", 3)
     with pytest.raises(TooLarge, match="more than 3 subgroups"):
-        all_subgroups(fresh, budget=3)
-    assert len(all_subgroups(fresh, budget=4)) == 4
+        all_subgroups(fresh)
+    monkeypatch.setattr(structure, "subgroup_budget", 4)
+    assert len(all_subgroups(fresh)) == 4
 
 
 def test_identical_copies_are_the_group_itself(catalog_groups):

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from functools import partial
 
-import pytest
-
 from formatio.arith import is_prime
 from formatio.classes import (
     NILPOTENT,
@@ -25,7 +23,7 @@ from formatio.classes import (
     _is_supersoluble,
     is_member,
 )
-from formatio.structure import all_subgroups, chief_series
+from formatio.structure import chief_series
 from formatio.subnormality import (
     cyclic_primary_subgroups,
     k_subnormal_chain,
@@ -35,33 +33,23 @@ from formatio.subnormality import (
 )
 
 
-@pytest.fixture(scope="module")
-def corpus(catalog_groups, e52_d8, e32_d8):
-    tables = {}
-    for G in catalog_groups + [e52_d8, e32_d8]:
-        for H in all_subgroups(G).subgroups:
-            K = H.as_group()
-            tables.setdefault(K.fingerprint, K)
-    return list(tables.values())
-
-
-def test_supersoluble_climb_matches_chief_factor_orders(corpus):
+def test_supersoluble_climb_matches_chief_factor_orders(subgroup_tables):
     verdicts = set()
-    for K in corpus:
+    for K in subgroup_tables:
         expected = all(is_prime(o) for o in chief_series(K).factor_orders)
         assert _is_supersoluble(K) == expected, K.name
         verdicts.add(expected)
     assert verdicts == {True, False}
 
 
-def test_obstructions_match_chain_per_zuppo(corpus):
+def test_obstructions_match_chain_per_zuppo(subgroup_tables):
     searches = [("vU", vu_obstruction, prime_index_chain)] + [
         (spec.text(), partial(vstar_obstruction, spec=spec),
          partial(k_subnormal_chain, spec=spec))
         for spec in (NILPOTENT, SUPERSOLUBLE)]
     for name, obstruction, chain in searches:
         stuck = 0
-        for K in corpus:
+        for K in subgroup_tables:
             expected = next((P for P in cyclic_primary_subgroups(K)
                              if chain(K, P) is None), None)
             assert obstruction(K) == expected, (K.name, name)
@@ -69,6 +57,6 @@ def test_obstructions_match_chain_per_zuppo(corpus):
         assert stuck > 0, name
 
 
-def test_vu_verdict_with_supersoluble_shortcut_matches_obstruction(corpus):
-    for K in corpus:
+def test_vu_verdict_with_supersoluble_shortcut_matches_obstruction(subgroup_tables):
+    for K in subgroup_tables:
         assert is_member(K, V_SUPERSOLUBLE) == (vu_obstruction(K) is None), K.name

@@ -26,7 +26,7 @@ from formatio.constructions import (
     field_action_group,
     symmetric,
 )
-from formatio.errors import EmptyClass, TheoremViolation
+from formatio.errors import EmptyClass
 from formatio.groups import center
 from formatio.regularity import (
     graph_to_dot,
@@ -189,7 +189,7 @@ def test_sweep_rows_sorted_and_witnessed(s3, a4):
     assert a4_row.equal
 
 
-def test_sweep_violation_raises():
+def test_sweep_violation_is_reported():
     from formatio.classes import VSupersolubleClass
 
     class Lying(VSupersolubleClass):
@@ -201,10 +201,10 @@ def test_sweep_violation_raises():
         def _member(self, G):
             return G.order == 1
 
-    with pytest.raises(TheoremViolation) as err:
-        regularity_sweep([dihedral(4)], Lying())
-    assert err.value.report is not None
-    assert err.value.report.violations
+    report = regularity_sweep([dihedral(4), cyclic(1)], Lying())
+    assert report.theorem_backed
+    assert [r.group_name for r in report.violations] == ["D4"]
+    assert report.to_json()["violations"] == [report.rows[1].to_json("lying-vU")]
 
 
 def test_sweep_json_shape(s3):

@@ -3,17 +3,17 @@ table (Schmidt's theorem); the oracle is the definition, `is_minimal_non`
 over the whole subgroup lattice.
 
 The corpus is the max-order-120 catalog, every distinct subgroup table of
-the default catalog, the E(p^2) x| D8 fixtures, six larger products, and a
-relabelled copy of each.  Z3 x| Z4 and SL(2,3) = Q8 x| Z3 are Schmidt groups
+the default catalog and of the E(p^2) x| D8 fixtures, six larger products,
+and a relabelled copy of each.  Z3 x| Z4 and SL(2,3) = Q8 x| Z3 are Schmidt groups
 outside the catalog.  Their direct products with Z2 are not, and every proper
 non-nilpotent subgroup of those needs an element of order 4 to generate it.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
+
+from conftest import relabelled
 
 from formatio.classes import NILPOTENT, is_minimal_non, is_schmidt
 from formatio.constructions import (
@@ -27,20 +27,7 @@ from formatio.constructions import (
     quaternion,
     symmetric,
 )
-from formatio.groups import build_group, semidirect_product
-from formatio.structure import all_subgroups
-
-
-def relabelled(G, seed):
-    """G with its elements renamed by a seeded permutation fixing 0."""
-    rest = list(range(1, G.order))
-    random.Random(seed).shuffle(rest)
-    perm = [0] + rest
-    table = [[0] * G.order for _ in range(G.order)]
-    for a in range(G.order):
-        for b in range(G.order):
-            table[perm[a]][perm[b]] = perm[G.table[a][b]]
-    return build_group(table, G.name + "~")
+from formatio.groups import semidirect_product
 
 
 def sl23():
@@ -64,7 +51,7 @@ def outside_the_catalog():
 
 
 @pytest.fixture(scope="module")
-def corpus(catalog_groups, e52_d8, e32_d8):
+def corpus(subgroup_tables):
     s3, s4 = symmetric(3), symmetric(4)
     larger = [
         symmetric(5),
@@ -74,14 +61,9 @@ def corpus(catalog_groups, e52_d8, e32_d8):
         direct_product(field_action_group(4, 5), s3),
         direct_product(field_action_group(7, 2), cyclic(2)),
     ]
-    tables = {}
-    for G in catalog_groups:
-        for H in all_subgroups(G).subgroups:
-            K = H.as_group()
-            tables.setdefault(K.fingerprint, K)
     catalog_120 = build_catalog(CatalogConfig(max_order=120))
-    groups = ([e.group for e in catalog_120] + list(tables.values())
-              + [e52_d8, e32_d8] + larger + outside_the_catalog())
+    groups = ([e.group for e in catalog_120] + subgroup_tables
+              + larger + outside_the_catalog())
     return groups + [relabelled(G, seed) for seed, G in enumerate(groups)]
 
 

@@ -62,19 +62,24 @@ def test_all_subgroups_zp():
     assert len(all_subgroups(cyclic(7))) == 2
 
 
-def test_subgroup_budget_enforced():
+def test_subgroup_budget_enforced(monkeypatch):
+    from formatio import structure
     from formatio.groups import _trusted_group
 
     G = dihedral(6)
     fresh = _trusted_group(G.table, "D6-copy")
+    monkeypatch.setattr(structure, "subgroup_budget", 3)
     with pytest.raises(TooLarge):
-        all_subgroups(fresh, budget=3)
+        all_subgroups(fresh)
 
 
-def test_cached_lattice_respects_budget(s4):
+def test_cached_lattice_respects_budget(s4, monkeypatch):
+    from formatio import structure
+
     assert len(all_subgroups(s4)) == 30
+    monkeypatch.setattr(structure, "subgroup_budget", 5)
     with pytest.raises(TooLarge):
-        all_subgroups(s4, budget=5)
+        all_subgroups(s4)
 
 
 def test_maximal_flags_s3(s3):

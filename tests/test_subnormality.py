@@ -95,6 +95,43 @@ def test_chain_composition_still_verifies(s3):
     assert composite.verify(SOLUBLE)
 
 
+def _witness(G, chain, kinds):
+    from formatio.subnormality import ChainWitness
+
+    return ChainWitness(G, tuple(Subgroup(G, elems) for elems in chain), kinds)
+
+
+@pytest.mark.parametrize("chain, kinds, spec", [
+    # wrong length: one step kind too few, one too many
+    (((0, 1), tuple(range(6))), (), SOLUBLE),
+    (((0, 1), tuple(range(6))), ("class-quotient", "normal"), SOLUBLE),
+    # the top is not G
+    (((0,), (0, 1)), ("normal",), SOLUBLE),
+    # a step that is not a containment
+    (((0, 1), (0, 3, 4), tuple(range(6))), ("normal", "normal"), SOLUBLE),
+    # <t> is not normal in S3
+    (((0, 1), tuple(range(6))), ("normal",), SOLUBLE),
+    # 1 has index 6 in S3
+    (((0,), tuple(range(6))), ("prime-index",), None),
+    # S3 modulo the core of <t>, which is trivial, is not nilpotent
+    (((0, 1), tuple(range(6))), ("class-quotient",), NILPOTENT),
+    # a class step needs a spec
+    (((0, 1), tuple(range(6))), ("class-quotient",), None),
+    (((0, 1), tuple(range(6))), ("sideways",), SOLUBLE),
+])
+def test_malformed_chain_witness_fails_verify(s3, chain, kinds, spec):
+    assert not _witness(s3, chain, kinds).verify(spec)
+
+
+@pytest.mark.parametrize("chain, kinds, spec", [
+    (((0, 1), tuple(range(6))), ("class-quotient",), SOLUBLE),
+    (((0, 1), tuple(range(6))), ("prime-index",), None),
+    (((0,), (0, 3, 4), tuple(range(6))), ("prime-index", "normal"), None),
+])
+def test_well_formed_chain_witness_verifies(s3, chain, kinds, spec):
+    assert _witness(s3, chain, kinds).verify(spec)
+
+
 def test_cyclic_primary_subgroups_s3(s3):
     subs = cyclic_primary_subgroups(s3)
     assert [s.elems for s in subs] == [(0, 1), (0, 2), (0, 5), (0, 3, 4)]
