@@ -354,8 +354,8 @@ def _coset_extension(table: Table, elems: tuple[int, ...], gens: tuple[int, ...]
 
 def _normal_product(table: Table, normal: tuple[int, ...],
                     other: tuple[int, ...]) -> tuple[int, ...]:
-    """Element set of N*M for a normal subgroup N and a subgroup M: the
-    union of the cosets m*N, m in M."""
+    """Element set of N*M for subgroups N and M with N normalized by M: the
+    union of the cosets m*N, m in M.  N*M = M*N is then a subgroup."""
     coset = _coset_getter(normal)
     seen = set(normal)
     for m in other:

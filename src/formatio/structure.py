@@ -1,10 +1,22 @@
 """Characteristic subgroups and series built on top of the group core.
 
-The subgroup lattice is enumerated by cyclic extension over the zuppos, the
-cyclic subgroups of prime-power order: each zuppo joins every subgroup found
-before it, one Dimino coset step per join (`groups._coset_extension`, the one
-closure primitive; Holt, Eick and O'Brien, Handbook of Computational Group
-Theory).  Normal products multiply two known subgroups and close nothing.
+The subgroup lattice is enumerated in two phases over the zuppos, the cyclic
+subgroups of prime-power order (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory: cyclic extension, and the prime-index normal
+series of soluble groups).  Phase 1 is cyclic extension inside the soluble
+residual R = G^(oo): each zuppo in R joins every subgroup found before it,
+one Dimino coset step per join (`groups._coset_extension`, the one closure
+primitive).  It finds every subgroup of R, and so every perfect subgroup,
+which lies in each term of the derived series.  Phase 2 climbs by normal
+steps of prime index: a subgroup H and a zuppo generator z outside R and
+outside H that normalizes H, with z^p in H, give H<z> of order p|H|, a
+normal product (`groups._normal_product`) that closes nothing.  A subgroup U
+not inside R has a normal V of prime index p that contains U & R, since
+U/(U & R) ~ UR/R is soluble; the p-part of any u in U outside V gives such a
+z with V<z> = U, so by induction on |U| every subgroup is found.  A visit of
+H skips a z that lies in a join already made from H: that join has order
+p|H| and holds H<z>, so it is H<z>.  The full proof is in `all_subgroups`.
+
 Chief factors are built as sections (`groups.section`), like the core
 quotients of the chain searches.  Normal structure comes from one primitive:
 the normal closures of a normal subgroup N with one element per class outside
@@ -84,20 +96,43 @@ def _over_budget(G: FiniteGroup, budget: int, what: str) -> TooLarge:
 
 
 def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
-    """Enumerate every subgroup by cyclic extension over the zuppos.
+    """Enumerate every subgroup in two phases: zuppo joins inside the soluble
+    residual, then prime-index normal steps.
 
     A zuppo is a cyclic subgroup of prime-power order; it enters as its least
     generator, and the zuppos take turns in a fixed order: larger element
     order first (which makes fewer repeated joins), then by generator.
-    Starting from the trivial subgroup, each zuppo generator z extends every
-    subgroup H found before z's turn that does not contain z to <H, z>, by
-    Dimino's coset step from the generators H was built from.
 
-    Complete: a subgroup U is generated by its zuppos, since each element is
-    the product of its prime-power parts, each of which generates a zuppo.  If
-    z_1, ..., z_k are the zuppo generators lying in U, in turn order,
-    induction on j shows that <z_1, ..., z_j> has been found by the end of
-    z_j's turn; so U = <z_1, ..., z_k> is found.
+    Phase 1 lists the subgroups of the soluble residual R = G^(oo), the last
+    term of G's derived series (trivial when G is soluble).  Starting from
+    the trivial subgroup, each zuppo generator z in R, in turn, extends every
+    subgroup H found before z's turn that does not contain z to <H, z>, by
+    Dimino's coset step from the generators H was built from.  A subgroup U
+    of R is generated by its zuppos, since each element is the product of its
+    prime-power parts; if z_1, ..., z_k are the zuppo generators in U, in
+    turn order, induction on j shows that <z_1, ..., z_j> has been found by
+    the end of z_j's turn, so U is found.
+
+    Phase 2 visits every subgroup H found, including those it appends, and
+    each zuppo generator z outside R in turn order.  It adds <H, z> = H<z>
+    (a normal product) when z is outside H, z^p lies in H for the prime p
+    dividing the order of z, and z normalizes H (conjugating H's generators
+    is enough).  Then <H, z> has order p|H|.
+
+    Complete, by induction on |U|.  If U lies in R, phase 1 found it; every
+    perfect U = U' does, as it lies in each term of the derived series.
+    Otherwise U/(U & R) ~ UR/R, inside G/R, is soluble and nontrivial, so it
+    has a normal subgroup of prime index p, whose preimage V is normal of
+    index p in U and contains U & R.  V is found: it is U & R, or it is not
+    inside R and is smaller than U.  Take u in U outside V.  Its prime-power
+    parts are powers of u, and those for primes other than p lie in V, as
+    U/V has order p; so its p-part lies outside V, and so does the least
+    generator z of that p-part's cyclic subgroup.  So z is outside R, since
+    U & R lies in V; z normalizes V, and z^p lies in V.  The visit of V meets
+    z with <V, z> = U, unless z lies in a join J = V<y> made before from V:
+    then J/V has order q and holds zV, of p-power order, so q = p, and V<z>
+    and J both have order p|V|, so J = U.  That is why a visit skips z when
+    z lies in a join already made from H, and never tries a zuppo inside R.
 
     The enumeration raises TooLarge as soon as it finds more subgroups than
     the module's `subgroup_budget`.  The lattice is memoized per budget, so a
@@ -113,21 +148,44 @@ def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
     order = G.element_order
     zuppos = sorted((z for z in members if len(prime_divisors(order[z])) == 1),
                     key=lambda z: (-order[z], z))
+    residual = frozenset(derived_series(G, tuple(range(G.order)))[-1])
     # element tuple, element set and generators of every subgroup found so far
     found: list[tuple[tuple[int, ...], frozenset[int], tuple[int, ...]]] = [
         ((0,), frozenset((0,)), ())]
     known = {(0,)}
+
+    def add(join: tuple[int, ...], gens: tuple[int, ...]) -> None:
+        if join not in known:
+            known.add(join)
+            if len(known) > budget:
+                raise _over_budget(G, budget, "subgroups")
+            found.append((join, frozenset(join), gens))
+
+    for z in zuppos:  # phase 1: zuppo joins inside the residual
+        if z in residual:
+            for i in range(len(found)):
+                elems, eset, gens = found[i]
+                if z not in eset:
+                    add(_coset_extension(table, elems, gens, z), gens + (z,))
+    # phase 2: prime-index normal steps by the zuppo generators outside the
+    # residual, each with its p-th power and its conjugation h -> z*h*z^-1
+    steps = []
     for z in zuppos:
-        for i in range(len(found)):
-            elems, eset, gens = found[i]
-            if z in eset:
+        if z not in residual:
+            zp = z
+            for _ in range(prime_divisors(order[z])[0] - 1):
+                zp = table[zp][z]
+            zinv = G.inverse[z]
+            steps.append((z, zp, [table[x][zinv] for x in table[z]], members[z]))
+    for elems, eset, gens in found:  # visits the members appended on the way
+        joined: set[int] = set()  # elements of the joins made from this member
+        for z, zp, conj, powers in steps:
+            if z in eset or z in joined or zp not in eset:
                 continue
-            join = _coset_extension(table, elems, gens, z)
-            if join not in known:
-                known.add(join)
-                if len(known) > budget:
-                    raise _over_budget(G, budget, "subgroups")
-                found.append((join, frozenset(join), gens + (z,)))
+            if eset.issuperset(map(conj.__getitem__, gens)):
+                join = _normal_product(table, elems, powers)
+                joined.update(join)
+                add(join, gens + (z,))
     found.sort(key=lambda f: (len(f[0]), f[0]))
     containing = [0] * G.order  # bit j of containing[x]: subgroup j holds x
     for j, (elems, _, _) in enumerate(found):

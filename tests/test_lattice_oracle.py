@@ -4,7 +4,8 @@ The oracles are the earlier, slower algorithms: the lattice closed under joins
 with every cyclic subgroup, containment by an all-pairs subset scan (with the
 maximal intersection and a BFS chain search built on it), and the isolated
 set and pair graph tested on every pair of elements.  The library's
-zuppo-layered lattice, its containment bitmasks, its chain witnesses read off
+two-phase lattice (zuppo joins inside the soluble residual, then prime-index
+normal steps), its containment bitmasks, its chain witnesses read off
 the reach test and its cyclic-subgroup pair tests must give the same results,
 and relabelling a table must move every result along with it.
 """
@@ -19,6 +20,7 @@ from formatio import structure
 from formatio.arith import is_prime, prime_divisors
 from formatio.classes import is_member, parse_spec
 from formatio.constructions import (
+    alternating,
     cyclic,
     direct_product,
     elementary_abelian,
@@ -29,6 +31,7 @@ from formatio.errors import TooLarge
 from formatio.groups import (
     Subgroup,
     _closure,
+    _normal_product,
     _trusted_group,
     build_group,
     is_normal,
@@ -154,7 +157,10 @@ def relabelled(G, seed):
 
 @pytest.fixture(scope="module")
 def large_groups():
-    return [symmetric(5), direct_product(field_action_group(7, 2), cyclic(2))]
+    # A5xZ2 has members neither soluble nor inside its residual A5, such as
+    # A4xZ2: prime-index steps from A5's subgroups by the central involution
+    return [symmetric(5), direct_product(field_action_group(7, 2), cyclic(2)),
+            direct_product(alternating(5), cyclic(2))]
 
 
 def assert_lattice_matches_oracle(G):
@@ -238,6 +244,31 @@ def test_budget_boundary_on_fresh_and_cached_lattice(monkeypatch):
             all_subgroups(fresh)
         monkeypatch.setattr(structure, "subgroup_budget", 30)
         assert len(all_subgroups(fresh)) == 30
+
+
+def test_budget_boundaries_in_each_lattice_phase(monkeypatch):
+    # S5 has 156 subgroups; the 59 inside its residual A5 come from zuppo
+    # joins (phase 1), the rest from prime-index normal steps (phase 2),
+    # each of which is one normal product
+    assert len(all_subgroups(alternating(5))) == 59
+    fresh = _trusted_group(symmetric(5).table, "S5-fresh")
+    products = []
+
+    def counted_product(*args):
+        products.append(args)
+        return _normal_product(*args)
+
+    monkeypatch.setattr(structure, "_normal_product", counted_product)
+    for _ in range(2):
+        for budget, in_phase_2 in ((58, False), (155, True)):
+            products.clear()
+            monkeypatch.setattr(structure, "subgroup_budget", budget)
+            with pytest.raises(TooLarge, match=rf"^S5-fresh has more than {budget} "
+                                               r"subgroups; raise the budget$"):
+                all_subgroups(fresh)
+            assert bool(products) == in_phase_2, budget
+        monkeypatch.setattr(structure, "subgroup_budget", 156)
+        assert len(all_subgroups(fresh)) == 156
 
 
 def test_budget_holds_on_a_cyclic_group(monkeypatch):
