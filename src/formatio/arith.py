@@ -6,6 +6,8 @@ from bisect import bisect_left, bisect_right
 from itertools import chain, compress, islice
 from math import gcd, isqrt
 
+from .errors import UnsupportedParameter
+
 
 def _primes_upto(limit: int) -> list[int]:
     """Every prime up to limit, by the sieve of Eratosthenes over the odd
@@ -66,7 +68,7 @@ def is_prime(n: int) -> bool:
 def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed (nth_prime(1) == 2)."""
     if i < 1:
-        raise ValueError(f"prime index must be >= 1, got {i}")
+        raise UnsupportedParameter(f"prime index must be >= 1, got {i}")
     while len(_PRIMES) < i:
         _sieve(2 * _sieved)
     return _PRIMES[i - 1]
@@ -75,7 +77,7 @@ def nth_prime(i: int) -> int:
 def prime_index(p: int) -> int:
     """Position of the prime p in the increasing enumeration, 1-indexed."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise UnsupportedParameter(f"{p} is not prime")
     if _sieved < p:
         # at least doubling keeps a run of rising primes to few sieves
         _sieve(max(p, 2 * _sieved))
@@ -90,7 +92,7 @@ def factorize(n: int, trial_limit: int | None = None) -> dict[int, int]:
     it is below trial_limit**2.
     """
     if n < 1:
-        raise ValueError(f"cannot factorize {n}")
+        raise UnsupportedParameter(f"cannot factorize {n}")
     out: dict[int, int] = {}
     stop = n if trial_limit is None else trial_limit
     for d in _SMALL_PRIMES:
@@ -127,7 +129,7 @@ def p_part(n: int, p: int) -> int:
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a modulo n; requires gcd(a, n) == 1."""
     if gcd(a, n) != 1:
-        raise ValueError(f"{a} is not invertible modulo {n}")
+        raise UnsupportedParameter(f"{a} is not invertible modulo {n}")
     x = a % n
     k = 1
     while x != 1 % n:

@@ -46,11 +46,14 @@ from .structure import (
 from .supernatural import (
     ExponentFunction,
     Supernatural,
-    check_literal_length,
+    check_nesting,
     divides_int,
     format_supernatural,
+    parse_entries,
     parse_exponent_function,
+    parse_prime,
     parse_supernatural,
+    split_args,
 )
 
 
@@ -822,65 +825,8 @@ _NAMED = {
 }
 
 
-def _split_args(body: str) -> list[str]:
-    """The comma-separated items of an argument list, split at depth 0; a
-    blank body has no items, and an empty item is a syntax error."""
-    if not body.strip():
-        return []
-    parts = []
-    depth = 0
-    current = []
-    for ch in body:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    items = [p.strip() for p in parts]
-    if "" in items:
-        raise SpecSyntaxError(f"empty item in the list {body!r}")
-    return items
-
-
-_MAX_NESTING = 32  # deeper specs would overflow the recursive parser and evaluator
-
-
-def _check_nesting(text: str) -> None:
-    """Reject unbalanced parentheses, and nesting deeper than _MAX_NESTING.
-
-    Well-formed input costs two counts; the depth scan runs only when there
-    are more opening parentheses than the limit.
-    """
-    opened = text.count("(")
-    if opened != text.count(")"):
-        raise SpecSyntaxError(f"unbalanced parenthesis in {text!r}")
-    if opened > _MAX_NESTING:
-        depth = 0
-        for ch in text:
-            depth += (ch == "(") - (ch == ")")
-            if depth > _MAX_NESTING:
-                raise SpecSyntaxError(
-                    f"expression nested deeper than {_MAX_NESTING} levels")
-
-
-def _parse_prime(token: str, context: str) -> int:
-    check_literal_length(token, context)
-    try:
-        p = int(token)
-    except ValueError:
-        raise SpecSyntaxError(f"expected a prime in {context!r}") from None
-    if not is_prime(p):
-        raise SpecSyntaxError(f"{p} is not prime in {context!r}")
-    return p
-
-
 def parse_spec(text: str) -> ClassSpec:
-    _check_nesting(text)
+    check_nesting(text)
     return _parse_spec(text)
 
 
@@ -908,12 +854,12 @@ def _parse_spec(text: str) -> ClassSpec:
                 raise SpecSyntaxError(f"bounded needs 'spec;omega' in {text!r}")
             return ExponentBoundedClass(_parse_spec(spec_text), parse_supernatural(sn_text))
         if head == "prod":
-            args = _split_args(body)
+            args = split_args(body)
             if len(args) != 2:
                 raise SpecSyntaxError(f"prod takes two specs in {text!r}")
             return ProductClass(_parse_spec(args[0]), _parse_spec(args[1]))
         if head == "cap":
-            args = _split_args(body)
+            args = split_args(body)
             if len(args) < 2:
                 raise SpecSyntaxError(f"cap needs at least two specs in {text!r}")
             return IntersectionClass(tuple(_parse_spec(a) for a in args))
@@ -922,41 +868,25 @@ def _parse_spec(text: str) -> ClassSpec:
         if head == "reg":
             return ExponentFormationClass(parse_exponent_function(body))
         if head == "local":
-            entries = []
-            default = None
-            for chunk in _split_args(body):
-                lhs, sep, rhs = chunk.partition("->")
-                if not sep:
-                    raise SpecSyntaxError(f"missing '->' in local entry {chunk!r}")
-                lhs = lhs.strip()
-                inner = _parse_spec(rhs)
-                if lhs == "default":
-                    if default is not None:
-                        raise SpecSyntaxError(f"default repeated in {text!r}")
-                    default = inner
-                else:
-                    p = _parse_prime(lhs, text)
-                    if any(q == p for q, _ in entries):
-                        raise SpecSyntaxError(f"prime {p} repeated in {text!r}")
-                    entries.append((p, inner))
+            entries, default = parse_entries(split_args(body), text, repr(text), _parse_spec)
             if default is None:
                 raise SpecSyntaxError(f"local needs a default entry in {text!r}")
-            return LocalClass(tuple(sorted(entries)), default)
+            return LocalClass(tuple(sorted(entries.items())), default)
         raise SpecSyntaxError(f"unknown spec constructor {head!r}")
     if ":" in s:
         head, _, arg = s.partition(":")
         head = head.strip()
         arg = arg.strip()
         if head == "p_groups":
-            return PGroupsClass(_parse_prime(arg, text))
+            return PGroupsClass(parse_prime(arg, text))
         if head == "p_nilpotent":
-            return PNilpotentClass(_parse_prime(arg, text))
+            return PNilpotentClass(parse_prime(arg, text))
         if head in ("S_pi", "S_pi'"):
             inner = arg[1:-1] if arg.startswith("{") and arg.endswith("}") else arg
-            primes = [_parse_prime(t, text) for t in inner.split(",")]
+            primes = [parse_prime(t, text) for t in inner.split(",")]
             return soluble_pi(primes, complement=head.endswith("'"))
         if head == "sylow_tower":
-            primes = [_parse_prime(t, text) for t in arg.split(">")]
+            primes = [parse_prime(t, text) for t in arg.split(">")]
             return SylowTowerClass(PrimeOrdering(tuple(primes)))
         raise SpecSyntaxError(f"unknown spec family {head!r}")
     raise SpecSyntaxError(f"cannot parse class spec {text!r}")

@@ -39,8 +39,6 @@ from .classes import (
     ClassSpec,
     SOLUBLE,
     VStarClass,
-    _check_nesting,
-    _split_args,
     is_member,
     parse_spec,
     residual,
@@ -57,6 +55,7 @@ from .regularity import (
 from .supernatural import (
     PRIME_HORIZON,
     Supernatural,
+    check_nesting,
     complement,
     decode_supernatural,
     divides,
@@ -67,6 +66,7 @@ from .supernatural import (
     lcm,
     parse_exponent_function,
     parse_supernatural,
+    split_args,
 )
 
 _BUILTIN_GROUPS = {
@@ -252,7 +252,7 @@ def _eval_sn(expr: str, horizon: int):
     if head in ("decode", "complement"):
         parts = [body]
     else:
-        parts = _split_args(body)
+        parts = split_args(body)
         if len(parts) != 2:
             raise FormatioError(f"{head} takes two arguments")
     values = [_eval_sn(part, horizon) for part in parts]
@@ -264,7 +264,7 @@ def _eval_sn(expr: str, horizon: int):
 
 
 def cmd_sn(args) -> int:
-    _check_nesting(args.expression)
+    check_nesting(args.expression)
     value = _eval_sn(args.expression, args.horizon_primes)
     if isinstance(value, bool):
         sys.stdout.write(("true" if value else "false") + "\n")

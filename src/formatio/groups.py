@@ -51,7 +51,7 @@ class FiniteGroup:
     """A finite group: order, multiplication table, inverses, element orders."""
 
     __slots__ = ("name", "order", "table", "inverse", "element_order",
-                 "fingerprint", "_memo", "__weakref__")
+                 "fingerprint", "_memo")
 
     def __init__(self, table: Table, name: str, inverse: Row,
                  element_order: Row, fingerprint: str):

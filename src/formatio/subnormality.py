@@ -95,7 +95,7 @@ def _ups(lattice, node: int):
 def _node(G: FiniteGroup, H: Subgroup) -> int:
     node = all_subgroups(G).index.get(H.elems)
     if node is None:
-        raise ValueError(f"{H!r} is not a subgroup of {G.name}")
+        raise UnsupportedParameter(f"{H!r} is not a subgroup of {G.name}")
     return node
 
 

@@ -12,6 +12,10 @@ functions and single supernatural numbers interleaves all (p, q) positions
 through a fixed pairing bijection; the encoded value is exact at every
 position up to a horizon (default `PRIME_HORIZON`) and exact lazily at any
 position via `encode_value_at`.
+
+The text rules every grammar shares live here too: prime literals
+(`parse_prime`), `P->value` lists (`parse_entries`), argument lists and the
+nesting check.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ def _check_exponent(e: Exponent) -> Exponent:
         return INF
     if isinstance(e, int) and e >= 0:
         return e
-    raise ValueError(f"exponent must be a natural number or inf, got {e!r}")
+    raise UnsupportedParameter(f"exponent must be a natural number or inf, got {e!r}")
 
 
 @record
@@ -60,17 +64,17 @@ class Supernatural:
 
     def __post_init__(self):
         if self.default not in (0, INF):
-            raise ValueError("default exponent must be 0 or inf")
+            raise UnsupportedParameter("default exponent must be 0 or inf")
         last = 0
         for p, e in self.explicit:
             if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise UnsupportedParameter(f"{p} is not prime")
             if p <= last:
-                raise ValueError("explicit primes must be strictly increasing")
+                raise UnsupportedParameter("explicit primes must be strictly increasing")
             last = p
             _check_exponent(e)
             if e == self.default:
-                raise ValueError(f"non-canonical entry {p}^{e} equals the default")
+                raise UnsupportedParameter(f"non-canonical entry {p}^{e} equals the default")
 
     def v(self, p: int) -> Exponent:
         """The exponent of the prime p."""
@@ -106,7 +110,7 @@ FULL = Supernatural((), INF)
 
 def from_int(n: int) -> Supernatural:
     if n < 1:
-        raise ValueError(f"natural numbers start at 1, got {n}")
+        raise UnsupportedParameter(f"natural numbers start at 1, got {n}")
     return make_supernatural({p: e for p, e in factorize(n).items()})
 
 
@@ -152,7 +156,7 @@ def is_natural(omega: Supernatural) -> bool:
 
 def to_int(omega: Supernatural) -> int:
     if not is_natural(omega):
-        raise ValueError(f"{omega} is not a natural number")
+        raise UnsupportedParameter(f"{omega} is not a natural number")
     if sum(e * log10(p) for p, e in omega.explicit) >= MAX_DECIMAL_DIGITS:
         raise TooLarge(f"natural number with more than {MAX_DECIMAL_DIGITS} decimal digits")
     n = 1
@@ -186,7 +190,7 @@ def _pairs_before(s: int) -> int:
 def pair_components(i: int) -> tuple[int, int]:
     """The pair enumerated at index i >= 1."""
     if i < 1:
-        raise ValueError(f"pair index must be >= 1, got {i}")
+        raise UnsupportedParameter(f"pair index must be >= 1, got {i}")
     s = max(3, isqrt(2 * i))  # _pairs_before(s) is about s*s/2
     while _pairs_before(s) >= i:
         s -= 1
@@ -201,7 +205,7 @@ def pair_components(i: int) -> tuple[int, int]:
 def pair_index(n1: int, n2: int) -> int:
     """Index of the pair (n1, n2); inverse of pair_components."""
     if n1 < 1 or n2 < 1:
-        raise ValueError("pair entries must be >= 1")
+        raise UnsupportedParameter("pair entries must be >= 1")
     if n1 == n2:
         raise DiagonalPair(f"({n1}, {n2}) lies on the diagonal")
     s = n1 + n2
@@ -265,16 +269,18 @@ def make_exponent_function(values: dict[int, Supernatural],
     return ExponentFunction(explicit, default)
 
 
-def ef_join(f1: ExponentFunction, f2: ExponentFunction) -> ExponentFunction:
+def _ef_pointwise(f1: ExponentFunction, f2: ExponentFunction, pick) -> ExponentFunction:
     primes = {p for p, _ in f1.explicit} | {p for p, _ in f2.explicit}
-    values = {p: lcm(f1.at(p), f2.at(p)) for p in primes}
-    return make_exponent_function(values, default=lcm(f1.default, f2.default))
+    values = {p: pick(f1.at(p), f2.at(p)) for p in primes}
+    return make_exponent_function(values, default=pick(f1.default, f2.default))
+
+
+def ef_join(f1: ExponentFunction, f2: ExponentFunction) -> ExponentFunction:
+    return _ef_pointwise(f1, f2, lcm)
 
 
 def ef_meet(f1: ExponentFunction, f2: ExponentFunction) -> ExponentFunction:
-    primes = {p for p, _ in f1.explicit} | {p for p, _ in f2.explicit}
-    values = {p: gcd(f1.at(p), f2.at(p)) for p in primes}
-    return make_exponent_function(values, default=gcd(f1.default, f2.default))
+    return _ef_pointwise(f1, f2, gcd)
 
 
 def encode_value_at(f: ExponentFunction, i: int) -> Exponent:
@@ -325,6 +331,7 @@ def decode_supernatural(omega: Supernatural) -> ExponentFunction:
 #   factors        ::= prime ["^" (INT|"inf")] ("*" factors)*
 #   exponent fn    ::= entry ("," entry)*   with  entry ::= prime "->" sn
 #                      and an optional "default->" sn entry
+#   prime          ::= a decimal prime of at most MAX_LITERAL_DIGITS digits
 
 
 def format_supernatural(omega: Supernatural) -> str:
@@ -353,6 +360,88 @@ def check_literal_length(token: str, text: str) -> None:
     if len(token.strip()) > MAX_LITERAL_DIGITS:
         raise SpecSyntaxError(
             f"integer literal longer than {MAX_LITERAL_DIGITS} digits in {text!r}")
+
+
+def parse_prime(token: str, text: str) -> int:
+    """The prime literal `token`, read from the expression `text`."""
+    check_literal_length(token, text)
+    try:
+        p = int(token)
+    except ValueError:
+        raise SpecSyntaxError(f"expected a prime in {text!r}") from None
+    if not is_prime(p):
+        raise SpecSyntaxError(f"{p} is not prime in {text!r}")
+    return p
+
+
+def parse_entries(items: list[str], text: str, where: str, parse_value):
+    """The `P->value` items of a list, read from the expression `text`, as
+    ({p: value}, the `default->` value or None when there is none); `where`
+    names the list in the message for a repeated key."""
+    values = {}
+    default = None
+    for item in items:
+        lhs, sep, rhs = item.partition("->")
+        if not sep:
+            raise SpecSyntaxError(f"missing '->' in entry {item!r}")
+        lhs = lhs.strip()
+        value = parse_value(rhs)
+        if lhs == "default":
+            if default is not None:
+                raise SpecSyntaxError(f"default repeated in {where}")
+            default = value
+        else:
+            p = parse_prime(lhs, text)
+            if p in values:
+                raise SpecSyntaxError(f"prime {p} repeated in {where}")
+            values[p] = value
+    return values, default
+
+
+def split_args(body: str) -> list[str]:
+    """The comma-separated items of an argument list, split at depth 0; a
+    blank body has no items, and an empty item is a syntax error."""
+    if not body.strip():
+        return []
+    parts = []
+    depth = 0
+    current = []
+    for ch in body:
+        if ch in "({":
+            depth += 1
+        elif ch in ")}":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    items = [p.strip() for p in parts]
+    if "" in items:
+        raise SpecSyntaxError(f"empty item in the list {body!r}")
+    return items
+
+
+MAX_NESTING = 32  # deeper specs would overflow the recursive parser and evaluator
+
+
+def check_nesting(text: str) -> None:
+    """Reject unbalanced parentheses, and nesting deeper than MAX_NESTING.
+
+    Well-formed input costs two counts; the depth scan runs only when there
+    are more opening parentheses than the limit.
+    """
+    opened = text.count("(")
+    if opened != text.count(")"):
+        raise SpecSyntaxError(f"unbalanced parenthesis in {text!r}")
+    if opened > MAX_NESTING:
+        depth = 0
+        for ch in text:
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise SpecSyntaxError(
+                    f"expression nested deeper than {MAX_NESTING} levels")
 
 
 def _parse_decimal(n: int, text: str) -> Supernatural:
@@ -393,13 +482,7 @@ def parse_supernatural(text: str) -> Supernatural:
     values: dict[int, Exponent] = {}
     for factor in s.split("*"):
         base, caret, exp = factor.partition("^")
-        check_literal_length(base, text)
-        try:
-            p = int(base)
-        except ValueError:
-            raise SpecSyntaxError(f"bad prime {base!r} in {text!r}") from None
-        if not is_prime(p):
-            raise SpecSyntaxError(f"{p} is not prime in {text!r}")
+        p = parse_prime(base, text)
         if p in values:
             raise SpecSyntaxError(f"prime {p} repeated in {text!r}")
         if caret and not exp:
@@ -432,30 +515,9 @@ def parse_exponent_function(text: str) -> ExponentFunction:
         s = s[2:]
     if not s.strip():
         raise SpecSyntaxError(f"empty exponent function literal {text!r}")
-    values: dict[int, Supernatural] = {}
-    default = ONE
-    seen_default = False
-    for chunk in s.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            raise SpecSyntaxError(f"empty entry in exponent function {text!r}")
-        lhs, sep, rhs = chunk.partition("->")
-        if not sep:
-            raise SpecSyntaxError(f"missing '->' in entry {chunk!r}")
-        lhs = lhs.strip()
-        omega = parse_supernatural(rhs)
-        if lhs == "default":
-            if seen_default:
-                raise SpecSyntaxError("default repeated in exponent function")
-            default = omega
-            seen_default = True
-            continue
-        check_literal_length(lhs, text)
-        try:
-            p = int(lhs)
-        except ValueError:
-            raise SpecSyntaxError(f"bad prime {lhs!r} in exponent function") from None
-        if p in values:
-            raise SpecSyntaxError(f"prime {p} repeated in exponent function")
-        values[p] = omega
-    return make_exponent_function(values, default=default)
+    # values hold no ',' or parenthesis, so a plain split finds the entries
+    items = [chunk.strip() for chunk in s.split(",")]
+    if "" in items:
+        raise SpecSyntaxError(f"empty entry in exponent function {text!r}")
+    values, default = parse_entries(items, text, "exponent function", parse_supernatural)
+    return make_exponent_function(values, ONE if default is None else default)

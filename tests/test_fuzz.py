@@ -2,8 +2,9 @@
 
 Spec texts follow the grammar comment above `classes._NAMED`; every one must
 parse, and its canonical text must parse back to the same spec.  `sn`
-expressions nest every operation over valid and malformed literals; each must
-end in a result or in exactly one `error:` line, never in a traceback.
+expressions nest every operation over valid and malformed literals, and
+`local(...)` and `reg(...)` entry lists carry malformed entries; each must end
+in a result or in exactly one `error:` line, never in a traceback.
 """
 
 from __future__ import annotations
@@ -135,6 +136,56 @@ def test_sn_prints_a_result_or_one_error_line(expr):
         code = main(["sn", expr])
     if code == 0:
         assert err.getvalue() == "" and out.getvalue().count("\n") == 1
+    else:
+        assert code == 1 and out.getvalue() == ""
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+
+
+# Keys that are not primes of at most 12 digits
+BAD_KEYS = ("1", "4", "0", "-3", "x", "", "2 3", "1234567890123")
+FAULTS = ("missing '->'", "repeated prime", "repeated default", "bad key", "empty item")
+
+
+@st.composite
+def _entry_lists(draw, head, value, default_value):
+    """`head(P->value,...,default->value)`, and whether one fault was put in
+    its list: a missing '->', a repeated prime or default, a key that is not
+    a prime of at most 12 digits, or an empty item."""
+    primes = draw(st.lists(PRIMES, min_size=1, max_size=3, unique=True))
+    entries = [f"{p}->{draw(value(p))}" for p in primes]
+    entries.append(f"default->{draw(default_value)}")
+    fault = draw(st.sampled_from(FAULTS + (None,)))
+    i = draw(st.integers(0, len(entries) - 1))
+    if fault == "missing '->'":
+        entries[i] = entries[i].replace("->", draw(st.sampled_from(("", "-", ">", "=>"))))
+    elif fault == "repeated prime":
+        entries.append(entries[0])
+    elif fault == "repeated default":
+        entries.append(entries[-1])
+    elif fault == "bad key":
+        entries[i] = draw(st.sampled_from(BAD_KEYS)) + entries[i][entries[i].index("->"):]
+    elif fault == "empty item":
+        entries.insert(i, "")
+    return f"{head}({','.join(draw(st.permutations(entries)))})", fault is not None
+
+
+ENTRY_LIST_SPECS = st.one_of(
+    _entry_lists("local", lambda p: st.sampled_from(NAMED), st.sampled_from(NAMED)),
+    _entry_lists("reg", lambda p: SUFFIXES.map(lambda suffix: f"{p}^inf{suffix}"),
+                 st.sampled_from(("1", "full", "2^3", "5;default=inf"))),
+)
+
+
+@settings(derandomize=True, deadline=1000, max_examples=100)
+@given(ENTRY_LIST_SPECS)
+def test_check_rejects_a_faulty_entry_list_in_one_error_line(case):
+    text, faulty = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["check", "Z1", text])
+    if not faulty:
+        assert code == 0 and err.getvalue() == ""
     else:
         assert code == 1 and out.getvalue() == ""
         (line,) = err.getvalue().splitlines()
