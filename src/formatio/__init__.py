@@ -5,132 +5,31 @@ group classes whose membership is decided structurally.  The package computes
 isolated sets and maximal-member intersections, subnormal chain witnesses,
 chief series and hypercenters, and the supernatural-number lattice that
 indexes the exponent-defined classes.
+
+Importing the package loads none of its modules.  `from formatio import X`
+loads a submodule X, or else the library modules in the order of `_MODULES`
+until one defines the public name X (PEP 562).
 """
 
-from .groups import (
-    FiniteGroup,
-    GroupHom,
-    Subgroup,
-    build_group,
-    center,
-    centralizer,
-    direct_product,
-    generated_subgroup,
-    group_from_json,
-    group_to_json,
-    is_isomorphic,
-    isomorphism,
-    normal_closure,
-    normal_core,
-    quotient,
-    semidirect_product,
-    subgroup,
-)
-from .constructions import (
-    CatalogConfig,
-    CatalogEntry,
-    alternating,
-    build_catalog,
-    cyclic,
-    dihedral,
-    elementary_abelian,
-    field_action_group,
-    lint_catalog,
-    quaternion,
-    read_catalog,
-    symmetric,
-    write_catalog,
-)
-from .structure import (
-    ChiefSeries,
-    SubgroupLattice,
-    all_subgroups,
-    chief_factor_group,
-    chief_series,
-    class_exponent,
-    exponent,
-    frattini,
-    frattini_socle,
-    hypercenter,
-    maximal_subgroups,
-    minimal_normal_subgroups,
-    normal_subgroups,
-    socle,
-    soluble_radical,
-)
-from .classes import (
-    ABELIAN,
-    ALL_GROUPS,
-    NILPOTENT,
-    SOLUBLE,
-    SUPERSOLUBLE,
-    TRIVIAL,
-    V_SUPERSOLUBLE,
-    ClassSpec,
-    PrimeOrdering,
-    cap,
-    exponent_formation_member,
-    is_member,
-    is_minimal_non,
-    is_schmidt,
-    is_strongly_critical,
-    local_member,
-    p_groups,
-    p_nilpotent,
-    parse_spec,
-    product_member,
-    regular_formation,
-    residual,
-    sigma,
-    soluble_pi,
-    sylow_tower,
-    vstar,
-)
-from .subnormality import (
-    ChainWitness,
-    cyclic_primary_subgroups,
-    is_k_subnormal,
-    is_prime_index_subnormal,
-    k_subnormal_chain,
-    prime_index_chain,
-    vstar_member,
-    vu_member,
-)
-from .regularity import (
-    NonClassGraph,
-    RegularityReport,
-    graph_to_dot,
-    is_theorem_backed_regular,
-    isolated_set,
-    maximal_intersection,
-    non_class_graph,
-    regularity_sweep,
-)
-from .supernatural import (
-    FULL,
-    INF,
-    ONE,
-    ExponentFunction,
-    Supernatural,
-    complement,
-    decode_supernatural,
-    divides,
-    ef_join,
-    ef_meet,
-    encode_function,
-    from_int,
-    gcd,
-    is_complete,
-    is_natural,
-    lcm,
-    make_exponent_function,
-    make_supernatural,
-    pair_components,
-    pair_index,
-    parse_exponent_function,
-    parse_supernatural,
-    prime_power,
-    to_int,
-)
+import importlib
+import importlib.util
+from types import ModuleType
 
 __version__ = "0.1.0"
+
+_MODULES = ("groups", "constructions", "structure", "classes", "subnormality",
+            "regularity", "supernatural")
+
+
+def __getattr__(name: str):
+    if name.isidentifier() and importlib.util.find_spec(f"{__name__}.{name}"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if not name.startswith("_"):
+        for module_name in _MODULES:
+            module = importlib.import_module(f"{__name__}.{module_name}")
+            value = getattr(module, name, module)
+            home = getattr(value, "__module__", module.__name__)
+            # a name a module imports (math, or groups' math.gcd) is not its own
+            if not isinstance(value, ModuleType) and home == module.__name__:
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

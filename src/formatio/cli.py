@@ -53,6 +53,7 @@ from .regularity import (
     report_to_text,
 )
 from .supernatural import (
+    MAX_DECIMAL_DIGITS,
     PRIME_HORIZON,
     Supernatural,
     check_nesting,
@@ -64,6 +65,7 @@ from .supernatural import (
     format_supernatural,
     gcd,
     lcm,
+    parse_digits,
     parse_exponent_function,
     parse_supernatural,
     split_args,
@@ -76,8 +78,8 @@ _BUILTIN_GROUPS = {
 }
 
 
-_BUILDER_TOKENS = ((r"Z(\d+)", cyclic), (r"D(\d+)", dihedral),
-                   (r"E\((\d+)\|(\d+)\)", field_action_group))
+_BUILDER_TOKENS = ((r"Z([0-9]+)", cyclic), (r"D([0-9]+)", dihedral),
+                   (r"E\(([0-9]+)\|([0-9]+)\)", field_action_group))
 
 
 def _resolve_group(token: str, catalog_dir: str | None) -> FiniteGroup:
@@ -287,9 +289,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least_one(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
+    n = parse_digits(text, text, MAX_DECIMAL_DIGITS)
+    if n is None or n < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,9 +13,9 @@ through a fixed pairing bijection; the encoded value is exact at every
 position up to a horizon (default `PRIME_HORIZON`) and exact lazily at any
 position via `encode_value_at`.
 
-The text rules every grammar shares live here too: prime literals
-(`parse_prime`), `P->value` lists (`parse_entries`), argument lists and the
-nesting check.
+The text rules every grammar shares live here too: numbers in ASCII digits
+(`parse_digits`), prime literals (`parse_prime`), `P->value` lists
+(`parse_entries`), argument lists and the nesting check.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ Exponent = int | float  # a natural number or INF
 # 0.1 s (the time grows tenfold with every two digits more).
 TRIAL_LIMIT = 10**6
 MAX_LITERAL_DIGITS = 12
-# CPython's default limit on the digits of an int converted to a string.
+# CPython's default limit on the digits of an int converted to a string, and
+# the bound on the digits of a decimal literal.
 MAX_DECIMAL_DIGITS = 4300
 # Positions of the pairing codec that `encode_function` materializes.
 PRIME_HORIZON = 128
@@ -332,6 +333,8 @@ def decode_supernatural(omega: Supernatural) -> ExponentFunction:
 #   exponent fn    ::= entry ("," entry)*   with  entry ::= prime "->" sn
 #                      and an optional "default->" sn entry
 #   prime          ::= a decimal prime of at most MAX_LITERAL_DIGITS digits
+#   INT            ::= ASCII digits, at most MAX_LITERAL_DIGITS of them in an
+#                      exponent and MAX_DECIMAL_DIGITS in a decimal
 
 
 def format_supernatural(omega: Supernatural) -> str:
@@ -355,20 +358,21 @@ def format_supernatural(omega: Supernatural) -> str:
     return body
 
 
-def check_literal_length(token: str, text: str) -> None:
-    """Reject a prime or exponent literal longer than MAX_LITERAL_DIGITS characters."""
-    if len(token.strip()) > MAX_LITERAL_DIGITS:
-        raise SpecSyntaxError(
-            f"integer literal longer than {MAX_LITERAL_DIGITS} digits in {text!r}")
+def parse_digits(token: str, text: str, max_digits: int = MAX_LITERAL_DIGITS) -> int | None:
+    """The number `token` writes in ASCII digits, read from the expression
+    `text`, or None when it holds anything else (a sign, a `_`, another
+    script's digit); more than `max_digits` characters is a syntax error."""
+    token = token.strip()
+    if len(token) > max_digits:
+        raise SpecSyntaxError(f"integer literal longer than {max_digits} digits in {text!r}")
+    return int(token) if token.isascii() and token.isdigit() else None
 
 
 def parse_prime(token: str, text: str) -> int:
     """The prime literal `token`, read from the expression `text`."""
-    check_literal_length(token, text)
-    try:
-        p = int(token)
-    except ValueError:
-        raise SpecSyntaxError(f"expected a prime in {text!r}") from None
+    p = parse_digits(token, text)
+    if p is None:
+        raise SpecSyntaxError(f"expected a prime in {text!r}")
     if not is_prime(p):
         raise SpecSyntaxError(f"{p} is not prime in {text!r}")
     return p
@@ -472,10 +476,9 @@ def parse_supernatural(text: str) -> Supernatural:
             raise SpecSyntaxError(f"bad supernatural suffix {suffix!r}")
         s = body
     if "^" not in s and "*" not in s:
-        try:
-            n = int(s)
-        except ValueError:
-            raise SpecSyntaxError(f"bad supernatural literal {text!r}") from None
+        n = parse_digits(s, text, MAX_DECIMAL_DIGITS)
+        if n is None:
+            raise SpecSyntaxError(f"bad supernatural literal {text!r}")
         if n < 1:
             raise SpecSyntaxError(f"supernatural literal {text!r} is below 1")
         return Supernatural(_parse_decimal(n, text).explicit, default)
@@ -492,13 +495,9 @@ def parse_supernatural(text: str) -> Supernatural:
         elif exp == "inf":
             e = INF
         else:
-            check_literal_length(exp, text)
-            try:
-                e = int(exp)
-            except ValueError:
-                raise SpecSyntaxError(f"bad exponent {exp!r} in {text!r}") from None
-            if e < 0:
-                raise SpecSyntaxError(f"negative exponent in {text!r}")
+            e = parse_digits(exp, text)
+            if e is None:
+                raise SpecSyntaxError(f"bad exponent {exp!r} in {text!r}")
         values[p] = e
     return make_supernatural(values, default=default)
 

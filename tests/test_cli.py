@@ -325,6 +325,34 @@ def test_limit_flags_below_one_are_usage_errors(capsys):
             assert ">= 1" in err
 
 
+@pytest.mark.parametrize("value", ["٣", "３", "³", "+3", "1_0"])
+def test_limit_flags_take_ascii_digits_only(capsys, value):
+    for flag, argv in (("--budget-subgroups", ("--budget-subgroups", value, "sn", "1")),
+                       ("--max-order", ("sweep", "--spec", "N", "--max-order", value))):
+        code, err = usage_error(capsys, *argv)
+        assert code == 1, argv
+        assert err.endswith(f"error: argument {flag}: expected an integer >= 1, got {value!r}\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("check", "Z1", "p_groups:1_1"), "expected a prime in 'p_groups:1_1'"),
+    (("check", "Z1", "p_groups:+3"), "expected a prime in 'p_groups:+3'"),
+    (("check", "Z1", "p_groups:٣"), "expected a prime in 'p_groups:٣'"),
+    (("check", "Z1", "S(２^inf)"), "expected a prime in '２^inf'"),
+    (("check", "Z1", "S(1_000)"), "bad supernatural literal '1_000'"),
+    (("check", "Z1", "reg(+3->3^inf)"), "expected a prime in '+3->3^inf'"),
+    (("sn", "2^1_0"), "bad exponent '1_0' in '2^1_0'"),
+    (("sn", "+3"), "bad supernatural literal '+3'"),
+    (("check", "E(٤|٣)", "N"), "cannot resolve group 'E(٤|٣)'; give a builder name "
+     "(S3, A4, Z12, D6, Q8, E(4|3), ...), a .json file, or a catalog name with --catalog"),
+    (("check", "Z٣", "N"), "cannot resolve group 'Z٣'; give a builder name "
+     "(S3, A4, Z12, D6, Q8, E(4|3), ...), a .json file, or a catalog name with --catalog"),
+])
+def test_numeric_literals_take_ascii_digits_only(capsys, monkeypatch, argv, err):
+    monkeypatch.delenv("FORMATIO_CATALOG", raising=False)
+    assert run_cli(capsys, *argv) == (1, "", f"error: {err}\n")
+
+
 def test_argparse_usage_error_exits_1(capsys):
     code, err = usage_error(capsys, "check", "S3")
     assert code == 1

@@ -4,15 +4,19 @@ Spec texts follow the grammar comment above `classes._NAMED`; every one must
 parse, and its canonical text must parse back to the same spec.  `sn`
 expressions nest every operation over valid and malformed literals, and
 `local(...)` and `reg(...)` entry lists carry malformed entries; each must end
-in a result or in exactly one `error:` line, never in a traceback.
+in a result or in exactly one `error:` line, never in a traceback.  A number in
+a valid spec, `sn` text or builder token that gains a sign, a `_` or a digit
+outside ASCII must end in one `error:` line, although Python's `int()` would
+read it.
 """
 
 from __future__ import annotations
 
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from formatio.classes import parse_spec
 from formatio.cli import main
@@ -190,3 +194,56 @@ def test_check_rejects_a_faulty_entry_list_in_one_error_line(case):
         assert code == 1 and out.getvalue() == ""
         (line,) = err.getvalue().splitlines()
         assert line.startswith("error: ")
+
+
+# 0-9 in Arabic-Indic, fullwidth and superscript digits
+OTHER_DIGITS = ("٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+BUILDER_TOKENS = ("Z1", "Z12", "D3", "D6", "E(4|3)", "E(3|7)")
+
+
+@st.composite
+def _near_miss(draw, texts):
+    """A text from `texts` with one of its numbers written as a near miss: a
+    sign before it, a `_` between its digits (after a leading 0 when it has
+    one digit), or one digit from another script."""
+    text = draw(texts)
+    runs = list(re.finditer("[0-9]+", text))
+    assume(runs)
+    run = draw(st.sampled_from(runs))
+    digits = run.group()
+    kind = draw(st.sampled_from(("sign", "underscore", "digit")))
+    if kind == "sign":
+        digits = draw(st.sampled_from("+-")) + digits
+    elif kind == "underscore":
+        digits = digits if len(digits) > 1 else "0" + digits
+        i = draw(st.integers(1, len(digits) - 1))
+        digits = f"{digits[:i]}_{digits[i:]}"
+    else:
+        i = draw(st.integers(0, len(digits) - 1))
+        digits = digits[:i] + draw(st.sampled_from(OTHER_DIGITS))[int(digits[i])] + digits[i + 1:]
+    return text[:run.start()] + digits + text[run.end():]
+
+
+SN_TEXTS = st.recursive(
+    supernatural_texts(),
+    lambda children: st.one_of(
+        st.builds("{}({},{})".format, st.sampled_from(("lcm", "gcd", "divides")),
+                  children, children),
+        exponent_function_texts().map("encode({})".format)),
+    max_leaves=3)
+NEAR_MISS_ARGV = st.one_of(
+    _near_miss(SPEC_TEXTS).map(lambda spec: ["check", "Z1", spec]),
+    _near_miss(SN_TEXTS).map(lambda expr: ["sn", "--", expr]),
+    _near_miss(st.sampled_from(BUILDER_TOKENS)).map(lambda group: ["check", group, "N"]),
+)
+
+
+@settings(derandomize=True, deadline=1000, max_examples=200)
+@given(NEAR_MISS_ARGV)
+def test_near_miss_number_is_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 1 and out.getvalue() == ""
+    (line,) = err.getvalue().splitlines()
+    assert line.startswith("error: ")
