@@ -24,15 +24,10 @@ from pathlib import Path
 from . import structure
 from .constructions import (
     CatalogConfig,
-    alternating,
     build_catalog,
-    cyclic,
-    dihedral,
-    field_action_group,
-    quaternion,
+    named_group,
     read_catalog,
     read_catalog_entry,
-    symmetric,
     write_catalog,
 )
 from .classes import (
@@ -43,8 +38,8 @@ from .classes import (
     parse_spec,
     residual,
 )
-from .errors import FormatioError, TooLarge
-from .groups import MAX_ORDER, FiniteGroup, group_from_json
+from .errors import FormatioError
+from .groups import FiniteGroup, group_from_json
 from .regularity import (
     ROW_SWEEPS,
     graph_to_dot,
@@ -71,33 +66,14 @@ from .supernatural import (
     split_args,
 )
 
-_BUILTIN_GROUPS = {
-    "S3": lambda: symmetric(3), "S4": lambda: symmetric(4),
-    "S5": lambda: symmetric(5), "A4": lambda: alternating(4),
-    "A5": lambda: alternating(5), "Q8": quaternion,
-}
-
-
-_BUILDER_TOKENS = ((r"Z([0-9]+)", cyclic), (r"D([0-9]+)", dihedral),
-                   (r"E\(([0-9]+)\|([0-9]+)\)", field_action_group))
-
 
 def _resolve_group(token: str, catalog_dir: str | None) -> FiniteGroup:
     path = Path(token)
     if path.suffix == ".json" and path.exists():
-        return group_from_json(path.read_text(encoding="utf-8"))
-    if token in _BUILTIN_GROUPS:
-        return _BUILTIN_GROUPS[token]()
-    for pattern, builder in _BUILDER_TOKENS:
-        if m := re.fullmatch(pattern, token):
-            params = [x.lstrip("0") or "0" for x in m.groups()]
-            # int() refuses digit strings past Python's int-string limit,
-            # which is at least 640; a builder's order is at least each of its
-            # parameters, so such a parameter is far above the cap
-            if max(map(len, params)) > 640:
-                raise TooLarge(f"a parameter of {token[:16]}... exceeds the order "
-                               f"cap {MAX_ORDER}")
-            return builder(*map(int, params))
+        return group_from_json(path.read_bytes())
+    G = named_group(token)
+    if G is not None:
+        return G
     if catalog_dir:
         entry = read_catalog_entry(catalog_dir, token)
         if entry is not None:

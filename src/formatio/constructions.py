@@ -1,5 +1,12 @@
 """Builders for the standard small groups and a persisted, tagged catalog.
 
+Every group is built one of three ways: as the listed elements of a
+permutation group (`symmetric`, `alternating`, `quaternion`), as a direct
+product of cyclic groups (`elementary_abelian` and the catalog's abelian
+groups), or as a semidirect product (`dihedral`, `field_action_group`).
+`named_group` is the one table from builder tokens (S3, Z12, D6, E(4|3),
+...) to groups; the CLI and the catalog's products both read it.
+
 Every builder is deterministic.  E-type groups (an elementary abelian group
 extended by a cyclic group of coprime order acting by field multiplication)
 use the lexicographically least monic irreducible polynomial and the least
@@ -11,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from functools import reduce
 from itertools import permutations
 from pathlib import Path
 
@@ -24,6 +33,7 @@ from .groups import (
     group_from_json,
     group_to_json,
     is_isomorphic,
+    parse_json,
     semidirect_product,
 )
 from .records import record
@@ -34,12 +44,35 @@ def cyclic(n: int) -> FiniteGroup:
         raise UnsupportedParameter(f"cyclic order must be >= 1, got {n}")
     if n > MAX_ORDER:
         raise TooLarge(f"order {n} exceeds cap {MAX_ORDER}")
-    rows = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return _trusted_group(rows, name=f"Z{n}")
+    elems = tuple(range(n))
+    return _trusted_group(tuple(elems[i:] + elems[:i] for i in range(n)), name=f"Z{n}")
+
+
+def _renamed(G: FiniteGroup, name: str) -> FiniteGroup:
+    """G's table under another name, with its bookkeeping shared."""
+    return FiniteGroup(G.table, name, G.inverse, G.element_order, G.fingerprint)
+
+
+def _cyclic_product(orders, name: str) -> FiniteGroup:
+    """Z_q1 x Z_q2 x ... for the listed orders, encoded by `direct_product`:
+    the element with coordinates (c1, c2, ...) is c1*q2*q3*... + c2*q3*... + ..."""
+    return _renamed(reduce(direct_product, map(cyclic, orders)), name)
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation a*b, which maps x to a[b[x]]."""
+    return tuple(a[x] for x in b)
+
+
+def _permutation_group(perms, name: str) -> FiniteGroup:
+    """The group of the listed permutations of 0..m-1, identity first."""
+    index = {p: i for i, p in enumerate(perms)}
+    rows = tuple(tuple(index[_compose(a, b)] for b in perms) for a in perms)
+    return _trusted_group(rows, name)
 
 
 def elementary_abelian(p: int, d: int) -> FiniteGroup:
-    """(Z_p)^d with vectors encoded as base-p digit strings."""
+    """(Z_p)^d, element i the vector of i's d base-p digits."""
     if d >= 1 and p > MAX_ORDER:  # the order p^d is at least p
         raise TooLarge(f"E{p}^{d} has order at least {p} above the cap {MAX_ORDER}")
     if not is_prime(p):
@@ -49,92 +82,46 @@ def elementary_abelian(p: int, d: int) -> FiniteGroup:
     n = p ** d
     if n > MAX_ORDER:
         raise TooLarge(f"order {n} exceeds cap {MAX_ORDER}")
-
-    def add(a: int, b: int) -> int:
-        out = 0
-        mult = 1
-        for _ in range(d):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    rows = tuple(tuple(add(i, j) for j in range(n)) for i in range(n))
-    return _trusted_group(rows, name=f"E{p}^{d}")
+    return _cyclic_product((p,) * d, f"E{p}^{d}")
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Symmetries of the regular n-gon, order 2n; elements r^i and r^i*s."""
+    """Symmetries of the regular n-gon, order 2n: Z_n x| Z_2 with the
+    reflection acting by negation, so r^i is 2i and r^i*s is 2i+1."""
     if n < 3:
         raise UnsupportedParameter(f"dihedral needs n >= 3, got {n}")
     if 2 * n > MAX_ORDER:
         raise TooLarge(f"order {2 * n} exceeds cap {MAX_ORDER}")
-
-    # encode r^i as 2i, r^i s as 2i+1
-    def mul(a: int, b: int) -> int:
-        i, fa = divmod(a, 2)
-        j, fb = divmod(b, 2)
-        if fa == 0:
-            return ((i + j) % n) * 2 + fb
-        return ((i - j) % n) * 2 + (1 - fb)
-
-    rows = tuple(tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n))
-    return _trusted_group(rows, name=f"D{n}")
+    rotations = cyclic(n)
+    action = (tuple(range(n)), rotations.inverse)
+    return _renamed(semidirect_product(rotations, cyclic(2), action), f"D{n}")
 
 
 def quaternion() -> FiniteGroup:
-    """The quaternion group of order 8 on {1,-1,i,-i,j,-j,k,-k}."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {("1", "1"): "1", ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-            ("i", "j"): "k", ("j", "i"): "-k", ("j", "k"): "i", ("k", "j"): "-i",
-            ("k", "i"): "j", ("i", "k"): "-j"}
-
-    def unit_mul(a: str, b: str) -> str:
-        sa, ua = (-1, a[1:]) if a.startswith("-") else (1, a)
-        sb, ub = (-1, b[1:]) if b.startswith("-") else (1, b)
-        if ua == "1":
-            prod = ub
-        elif ub == "1":
-            prod = ua
-        else:
-            prod = base[(ua, ub)]
-        s = sa * sb
-        if prod.startswith("-"):
-            prod, s = prod[1:], -s
-        return prod if s == 1 else f"-{prod}"
-
-    index = {u: i for i, u in enumerate(names)}
-    rows = tuple(tuple(index[unit_mul(a, b)] for b in names) for a in names)
-    return _trusted_group(rows, name="Q8")
+    """The quaternion group of order 8 on 1, -1, i, -i, j, -j, k, -k, with
+    i = (0 1 2 3)(4 5 6 7), j = (0 4 2 6)(1 7 3 5) and k = ij."""
+    i, j = (1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)
+    minus, k = _compose(i, i), _compose(i, j)
+    units = (tuple(range(8)), minus, i, _compose(minus, i), j, _compose(minus, j),
+             k, _compose(minus, k))
+    return _permutation_group(units, "Q8")
 
 
 def symmetric(n: int) -> FiniteGroup:
     """S_n on permutations in lexicographic order; identity first."""
     if not 1 <= n <= 5:
         raise UnsupportedParameter(f"symmetric supports 1..5, got {n}")
-    perms = sorted(permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    rows = tuple(
-        tuple(index[tuple(a[b[x]] for x in range(n))] for b in perms)
-        for a in perms)
-    return _trusted_group(rows, name=f"S{n}")
+    return _permutation_group(tuple(permutations(range(n))), f"S{n}")
 
 
 def alternating(n: int) -> FiniteGroup:
+    """A_n on the even permutations in lexicographic order; identity first."""
     if not 1 <= n <= 5:
         raise UnsupportedParameter(f"alternating supports 1..5, got {n}")
+    even = tuple(p for p in permutations(range(n))
+                 if sum(p[j] > p[i] for i in range(n) for j in range(i)) % 2 == 0)
+    return _permutation_group(even, f"A{n}")
 
-    def parity(p) -> int:
-        inv = sum(1 for i in range(len(p)) for j in range(i) if p[j] > p[i])
-        return inv % 2
-
-    perms = sorted(p for p in permutations(range(n)) if parity(p) == 0)
-    index = {p: i for i, p in enumerate(perms)}
-    rows = tuple(
-        tuple(index[tuple(a[b[x]] for x in range(n))] for b in perms)
-        for a in perms)
-    return _trusted_group(rows, name=f"A{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +196,7 @@ def field_action_group(n: int, p: int) -> FiniteGroup:
     if not is_prime(p):
         raise UnsupportedParameter(f"{p} is not prime")
     if n == 1:
-        G = cyclic(p)
-        return _trusted_group(G.table, name=f"E(1|{p})")
+        return _renamed(cyclic(p), f"E(1|{p})")
     if math.gcd(n, p) != 1:
         raise NotCoprime(f"need gcd(n, p) = 1, got n={n}, p={p}")
     d = multiplicative_order(p, n)
@@ -235,18 +221,41 @@ def field_action_group(n: int, p: int) -> FiniteGroup:
     # units is cyclic of order p^d - 1, which n divides
     zeta = next(x for x in elements[1:] if order_up_to_n(x) == n)
 
-    additive = elementary_abelian(p, d)
-    cyc = cyclic(n)
-    action = []
     # identity scalar, then successive powers of zeta
-    scalar = one
+    action, scalar = [], one
     for _ in range(n):
-        perm = tuple(index[_poly_mul_mod(elements[i], scalar, modulus, p)]
-                     for i in range(size))
-        action.append(perm)
+        action.append(tuple(index[_poly_mul_mod(x, scalar, modulus, p)] for x in elements))
         scalar = _poly_mul_mod(scalar, zeta, modulus, p)
-    G = semidirect_product(additive, cyc, action)
-    return _trusted_group(G.table, name=f"E({n}|{p})")
+    G = semidirect_product(elementary_abelian(p, d), cyclic(n), action)
+    return _renamed(G, f"E({n}|{p})")
+
+
+_FIXED_NAMES = {
+    "S3": lambda: symmetric(3), "S4": lambda: symmetric(4),
+    "S5": lambda: symmetric(5), "A4": lambda: alternating(4),
+    "A5": lambda: alternating(5), "Q8": quaternion,
+}
+_NAME_PATTERNS = ((r"Z([0-9]+)", cyclic), (r"D([0-9]+)", dihedral),
+                  (r"E\(([0-9]+)\|([0-9]+)\)", field_action_group))
+
+
+def named_group(token: str) -> FiniteGroup | None:
+    """The group a builder name denotes, or None for any other text: S3, S4,
+    S5, A4, A5, Q8, Z<n> (`cyclic`), D<n> (`dihedral`) and E(<n>|<p>)
+    (`field_action_group`), numbers in ASCII digits."""
+    if token in _FIXED_NAMES:
+        return _FIXED_NAMES[token]()
+    for pattern, builder in _NAME_PATTERNS:
+        if m := re.fullmatch(pattern, token):
+            params = [x.lstrip("0") or "0" for x in m.groups()]
+            # int() refuses digit strings past Python's int-string limit,
+            # which is at least 640; a builder's order is at least each of its
+            # parameters, so such a parameter is far above the cap
+            if max(map(len, params)) > 640:
+                raise TooLarge(f"a parameter of {token[:16]}... exceeds the order "
+                               f"cap {MAX_ORDER}")
+            return builder(*map(int, params))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +314,8 @@ def _abelian_groups_upto(bound: int):
             cyclic_orders.sort(reverse=True)
             if len(cyclic_orders) == 1:
                 continue  # plain cyclic groups come from the cyclic builder
-            G = cyclic(cyclic_orders[0])
-            for q in cyclic_orders[1:]:
-                G = direct_product(G, cyclic(q))
             name = "x".join(f"Z{q}" for q in cyclic_orders)
-            yield _trusted_group(G.table, name=name), f"abelian({cyclic_orders})"
+            yield _cyclic_product(cyclic_orders, name), f"abelian({cyclic_orders})"
 
 
 def compute_tags(G: FiniteGroup) -> tuple[str, ...]:
@@ -375,11 +381,8 @@ def build_catalog(config: CatalogConfig | None = None) -> list[CatalogEntry]:
             continue
         if E.order <= max_order:
             candidates.append((E, f"field_action_group({n},{p})"))
-    named = {"S3": symmetric(3), "S4": symmetric(4), "A4": alternating(4),
-             "D4": dihedral(4), "Q8": quaternion(),
-             "Z2": cyclic(2), "Z3": cyclic(3), "Z4": cyclic(4), "Z5": cyclic(5)}
     for left, right in PRODUCT_PAIRS:
-        G = direct_product(named[left], named[right])
+        G = direct_product(named_group(left), named_group(right))
         if G.order <= max_order:
             candidates.append((G, f"direct_product({left},{right})"))
 
@@ -423,13 +426,29 @@ def write_catalog(entries, out_dir: str | Path) -> Path:
     return path
 
 
+# the type of each field of a manifest row
+_MANIFEST_FIELDS = {"file": str, "name": str, "order": int, "tags": list,
+                    "provenance": str}
+
+
 def _catalog_rows(cat_dir: Path) -> list[dict]:
-    return json.loads((cat_dir / "manifest.json").read_text(encoding="utf-8"))
+    rows = parse_json((cat_dir / "manifest.json").read_bytes(), "manifest")
+    if not isinstance(rows, list):
+        raise GroupConstructionError("manifest must hold a JSON list")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, dict)
+                and all(type(row.get(k)) is t for k, t in _MANIFEST_FIELDS.items())
+                and all(type(tag) is str for tag in row["tags"])
+                and "\0" not in row["file"]):
+            raise GroupConstructionError(
+                f"manifest row {i} needs a file path, a string name and "
+                f"provenance, an integer order and a list of string tags")
+    return rows
 
 
 def _load_entry(cat_dir: Path, row: dict) -> CatalogEntry:
     """One manifest row's group, through full table validation."""
-    G = group_from_json((cat_dir / row["file"]).read_text(encoding="utf-8"))
+    G = group_from_json((cat_dir / row["file"]).read_bytes())
     if G.order != row["order"]:
         raise GroupConstructionError(
             f"manifest order mismatch for {row['name']}")

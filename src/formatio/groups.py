@@ -214,24 +214,39 @@ def group_to_json(G: FiniteGroup) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def group_from_json(text: str) -> FiniteGroup:
-    """Load a group from the JSON Cayley-table format, with full validation."""
+def parse_json(data: str | bytes, what: str):
+    """The JSON value in `data`, which must be UTF-8 when it is bytes; text
+    that is not UTF-8 or not JSON, or nests too deeply for the decoder,
+    raises GroupConstructionError naming `what`."""
     try:
-        payload = json.loads(text)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError:
+        raise GroupConstructionError(f"{what} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
-        raise GroupConstructionError(f"group file is not JSON: {exc}") from None
+        raise GroupConstructionError(f"{what} is not JSON: {exc}") from None
+    except RecursionError:
+        raise GroupConstructionError(f"{what} nests JSON too deeply") from None
+
+
+def group_from_json(text: str | bytes) -> FiniteGroup:
+    """Load a group from the JSON Cayley-table format, with full validation."""
+    payload = parse_json(text, "group file")
     if not isinstance(payload, dict):
         raise GroupConstructionError("group file must hold a JSON object")
     missing = [key for key in ("name", "order", "table") if key not in payload]
     if missing:
         raise GroupConstructionError(f"group file lacks {', '.join(missing)}")
-    table = payload["table"]
+    name, order, table = payload["name"], payload["order"], payload["table"]
+    if not isinstance(name, str):
+        raise GroupConstructionError("group name must be a string")
+    if type(order) is not int:
+        raise GroupConstructionError("group order must be an integer")
     if not (isinstance(table, list) and all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in table)):
         raise GroupConstructionError("group table must be a list of rows of integers")
-    if payload["order"] != len(table):
+    if order != len(table):
         raise GroupConstructionError("declared order does not match table size")
-    return build_group(table, name=str(payload["name"]))
+    return build_group(table, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +428,23 @@ def materialize(parent: FiniteGroup, elems: tuple[int, ...]) -> FiniteGroup:
     return _trusted_group(rows, name=f"{parent.name}|{head}")
 
 
-def centralizer(G: FiniteGroup, elems: Iterable[int] | Subgroup) -> Subgroup:
-    """Elements commuting with every element of the given set."""
-    target = elems.elems if isinstance(elems, Subgroup) else tuple(elems)
+def centralizer(G: FiniteGroup, elems: Iterable[int] | Subgroup,
+                K: Subgroup | None = None) -> Subgroup:
+    """Elements g with g*h*g^-1*h^-1 in K for every h in H = <elems>, for a
+    normal subgroup K of G (default trivial): the centralizer of H, or of
+    HK/K when K is given.
+
+    With K normal, the h for which g*h*g^-1 lies in hK form a subgroup, so
+    testing the greedy generators of H is enough.
+    """
+    seed = elems.elems if isinstance(elems, Subgroup) else sorted(set(elems))
+    kset = K.elem_set if K is not None else {0}
     table = G.table
-    out = [g for g in range(G.order)
-           if all(table[g][s] == table[s][g] for s in target)]
-    return Subgroup(G, tuple(out))
+    inv = G.inverse
+    gens = [(h, inv[h]) for h in _generating_sequence(table, seed)]
+    return Subgroup(G, tuple(
+        g for g, row in enumerate(table)
+        if all(table[table[row[h]][inv[g]]][hinv] in kset for h, hinv in gens)))
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -591,27 +616,22 @@ def section(G: FiniteGroup, upper: tuple[int, ...],
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """A x B with pairs (a, b) encoded as a*|B| + b."""
     nb = B.order
-    ta, tb = A.table, B.table
-    rows = []
-    for a1 in range(A.order):
-        row_a = ta[a1]
-        for b1 in range(nb):
-            row_b = tb[b1]
-            rows.append(tuple(row_a[a2] * nb + row_b[b2]
-                              for a2 in range(A.order) for b2 in range(nb)))
-    return _trusted_group(tuple(rows), name=f"{A.name}x{B.name}")
+    rows = tuple(tuple(x * nb + y for x in row_a for y in row_b)
+                 for row_a in A.table for row_b in B.table)
+    return _trusted_group(rows, name=f"{A.name}x{B.name}")
 
 
 def _check_automorphism(N: FiniteGroup, perm: Sequence[int], label: str) -> None:
     if sorted(perm) != list(range(N.order)) or perm[0] != 0:
         raise ActionNotAutomorphism(f"action[{label}] is not a permutation fixing 0")
     t = N.table
-    for a in range(N.order):
-        pa = perm[a]
-        for b in range(N.order):
-            if perm[t[a][b]] != t[pa][perm[b]]:
-                raise ActionNotAutomorphism(
-                    f"action[{label}] breaks multiplication at ({a}, {b})")
+    through = _coset_getter(perm)  # the row of x to x*perm(b) over every b
+    for a, row in enumerate(t):
+        left, right = tuple(map(perm.__getitem__, row)), through(t[perm[a]])
+        if left != right:
+            b = next(b for b, (x, y) in enumerate(zip(left, right)) if x != y)
+            raise ActionNotAutomorphism(
+                f"action[{label}] breaks multiplication at ({a}, {b})")
 
 
 def semidirect_product(N: FiniteGroup, H: FiniteGroup,
@@ -629,21 +649,13 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup,
     th = H.table
     for h1 in range(H.order):
         for h2 in range(H.order):
-            composed = tuple(perms[h1][perms[h2][x]] for x in range(N.order))
-            if composed != perms[th[h1][h2]]:
+            if tuple(map(perms[h1].__getitem__, perms[h2])) != perms[th[h1][h2]]:
                 raise ActionNotHomomorphism(
                     f"action is not a homomorphism at pair ({h1}, {h2})")
     nh = H.order
-    tn = N.table
-    rows = []
-    for n1 in range(N.order):
-        row_n = tn[n1]
-        for h1 in range(nh):
-            row_h = th[h1]
-            act = perms[h1]
-            rows.append(tuple(row_n[act[n2]] * nh + row_h[h2]
-                              for n2 in range(N.order) for h2 in range(nh)))
-    return _trusted_group(tuple(rows), name=f"{N.name}:|{H.name}")
+    rows = tuple(tuple(x * nh + y for x in map(row_n.__getitem__, act) for y in row_h)
+                 for row_n in N.table for act, row_h in zip(perms, th))
+    return _trusted_group(rows, name=f"{N.name}:|{H.name}")
 
 
 # ---------------------------------------------------------------------------

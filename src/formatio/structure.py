@@ -43,8 +43,8 @@ from .groups import (
     Subgroup,
     _closure,
     _coset_extension,
-    _generating_sequence,
     _normal_product,
+    centralizer,
     conjugacy_classes,
     cyclic_table,
     derived_series,
@@ -339,25 +339,6 @@ class ChiefSeries:
         return tuple(zip(self.chain[1:], self.chain[:-1]))
 
 
-def centralizer_of_factor(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
-    """Elements acting trivially on H/K by conjugation, for normal subgroups
-    K <= H of G.
-
-    Conjugation by g is an automorphism of H/K, so it is trivial exactly when
-    it fixes the coset of each generator h of H: g*h*g^-1*h^-1 in K.
-    """
-    kset = K.elem_set
-    table = G.table
-    inv = G.inverse
-    gens = [(h, inv[h]) for h in _generating_sequence(table, H.elems)]
-    out = []
-    for g, row in enumerate(table):
-        ginv = inv[g]
-        if all(table[table[row[h]][ginv]][hinv] in kset for h, hinv in gens):
-            out.append(g)
-    return Subgroup(G, tuple(out))
-
-
 @memoized
 def chief_series(G: FiniteGroup) -> ChiefSeries:
     chain = [trivial_subgroup(G)]
@@ -365,7 +346,7 @@ def chief_series(G: FiniteGroup) -> ChiefSeries:
         nxt = minimal_normal_over(G, chain[-1])
         chain.append(nxt)
     orders = tuple(chain[i + 1].order // chain[i].order for i in range(len(chain) - 1))
-    cents = tuple(centralizer_of_factor(G, chain[i + 1], chain[i])
+    cents = tuple(centralizer(G, chain[i + 1], chain[i])
                   for i in range(len(chain) - 1))
     return ChiefSeries(G, tuple(chain), orders, cents)
 
@@ -385,7 +366,7 @@ def chief_factor_group(G: FiniteGroup, H: Subgroup, K: Subgroup) -> FiniteGroup:
         raise NotChiefFactor(
             f"{H.order}/{K.order} is not a chief factor of {G.name}")
     A, projA = section(G, H.elems, K.elems)
-    C = centralizer_of_factor(G, H, K)
+    C = centralizer(G, H, K)
     B, projB = quotient(G, C)
     if A.order * B.order > MAX_ORDER:
         raise SizeCapExceeded(

@@ -217,6 +217,11 @@ def pair_index(n1: int, n2: int) -> int:
 # Exponent functions
 
 
+def _unlisted_value(default: Supernatural, p: int) -> Supernatural:
+    """The value of an exponent function at a prime p it does not list."""
+    return lcm(default, prime_power(p, INF))
+
+
 @record
 class ExponentFunction:
     """A map from primes to supernatural numbers with v_p(f(p)) infinite.
@@ -240,6 +245,9 @@ class ExponentFunction:
             if omega.v(p) != INF:
                 raise InvalidExponentFunction(
                     f"value at {p} must have infinite {p}-part, got {omega}")
+            if omega == _unlisted_value(self.default, p):
+                raise InvalidExponentFunction(
+                    f"non-canonical entry {p}->{omega} equals the value of an unlisted prime")
 
     @cached_property
     def _unlisted(self) -> dict[int, Supernatural]:
@@ -255,7 +263,7 @@ class ExponentFunction:
                 break
         got = self._unlisted.get(p)
         if got is None:
-            got = self._unlisted[p] = lcm(self.default, prime_power(p, INF))
+            got = self._unlisted[p] = _unlisted_value(self.default, p)
         return got
 
     def __str__(self) -> str:
@@ -266,7 +274,11 @@ class ExponentFunction:
 
 def make_exponent_function(values: dict[int, Supernatural],
                            default: Supernatural = ONE) -> ExponentFunction:
-    explicit = tuple(sorted(values.items()))
+    """Canonicalize a prime -> value mapping: an entry equal to the value an
+    unlisted prime gets anyway is dropped, as `make_supernatural` drops an
+    exponent equal to its default."""
+    explicit = tuple(sorted((p, omega) for p, omega in values.items()
+                            if not (is_prime(p) and omega == _unlisted_value(default, p))))
     return ExponentFunction(explicit, default)
 
 
@@ -460,7 +472,9 @@ def _parse_decimal(n: int, text: str) -> Supernatural:
 
 
 def parse_supernatural(text: str) -> Supernatural:
-    s = text.strip().replace(" ", "")
+    """A supernatural literal; spaces may stand around `*`, `^`, `;` and `=`,
+    but not inside a number or a word."""
+    s = text.strip()
     if not s:
         raise SpecSyntaxError("empty supernatural literal")
     if s == "full":
@@ -468,12 +482,10 @@ def parse_supernatural(text: str) -> Supernatural:
     default: Exponent = 0
     if ";" in s:
         body, _, suffix = s.partition(";")
-        if suffix == "default=inf":
-            default = INF
-        elif suffix == "default=0":
-            default = 0
-        else:
-            raise SpecSyntaxError(f"bad supernatural suffix {suffix!r}")
+        key, eq, value = (part.strip() for part in suffix.partition("="))
+        if key != "default" or not eq or value not in ("inf", "0"):
+            raise SpecSyntaxError(f"bad supernatural suffix {suffix.strip()!r}")
+        default = INF if value == "inf" else 0
         s = body
     if "^" not in s and "*" not in s:
         n = parse_digits(s, text, MAX_DECIMAL_DIGITS)
@@ -485,6 +497,7 @@ def parse_supernatural(text: str) -> Supernatural:
     values: dict[int, Exponent] = {}
     for factor in s.split("*"):
         base, caret, exp = factor.partition("^")
+        exp = exp.strip()
         p = parse_prime(base, text)
         if p in values:
             raise SpecSyntaxError(f"prime {p} repeated in {text!r}")

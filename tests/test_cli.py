@@ -470,6 +470,77 @@ def test_group_file_holding_a_list(capsys, tmp_path):
     assert err == "error: group file must hold a JSON object\n"
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "group file is not UTF-8 text"),
+    (b"[" * 100_000, "group file nests JSON too deeply"),
+    (b'{"name": "x", "order": true, "table": [[0]]}', "group order must be an integer"),
+    (b'{"name": ["x"], "order": 1, "table": [[0]]}', "group name must be a string"),
+])
+def test_malformed_group_file_is_one_error_line(capsys, tmp_path, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run_cli(capsys, "check", str(bad), "N")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def _broken_catalog(tmp_path, manifest=None, group=None):
+    """A catalog of Z1 and Z2 with its manifest text or Z1's file replaced."""
+    cat = tmp_path / "cat"
+    assert main(["catalog-build", "--out", str(cat), "--max-order", "2"]) == 0
+    if manifest is not None:
+        (cat / "manifest.json").write_bytes(manifest)
+    if group is not None:
+        (cat / "groups" / "0001_Z1.json").write_bytes(group)
+    return cat
+
+
+@pytest.mark.parametrize("manifest, group, message", [
+    (b"{not json", None, "manifest is not JSON: Expecting property name enclosed "
+                         "in double quotes: line 1 column 2 (char 1)"),
+    (b'[{"name": "Z1", "order": 1, "tags": [], "provenance": "x"}]', None,
+     "manifest row 0 needs a file path, a string name and provenance, an integer "
+     "order and a list of string tags"),
+    (b'{"file": "groups/0001_Z1.json"}', None, "manifest must hold a JSON list"),
+    (None, b"\xff", "group file is not UTF-8 text"),
+    (None, b"[" * 100_000, "group file nests JSON too deeply"),
+])
+def test_malformed_catalog_is_one_error_line(capsys, tmp_path, manifest, group, message):
+    cat = _broken_catalog(tmp_path, manifest, group)
+    capsys.readouterr()
+    for argv in (["sweep", "--catalog", str(cat), "--spec", "N", "--mode", "saturation"],
+                 ["check", "nosuch", "N", "--catalog", str(cat)] if group is None else
+                 ["check", str(cat / "groups" / "0001_Z1.json"), "N"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["sn", "1 0"], "bad supernatural literal '1 0'"),
+    (["sn", "2 ^ 1 0"], "bad exponent '1 0' in '2 ^ 1 0'"),
+    (["sn", "2^in f"], "bad exponent 'in f' in '2^in f'"),
+    (["sn", "f ull"], "bad supernatural literal 'f ull'"),
+    (["sn", "2;def ault=inf"], "bad supernatural suffix 'def ault=inf'"),
+    (["check", "Z1", "S(2 3)"], "bad supernatural literal '2 3'"),
+    (["check", "Z1", "reg(2 3->2^inf)"], "expected a prime in '2 3->2^inf'"),
+])
+def test_space_inside_a_number_or_word_is_a_syntax_error(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("expr, value", [
+    ("2 ^ 3 * 3", "24"), (" 2^inf * 3 ; default = 0 ", "2^inf*3"),
+    ("lcm( 2 ^ 2 , 3 )", "12"),
+])
+def test_space_around_an_operator_is_allowed(capsys, expr, value):
+    assert run_cli(capsys, "sn", expr) == (0, f"{value}\n", "")
+
+
+@pytest.mark.parametrize("spec", ["reg(2->2^inf,default->1)", "reg(default->1)"])
+def test_reg_entry_equal_to_the_unlisted_value_is_dropped(capsys, spec):
+    code, out, _ = run_cli(capsys, "check", "Z1", spec)
+    assert (code, out) == (0, "Z1 (order 1) IS in reg(default->1)\n")
+
+
 @pytest.mark.parametrize("table", ["5", '[["a"]]', "[5]", "[[0, 1], [1, 0.5]]"])
 def test_group_file_with_a_malformed_table(capsys, tmp_path, table):
     text = f'{{"name": "x", "order": 2, "table": {table}}}'

@@ -7,19 +7,26 @@ expressions nest every operation over valid and malformed literals, and
 in a result or in exactly one `error:` line, never in a traceback.  A number in
 a valid spec, `sn` text or builder token that gains a sign, a `_` or a digit
 outside ASCII must end in one `error:` line, although Python's `int()` would
-read it.
+read it.  Group files (relabelled tables with one fault put in) and catalogs
+(those files under a manifest with one fault put in) must likewise end in a
+`check` or `sweep` result or in one error line.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import re
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from formatio.classes import parse_spec
 from formatio.cli import main
+from formatio.constructions import cyclic, dihedral, elementary_abelian, quaternion
+from formatio.groups import group_to_json
 
 PRIMES = st.sampled_from((2, 3, 5, 7, 11, 13))
 EXPONENTS = st.one_of(st.integers(0, 4), st.just("inf"))
@@ -247,3 +254,137 @@ def test_near_miss_number_is_one_error_line(argv):
     assert code == 1 and out.getvalue() == ""
     (line,) = err.getvalue().splitlines()
     assert line.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# Group files and catalog manifests
+
+BASE_GROUPS = (cyclic(1), cyclic(4), dihedral(3), quaternion(), elementary_abelian(2, 2))
+# entries of the wrong type or far out of range
+ODD_VALUES = (True, False, 1.0, 10**30, -10**30, "1", None, [0], {"a": 0})
+TABLE_FAULTS = ("entry", "ragged", "range", "type", "order", "missing", "name",
+                "non-object", "raw")
+RAW_FAULTS = (b"{not json", b"\xff\xfe{}", b"[" * 100_000, b"", b'{"name": "x", "order": 1,')
+
+
+@st.composite
+def group_files(draw) -> bytes:
+    """The bytes of a group file: a small group's table relabelled (with the
+    identity kept at 0 or not), and at most one fault put in."""
+    G = draw(st.sampled_from(BASE_GROUPS))
+    n = G.order
+    sigma = draw(st.one_of(st.permutations(range(n)),
+                           st.permutations(range(1, n)).map(lambda rest: [0, *rest])))
+    table = [[0] * n for _ in range(n)]
+    for a, row in enumerate(G.table):
+        for b, ab in enumerate(row):
+            table[sigma[a]][sigma[b]] = sigma[ab]
+    payload = {"name": G.name, "order": n, "table": table}
+    fault = draw(st.sampled_from(TABLE_FAULTS + (None,)))
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if fault == "entry":
+        table[a][b] = (table[a][b] + draw(st.integers(1, max(1, n - 1)))) % n
+    elif fault == "ragged":
+        table[a] = table[a][:-1] if draw(st.booleans()) else table[a] + [0]
+    elif fault == "range":
+        table[a][b] = draw(st.sampled_from((n, -1)))
+    elif fault == "type":
+        table[a][b] = draw(st.sampled_from(ODD_VALUES))
+    elif fault == "order":
+        payload["order"] = draw(st.sampled_from((n + 1, 0, True, float(n), str(n), None)))
+    elif fault == "missing":
+        del payload[draw(st.sampled_from(("name", "order", "table")))]
+    elif fault == "name":
+        payload["name"] = draw(st.sampled_from(ODD_VALUES))
+    elif fault == "non-object":
+        payload = draw(st.sampled_from((table, n, G.name, None)))
+    elif fault == "raw":
+        return draw(st.sampled_from(RAW_FAULTS))
+    return json.dumps(payload).encode()
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_result_or_one_error_line(code, out, err):
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(("error: ", "i/o error: "))
+
+
+@settings(derandomize=True, deadline=2000, max_examples=200)
+@given(group_files())
+@example(b"\xff\xfe{}")
+@example(b"[" * 100_000)
+def test_check_of_a_group_file_prints_a_result_or_one_error_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        path.write_bytes(data)
+        _assert_result_or_one_error_line(*_run(["check", str(path), "N"]))
+
+
+ROW_KEYS = ("file", "name", "order", "tags", "provenance")
+MANIFEST_FAULTS = ("missing key", "wrong type", "missing file", "order", "row",
+                   "non-list", "raw")
+
+
+@st.composite
+def catalogs(draw) -> dict:
+    """A catalog as {relative path: bytes}: group files, some of them faulty,
+    and a manifest over them with at most one fault put in."""
+    files, rows = {}, []
+    for k in range(draw(st.integers(0, 3))):
+        G = draw(st.sampled_from(BASE_GROUPS))
+        name = f"groups/g{k}.json"
+        files[name] = draw(st.one_of(st.just(group_to_json(G).encode()), group_files()))
+        rows.append({"file": name, "name": G.name, "order": G.order, "tags": [],
+                     "provenance": "fuzz"})
+    manifest = rows
+    fault = draw(st.sampled_from(MANIFEST_FAULTS + (None,)))
+    if fault in ("missing key", "wrong type", "missing file", "order") and rows:
+        row = draw(st.sampled_from(rows))
+        if fault == "missing key":
+            del row[draw(st.sampled_from(ROW_KEYS))]
+        elif fault == "wrong type":
+            row[draw(st.sampled_from(ROW_KEYS))] = draw(st.sampled_from(ODD_VALUES))
+        elif fault == "missing file":
+            row["file"] = draw(st.sampled_from(("groups/none.json", "groups", "\0")))
+        else:
+            row["order"] += draw(st.sampled_from((-1, 1)))
+    elif fault == "row":
+        manifest = rows + [draw(st.sampled_from(ODD_VALUES))]
+    elif fault == "non-list":
+        manifest = draw(st.sampled_from(({"file": "groups/g0.json"}, 3, "x", None)))
+    elif fault == "raw":
+        files["manifest.json"] = draw(st.sampled_from(RAW_FAULTS))
+        return files
+    files["manifest.json"] = json.dumps(manifest).encode()
+    return files
+
+
+Z1_FILE = group_to_json(cyclic(1)).encode()
+Z1_ROW = {"file": "groups/g0.json", "name": "Z1", "order": 1, "tags": [], "provenance": "x"}
+
+
+@settings(derandomize=True, deadline=2000, max_examples=150)
+@given(catalogs())
+@example({"manifest.json": b"{not json"})
+@example({"manifest.json": json.dumps([{**Z1_ROW, "file": None}]).encode(),
+          "groups/g0.json": Z1_FILE})
+@example({"manifest.json": json.dumps({"a": Z1_ROW}).encode(), "groups/g0.json": Z1_FILE})
+@example({"manifest.json": json.dumps([Z1_ROW]).encode(), "groups/g0.json": b"\xff"})
+@example({"manifest.json": json.dumps([Z1_ROW]).encode(), "groups/g0.json": b"[" * 100_000})
+def test_sweep_of_a_catalog_prints_a_result_or_one_error_line(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "groups").mkdir()
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        argv = ["sweep", "--catalog", tmp, "--spec", "N", "--mode", "saturation"]
+        _assert_result_or_one_error_line(*_run(argv))

@@ -355,10 +355,10 @@ def method_call_centralizer(G, H, K):
 
 
 def test_centralizer_of_factor_matches_all_elements(catalog_groups):
-    from formatio.structure import centralizer_of_factor
+    from formatio.groups import centralizer
 
     for G in catalog_groups:
         series = chief_series(G)
         for (H, K), cent in zip(series.factors(), series.centralizers):
             assert cent == method_call_centralizer(G, H, K), G.name
-            assert centralizer_of_factor(G, H, K) == cent
+            assert centralizer(G, H, K) == cent

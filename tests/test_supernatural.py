@@ -260,6 +260,43 @@ def test_join_meet_idempotent():
     assert ef_meet(f, f) == f
 
 
+def random_exponent_function(rng):
+    """f over {2, 3, 5, 7}: each prime listed or not, with values near the
+    default's, so that some entries equal the value of an unlisted prime."""
+    default = rng.choice((ONE, FULL, from_int(3), prime_power(5, INF)))
+    values = {}
+    for p in (2, 3, 5, 7):
+        if rng.random() < 0.6:
+            values[p] = lcm(prime_power(p, INF), rng.choice(
+                (ONE, default, from_int(6), prime_power(7, INF), FULL)))
+    return make_exponent_function(values, default=default)
+
+
+def test_exponent_function_lattice_laws_on_records():
+    rng = random.Random(2025)
+    for _ in range(200):
+        f, g, h = (random_exponent_function(rng) for _ in range(3))
+        assert ef_join(f, g) == ef_join(g, f) and ef_meet(f, g) == ef_meet(g, f)
+        assert ef_join(f, ef_join(g, h)) == ef_join(ef_join(f, g), h)
+        assert ef_meet(f, ef_meet(g, h)) == ef_meet(ef_meet(f, g), h)
+        assert ef_join(f, f) == f and ef_meet(f, f) == f
+        assert ef_join(f, ef_meet(f, g)) == f
+        assert ef_meet(f, ef_join(f, g)) == f
+        assert ef_join(f, ef_meet(g, h)) == ef_meet(ef_join(f, g), ef_join(f, h))
+        assert ef_meet(f, ef_join(g, h)) == ef_join(ef_meet(f, g), ef_meet(f, h))
+
+
+def test_exponent_function_drops_the_unlisted_value():
+    g = make_exponent_function({}, default=ONE)
+    f = make_exponent_function({2: lcm(prime_power(2, INF), from_int(3))}, default=ONE)
+    assert ef_join(g, ef_meet(g, f)) == g
+    assert make_exponent_function({2: prime_power(2, INF)}, default=ONE) == g
+    assert parse_exponent_function("2->2^inf,default->1") == g
+    assert format_exponent_function(ef_meet(g, f)) == "default->1"
+    with pytest.raises(InvalidExponentFunction, match="non-canonical entry 2->2\\^inf"):
+        ExponentFunction(((2, prime_power(2, INF)),), ONE)
+
+
 def test_codec_is_lattice_morphism():
     rng = random.Random(77)
     for _ in range(20):
