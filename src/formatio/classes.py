@@ -3,10 +3,11 @@
 A ClassSpec is a declarative, parseable description of a class of finite
 groups.  Membership of a concrete group is decided structurally (derived
 series, counts of pi-elements for nilpotence and Sylow towers, chief factors,
-residuals, subnormal chains) and memoized by the group's table fingerprint,
-so repeated sweeps over materialized subgroups stay cheap.  Supersolubility
-needs no chief series: a climb inside the group's table moves up one normal
-subgroup of prime index over the last at a time (`_is_supersoluble`).
+residuals, subnormal chains) and memoized by the group's exact table key
+(`FiniteGroup.fingerprint`), so repeated sweeps over materialized subgroups
+stay cheap.  Supersolubility needs no chief series: a climb inside the
+group's table moves up one normal subgroup of prime index over the last at a
+time (`_is_supersoluble`).
 
 Class flags (`formation`, `hereditary`, `saturated`, `soluble_only`) record
 which closure laws each spec is declared to satisfy; sweep tests spot-verify
@@ -27,6 +28,7 @@ from .groups import (
     MAX_ORDER,
     FiniteGroup,
     Subgroup,
+    TableKey,
     _closure,
     _coset_extension,
     _generating_sequence,
@@ -77,11 +79,11 @@ class ClassSpec:
 
 # Verdicts are shared by every instance with an equal table: materialized
 # subgroups and quotients rebuild the same small groups many times over.
-_MEMBER_CACHE: dict[tuple[str, ClassSpec], bool] = {}
+_MEMBER_CACHE: dict[tuple[TableKey, ClassSpec], bool] = {}
 
 
 def is_member(G: FiniteGroup, spec: ClassSpec) -> bool:
-    """Whether G belongs to the class, memoized by table fingerprint and spec."""
+    """Whether G belongs to the class, memoized by table key and spec."""
     if G.order > MAX_ORDER:
         raise SizeCapExceeded(
             f"group of order {G.order} exceeds the cap {MAX_ORDER}")

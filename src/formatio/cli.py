@@ -117,9 +117,9 @@ def cmd_catalog_build(args) -> int:
     if manifest.exists() and not args.force:
         try:
             read_catalog(out_dir)
-        except Exception:
-            sys.stderr.write(
-                f"existing catalog at {out_dir} is unreadable; use --force\n")
+        except (FormatioError, OSError) as exc:
+            sys.stderr.write(f"error: existing catalog at {out_dir} is unreadable "
+                             f"({exc}); use --force\n")
             return 1
     entries = build_catalog(CatalogConfig(max_order=args.max_order))
     path = write_catalog(entries, out_dir)

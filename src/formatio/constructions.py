@@ -24,7 +24,13 @@ from itertools import permutations
 from pathlib import Path
 
 from .arith import factorize, is_prime, multiplicative_order
-from .errors import GroupConstructionError, NotCoprime, TooLarge, UnsupportedParameter
+from .errors import (
+    FormatioError,
+    GroupConstructionError,
+    NotCoprime,
+    TooLarge,
+    UnsupportedParameter,
+)
 from .groups import (
     MAX_ORDER,
     FiniteGroup,
@@ -61,7 +67,7 @@ def _cyclic_product(orders, name: str) -> FiniteGroup:
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The permutation a*b, which maps x to a[b[x]]."""
-    return tuple(a[x] for x in b)
+    return tuple(map(a.__getitem__, b))
 
 
 def _permutation_group(perms, name: str) -> FiniteGroup:
@@ -447,8 +453,12 @@ def _catalog_rows(cat_dir: Path) -> list[dict]:
 
 
 def _load_entry(cat_dir: Path, row: dict) -> CatalogEntry:
-    """One manifest row's group, through full table validation."""
-    G = group_from_json((cat_dir / row["file"]).read_bytes())
+    """One manifest row's group, through full table validation.  An error in
+    its group file names the row's group and file."""
+    try:
+        G = group_from_json((cat_dir / row["file"]).read_bytes())
+    except FormatioError as exc:
+        raise type(exc)(f"catalog group {row['name']} ({row['file']}): {exc}") from None
     if G.order != row["order"]:
         raise GroupConstructionError(
             f"manifest order mismatch for {row['name']}")

@@ -11,6 +11,13 @@ only values that compare by value (element tuples, ints, spec records), never
 a group or a subgroup: groups compare by identity, so such a key would miss
 for every equal copy of its group.
 
+A group's `fingerprint` is its table as an exact dict key (`TableKey`): two
+groups with equal tables have equal keys, so verdicts keyed by it are shared
+across copies.  A group made by `materialize` keeps one link back, `origin`,
+the parent group and the element tuple it was cut from; the subgroup lattice
+uses it to read the subgroup's lattice off the parent's, when the parent has
+one memoized (`memoized(fn).peek`).
+
 Sets are closed under multiplication one way, by Dimino's coset step
 (`_coset_extension`; Holt, Eick and O'Brien, Handbook of Computational Group
 Theory), which `_dimino` folds over a seed; a section upper/lower becomes a
@@ -19,11 +26,10 @@ standalone group one way, through `section`.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from array import array
 from bisect import bisect_left
 from functools import cached_property, wraps
+from itertools import chain
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -47,20 +53,43 @@ Row = tuple[int, ...]
 Table = tuple[Row, ...]
 
 
+class TableKey:
+    """A Cayley table as a dict key: its hash is computed once, and two keys
+    are equal exactly when their tables are."""
+
+    __slots__ = ("table", "_hash")
+
+    def __init__(self, table: Table):
+        self.table = table
+        self._hash = hash(table)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TableKey):
+            return NotImplemented
+        return self.table is other.table or (
+            self._hash == other._hash and self.table == other.table)
+
+
 class FiniteGroup:
-    """A finite group: order, multiplication table, inverses, element orders."""
+    """A finite group: order, multiplication table, inverses, element orders,
+    the table's key, and for a materialized subgroup its (parent, elements)."""
 
     __slots__ = ("name", "order", "table", "inverse", "element_order",
-                 "fingerprint", "_memo")
+                 "fingerprint", "origin", "_memo")
 
     def __init__(self, table: Table, name: str, inverse: Row,
-                 element_order: Row, fingerprint: str):
+                 element_order: Row, fingerprint: TableKey | None = None,
+                 origin: tuple[FiniteGroup, tuple[int, ...]] | None = None):
         self.name = name
         self.order = len(table)
         self.table = table
         self.inverse = inverse
         self.element_order = element_order
-        self.fingerprint = fingerprint
+        self.fingerprint = fingerprint or TableKey(table)
+        self.origin = origin
         self._memo: dict = {}
 
     def mul(self, a: int, b: int) -> int:
@@ -89,6 +118,7 @@ def memoized(fn):
 
     The arguments after G form the key, so they must be hashable plain values
     that do not refer back to a group.  A call that raises stores nothing.
+    `peek(G, *args)` returns what is stored, or None, and computes nothing.
     """
     name = fn.__qualname__
 
@@ -100,29 +130,24 @@ def memoized(fn):
             got = G._memo[key] = fn(G, *args)
         return got
 
+    cached.peek = lambda G, *args: G._memo.get((name, *args))
     return cached
 
 
-def _fingerprint(table: Table) -> str:
-    n = len(table)
-    h = hashlib.sha256()
-    h.update(n.to_bytes(4, "big"))
-    flat = array("i")
-    for row in table:
-        flat.extend(row)
-    h.update(flat.tobytes())
-    return h.hexdigest()
-
-
 def _element_orders(table: Table) -> Row:
-    orders = []
-    for a in range(len(table)):
-        x = table[0][a]
-        k = 1
-        while x != 0:
-            x = table[x][a]
-            k += 1
-        orders.append(k)
+    """The order of each element.  The powers a^k of an element a of order m
+    have orders m / gcd(k, m), so each cyclic subgroup is walked once, from
+    the first element of it met."""
+    orders = [0] * len(table)
+    for a, row in enumerate(table):
+        if not orders[a]:
+            powers = [0, a]
+            while powers[-1]:
+                powers.append(row[powers[-1]])
+            m = len(powers) - 1
+            for k, y in enumerate(powers[:m]):
+                if not orders[y]:
+                    orders[y] = m // gcd(k, m)
     return tuple(orders)
 
 
@@ -143,9 +168,11 @@ def _normalize_table(table: Sequence[Sequence[int]]) -> Table:
 
 
 def _check_identity(table: Table) -> None:
-    for a in range(len(table)):
-        if table[0][a] != a or table[a][0] != a:
-            raise NoIdentityAtZero(f"index 0 is not a two-sided identity at element {a}")
+    labels = tuple(range(len(table)))
+    if table[0] == labels and tuple(map(itemgetter(0), table)) == labels:
+        return
+    a = next(a for a in labels if table[0][a] != a or table[a][0] != a)
+    raise NoIdentityAtZero(f"index 0 is not a two-sided identity at element {a}")
 
 
 def _compute_inverses(table: Table) -> Row:
@@ -190,23 +217,27 @@ def _check_associativity(table: Table) -> None:
 
 def build_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Validate a Cayley table and return the group it defines."""
-    rows = _normalize_table(table)
+    return _validated(_normalize_table(table), name)
+
+
+def _validated(rows: Table, name: str) -> FiniteGroup:
+    """The group of a table of in-range integer rows, once the size cap, the
+    identity, the inverses and associativity pass."""
     if len(rows) > MAX_ORDER:
         raise SizeCapExceeded(f"order {len(rows)} exceeds cap {MAX_ORDER}")
     _check_identity(rows)
     inverse = _compute_inverses(rows)
     _check_associativity(rows)
-    return FiniteGroup(rows, name, inverse, _element_orders(rows), _fingerprint(rows))
+    return FiniteGroup(rows, name, inverse, _element_orders(rows))
 
 
 def _trusted_group(rows: Table, name: str) -> FiniteGroup:
     """Construct from a table that is associative by construction.
 
-    Used for subgroups, quotients and products of already-validated groups;
-    identity and inverse bookkeeping is still recomputed.
+    Used for quotients and products of already-validated groups; identity
+    and inverse bookkeeping is still recomputed.
     """
-    inverse = _compute_inverses(rows)
-    return FiniteGroup(rows, name, inverse, _element_orders(rows), _fingerprint(rows))
+    return FiniteGroup(rows, name, _compute_inverses(rows), _element_orders(rows))
 
 
 def group_to_json(G: FiniteGroup) -> str:
@@ -228,6 +259,9 @@ def parse_json(data: str | bytes, what: str):
         raise GroupConstructionError(f"{what} nests JSON too deeply") from None
 
 
+_INT = frozenset((int,))
+
+
 def group_from_json(text: str | bytes) -> FiniteGroup:
     """Load a group from the JSON Cayley-table format, with full validation."""
     payload = parse_json(text, "group file")
@@ -242,11 +276,17 @@ def group_from_json(text: str | bytes) -> FiniteGroup:
     if type(order) is not int:
         raise GroupConstructionError("group order must be an integer")
     if not (isinstance(table, list) and all(
-            isinstance(row, list) and all(type(x) is int for x in row) for row in table)):
+            isinstance(row, list) and _INT.issuperset(map(type, row)) for row in table)):
         raise GroupConstructionError("group table must be a list of rows of integers")
     if order != len(table):
         raise GroupConstructionError("declared order does not match table size")
-    return build_group(table, name=name)
+    # the entries are ints, so one pass per row over lengths and one over
+    # ranges decide the table; `_normalize_table` names the first bad row
+    rows = tuple(map(tuple, table))
+    if not (rows and set(map(len, rows)) == {order}
+            and frozenset(range(order)).issuperset(chain.from_iterable(rows))):
+        rows = _normalize_table(rows)
+    return _validated(rows, name)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +458,19 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 @memoized
 def materialize(parent: FiniteGroup, elems: tuple[int, ...]) -> FiniteGroup:
-    """Relabel a closed element set of `parent` as a standalone group."""
+    """Relabel a closed element set of `parent` as a standalone group: the
+    element at position i of `elems` becomes i.  Inverses and element orders
+    are read off the parent's, and the group keeps `(parent, elems)` as its
+    `origin`."""
     if len(elems) == parent.order:
         return parent  # the relabelling is the identity, so is the table
-    index = {e: i for i, e in enumerate(elems)}
-    table = parent.table
-    rows = tuple(tuple(index[table[a][b]] for b in elems) for a in elems)
+    relabel = {e: i for i, e in enumerate(elems)}.__getitem__
+    at = _coset_getter(elems)
+    rows = tuple(tuple(map(relabel, at(parent.table[a]))) for a in elems)
     head = ".".join(map(str, elems[:4])) + (".." if len(elems) > 4 else "")
-    return _trusted_group(rows, name=f"{parent.name}|{head}")
+    return FiniteGroup(rows, f"{parent.name}|{head}",
+                       tuple(map(relabel, at(parent.inverse))),
+                       at(parent.element_order), origin=(parent, elems))
 
 
 def centralizer(G: FiniteGroup, elems: Iterable[int] | Subgroup,

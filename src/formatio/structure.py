@@ -2,20 +2,27 @@
 
 The subgroup lattice is enumerated in two phases over the zuppos, the cyclic
 subgroups of prime-power order (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory: cyclic extension, and the prime-index normal
-series of soluble groups).  Phase 1 is cyclic extension inside the soluble
-residual R = G^(oo): each zuppo in R joins every subgroup found before it,
-one Dimino coset step per join (`groups._coset_extension`, the one closure
-primitive).  It finds every subgroup of R, and so every perfect subgroup,
-which lies in each term of the derived series.  Phase 2 climbs by normal
-steps of prime index: a subgroup H and a zuppo generator z outside R and
-outside H that normalizes H, with z^p in H, give H<z> of order p|H|, a
-normal product (`groups._normal_product`) that closes nothing.  A subgroup U
-not inside R has a normal V of prime index p that contains U & R, since
-U/(U & R) ~ UR/R is soluble; the p-part of any u in U outside V gives such a
-z with V<z> = U, so by induction on |U| every subgroup is found.  A visit of
-H skips a z that lies in a join already made from H: that join has order
-p|H| and holds H<z>, so it is H<z>.  The full proof is in `all_subgroups`.
+Computational Group Theory: cyclic extension by conjugacy classes, and the
+prime-index normal series of soluble groups).  Phase 1 is cyclic extension
+inside the soluble residual R = G^(oo): one subgroup per conjugacy class
+joins each zuppo in R, one Dimino coset step per join
+(`groups._coset_extension`, the one closure primitive), and each new join
+comes in with its whole class, by conjugation.  It finds every subgroup of
+R, and so every perfect subgroup, which lies in each term of the derived
+series.  Phase 2 climbs by normal steps of prime index: a subgroup H and a
+zuppo generator z outside R and outside H that normalizes H, with z^p in H,
+give H<z> of order p|H|, a normal product (`groups._normal_product`) that
+closes nothing.  A subgroup U not inside R has a normal V of prime index p
+that contains U & R, since U/(U & R) ~ UR/R is soluble; the p-part of any u
+in U outside V gives such a z with V<z> = U, so by induction on |U| every
+subgroup is found.  A visit of H skips a z that lies in a join already made
+from H: that join has order p|H| and holds H<z>, so it is H<z>.  The full
+proofs are in `all_subgroups`.
+
+A group cut out of G by `groups.materialize` does not enumerate at all when
+G's lattice is memoized for the same budget: its lattice is read off G's
+(`_restricted`), since its subgroups are the members of G's lattice inside
+it.
 
 Chief factors are built as sections (`groups.section`), like the core
 quotients of the chain searches.  Normal structure comes from one primitive:
@@ -43,6 +50,7 @@ from .groups import (
     Subgroup,
     _closure,
     _coset_extension,
+    _generating_sequence,
     _normal_product,
     centralizer,
     conjugacy_classes,
@@ -104,14 +112,27 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     order first (which makes fewer repeated joins), then by generator.
 
     Phase 1 lists the subgroups of the soluble residual R = G^(oo), the last
-    term of G's derived series (trivial when G is soluble).  Starting from
-    the trivial subgroup, each zuppo generator z in R, in turn, extends every
-    subgroup H found before z's turn that does not contain z to <H, z>, by
-    Dimino's coset step from the generators H was built from.  A subgroup U
-    of R is generated by its zuppos, since each element is the product of its
-    prime-power parts; if z_1, ..., z_k are the zuppo generators in U, in
-    turn order, induction on j shows that <z_1, ..., z_j> has been found by
-    the end of z_j's turn, so U is found.
+    term of G's derived series (trivial when G is soluble).  It keeps one
+    representative per conjugacy class of the subgroups found, starting from
+    the trivial subgroup, and visits each representative H once, including
+    those appended on the way.  Each zuppo generator z in R outside H
+    extends H to <H, z>, by Dimino's coset step from the generators H was
+    built from.  A join not yet found becomes a representative, and it comes
+    in with its orbit under conjugation by G's greedy generators: each image
+    is the conjugated element tuple, generated by the conjugated generators.
+    The orbit under generators of G is the orbit under G, so the subgroups
+    found are closed under conjugation by G after every step.
+
+    Complete.  R is normal, so conjugation by G maps the zuppos in R onto
+    zuppos in R.  Take any subgroup K found and any zuppo generator y in R
+    outside K.  K = H^g for its class representative H and some g in G, so
+    <K, y> = <H, y'>^g, where y' = y^(g^-1) lies in R outside H.  <H, y'> is
+    the join of H with the least generator z of the zuppo <y'>, which the
+    visit of H made or found known; so <H, y'> and its conjugate <K, y> are
+    found.  So the subgroups found hold the trivial one and are closed under
+    joins with the zuppos of R.  A subgroup U of R is generated by its
+    zuppos, since each element is the product of its prime-power parts;
+    joining them one at a time to the trivial subgroup reaches U.
 
     Phase 2 visits every subgroup H found, including those it appends, and
     each zuppo generator z outside R in turn order.  It adds <H, z> = H<z>
@@ -137,12 +158,22 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     The enumeration raises TooLarge as soon as it finds more subgroups than
     the module's `subgroup_budget`.  The lattice is memoized per budget, so a
     call under a smaller budget enumerates again and raises.
+
+    A group made by `materialize(G, elems)` whose parent G already has its
+    lattice memoized for the same budget reads its lattice off G's instead
+    (`_restricted`); G's lattice is never enumerated only for that.  It has
+    no more members than G's, which fit the budget, so the budget holds.
     """
     return _lattice(G, subgroup_budget)
 
 
 @memoized
 def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
+    if G.origin is not None:
+        parent, elems = G.origin
+        lattice = _lattice.peek(parent, budget)
+        if lattice is not None:
+            return _restricted(G, lattice, elems)
     table = G.table
     _, members = cyclic_table(G)
     order = G.element_order
@@ -161,12 +192,28 @@ def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
                 raise _over_budget(G, budget, "subgroups")
             found.append((join, frozenset(join), gens))
 
-    for z in zuppos:  # phase 1: zuppo joins inside the residual
-        if z in residual:
-            for i in range(len(found)):
-                elems, eset, gens = found[i]
-                if z not in eset:
-                    add(_coset_extension(table, elems, gens, z), gens + (z,))
+    # phase 1: zuppo joins inside the residual, one class representative at a
+    # time, each new join added with its orbit under conjugation by G
+    inner = [z for z in zuppos if z in residual]
+    if inner:
+        conjugations = [[table[x][G.inverse[g]] for x in table[g]].__getitem__
+                        for g in _generating_sequence(table, range(G.order))]
+        representatives = [found[0]]
+        for elems, eset, gens in representatives:  # visits those appended
+            for z in inner:
+                if z in eset:
+                    continue
+                join = _coset_extension(table, elems, gens, z)
+                if join in known:
+                    continue
+                k = len(found)
+                add(join, gens + (z,))
+                representatives.append(found[k])
+                while k < len(found):  # the orbit, closed under each generator
+                    member, _, member_gens = found[k]
+                    for conj in conjugations:
+                        add(tuple(sorted(map(conj, member))), tuple(map(conj, member_gens)))
+                    k += 1
     # phase 2: prime-index normal steps by the zuppo generators outside the
     # residual, each with its p-th power and its conjugation h -> z*h*z^-1
     steps = []
@@ -187,15 +234,35 @@ def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
                 joined.update(join)
                 add(join, gens + (z,))
     found.sort(key=lambda f: (len(f[0]), f[0]))
+    return _ordered_lattice(G, [f[0] for f in found], [f[2] for f in found])
+
+
+def _restricted(H: FiniteGroup, lattice: SubgroupLattice,
+                elems: tuple[int, ...]) -> SubgroupLattice:
+    """The lattice of H = materialize(G, elems), read off G's `lattice`: the
+    members inside H, relabelled by their positions in `elems`.  The
+    relabelling is increasing, so it keeps the (size, elements) order."""
+    top = lattice.index[elems]
+    relabel = {e: i for i, e in enumerate(elems)}.__getitem__
+    above = lattice.above
+    inside = [tuple(map(relabel, lattice.subgroups[i].elems))
+              for i in range(top) if above[i] >> top & 1]
+    inside.append(tuple(range(len(elems))))
+    return _ordered_lattice(H, inside, inside)
+
+
+def _ordered_lattice(G: FiniteGroup, found: list[tuple[int, ...]],
+                     seeds: list[tuple[int, ...]]) -> SubgroupLattice:
+    """The lattice of the subgroups `found`, already in (size, elements)
+    order, each generated by its entry of `seeds`: K contains H exactly when
+    K holds the identity and H's seed."""
     containing = [0] * G.order  # bit j of containing[x]: subgroup j holds x
-    for j, (elems, _, _) in enumerate(found):
+    for j, elems in enumerate(found):
         for x in elems:
             containing[x] |= 1 << j
-    # K contains H exactly when K holds the identity and H's generators
-    above = [reduce(and_, [containing[g] for g in gens], containing[0]) & ~(1 << i)
-             for i, (_, _, gens) in enumerate(found)]
-    return SubgroupLattice(
-        G, tuple(Subgroup(G, elems) for elems, _, _ in found), tuple(above))
+    above = [reduce(and_, map(containing.__getitem__, seed), containing[0]) & ~(1 << i)
+             for i, seed in enumerate(seeds)]
+    return SubgroupLattice(G, tuple(Subgroup(G, elems) for elems in found), tuple(above))
 
 
 def maximal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:

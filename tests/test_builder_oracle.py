@@ -9,7 +9,7 @@ file and every verdict that depends on labels stays the same.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, permutations
 
 from formatio.arith import is_prime
 from formatio.constructions import (
@@ -23,32 +23,39 @@ from formatio.groups import MAX_ORDER
 
 
 def dihedral_rows(n):
-    # encode r^i as 2i, r^i s as 2i+1
-    def mul(a: int, b: int) -> int:
-        i, fa = divmod(a, 2)
-        j, fb = divmod(b, 2)
-        if fa == 0:
-            return ((i + j) % n) * 2 + fb
-        return ((i - j) % n) * 2 + (1 - fb)
-
-    return tuple(tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n))
+    """Encode r^i as 2i and r^i s as 2i+1, and evaluate the rotation and
+    reflection rule a row at a time.  r^i * r^j s^f = r^(i+j) s^f, so the row
+    of r^i is the identity's row rotated left by 2i.  r^i s * r^j s^f =
+    r^(i-j) s^(1-f), so the row of r^i s lists, for j = 0, 1, ..., the pair
+    2((i-j) mod n) + 1, 2((i-j) mod n): the pairs `down` for k = n-1, ..., 0
+    rotated to start at k = i."""
+    ident = tuple(range(2 * n))
+    down = tuple(x for k in reversed(range(n)) for x in (2 * k + 1, 2 * k))
+    rows = []
+    for i in range(n):
+        shift = 2 * (n - 1 - i)
+        rows += [ident[2 * i:] + ident[:2 * i], down[shift:] + down[:shift]]
+    return tuple(rows)
 
 
 def digit_addition_rows(p, d):
-    """(Z_p)^d with vectors encoded as base-p digit strings."""
-    n = p ** d
+    """(Z_p)^d with vectors encoded as base-p digit strings, lowest digit
+    first, added digit by digit mod p, a row at a time.  In the row of a, the
+    lowest digits of b run through a block of p consecutive codes, and a's
+    lowest digit rotates that block; the block for the higher digits of b is
+    the one their sum with a's higher digits names, which is the row of
+    a // p in (Z_p)^(d-1)."""
+    ident = tuple(range(p ** d))
 
-    def add(a: int, b: int) -> int:
-        out = 0
-        mult = 1
-        for _ in range(d):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+    def row(a, d):
+        if d == 0:
+            return (0,)
+        low = a % p
+        return tuple(chain.from_iterable(
+            ident[h * p + low:h * p + p] + ident[h * p:h * p + low]
+            for h in row(a // p, d - 1)))
 
-    return tuple(tuple(add(i, j) for j in range(n)) for i in range(n))
+    return tuple(row(a, d) for a in ident)
 
 
 def quaternion_unit_rows():

@@ -404,14 +404,29 @@ def _fresh_process_env():
 
 
 def test_cli_import_leaves_numpy_out():
-    # numpy, and dataclasses with the inspect/ast machinery it imports, cost
-    # every formatio process more start-up time than a typical check takes
-    heavy = ("numpy", "dataclasses", "inspect", "ast")
+    # numpy, dataclasses with the inspect/ast machinery it imports, and
+    # hashlib, which loads OpenSSL, cost every formatio process more
+    # start-up time than a typical check takes
+    heavy = ("numpy", "dataclasses", "inspect", "ast", "hashlib", "_hashlib")
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, formatio.cli; print([m for m in {heavy!r} if m in sys.modules])"],
         capture_output=True, text=True, env=_fresh_process_env())
     assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
+def test_check_leaves_openssl_out(tmp_path):
+    from formatio.constructions import symmetric
+    from formatio.groups import group_to_json
+
+    table = tmp_path / "t.json"
+    table.write_text(group_to_json(symmetric(4)), encoding="utf-8")
+    code = ("import sys\nfrom formatio.cli import main\n"
+            f"code = main(['check', {str(table)!r}, 'vU'])\n"
+            "print(code, [m for m in ('hashlib', '_hashlib') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_fresh_process_env())
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
 def test_catalog_name_reads_only_its_own_table(capsys, tmp_path):
@@ -432,13 +447,15 @@ def test_catalog_name_reads_only_its_own_table(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "graph", "Z2xZ2", "A", "--catalog", str(cat),
                          "--format", "json")
     assert code == 0
-    # a sweep still validates every table
+    # a sweep still validates every table, and names the one that fails
     code, _, err = run_cli(capsys, "sweep", "--spec", "vU", "--catalog", str(cat))
-    assert (code, err) == (1, "error: element 1 has no two-sided inverse\n")
+    assert (code, err) == (1, "error: catalog group Q8 (groups/0008_Q8.json): "
+                              "element 1 has no two-sided inverse\n")
     # the named table is validated, and so is its manifest order
     corrupt("Z4xZ2")
     code, _, err = run_cli(capsys, "check", "Z4xZ2", "abelian", "--catalog", str(cat))
-    assert (code, err) == (1, "error: element 1 has no two-sided inverse\n")
+    assert (code, err) == (1, "error: catalog group Z4xZ2 (groups/0008_Z4xZ2.json): "
+                              "element 1 has no two-sided inverse\n")
     for row in manifest:
         if row["name"] == "Z2xZ2":
             row["order"] = 8
@@ -507,11 +524,18 @@ def _broken_catalog(tmp_path, manifest=None, group=None):
 def test_malformed_catalog_is_one_error_line(capsys, tmp_path, manifest, group, message):
     cat = _broken_catalog(tmp_path, manifest, group)
     capsys.readouterr()
-    for argv in (["sweep", "--catalog", str(cat), "--spec", "N", "--mode", "saturation"],
-                 ["check", "nosuch", "N", "--catalog", str(cat)] if group is None else
-                 ["check", str(cat / "groups" / "0001_Z1.json"), "N"]):
+    # read through the catalog, a bad group file is named by its manifest row
+    named = message if group is None else f"catalog group Z1 (groups/0001_Z1.json): {message}"
+    for argv, expected in (
+            (["sweep", "--catalog", str(cat), "--spec", "N", "--mode", "saturation"], named),
+            (["check", "nosuch", "N", "--catalog", str(cat)] if group is None else
+             ["check", str(cat / "groups" / "0001_Z1.json"), "N"], message)):
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+        assert (code, out, err) == (1, "", f"error: {expected}\n"), argv
+    # catalog-build refuses to overwrite it, with the same reason
+    code, out, err = run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "2")
+    assert (code, out, err) == (
+        1, "", f"error: existing catalog at {cat} is unreadable ({named}); use --force\n")
 
 
 @pytest.mark.parametrize("argv, err", [

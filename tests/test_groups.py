@@ -330,3 +330,50 @@ def test_memo_keys_hold_plain_values(s4):
     assert {"cyclic_table", "_quotient", "_lattice", "_class_step",
             "_factor_is_central", "_pair_subgroup", "_iso_screen"} <= names
     assert all(plain(key) for key in G._memo)
+
+
+def test_table_keys_are_exact(s3, subgroup_tables):
+    from formatio.classes import NILPOTENT, is_member
+    from formatio.groups import TableKey
+
+    # equal tables, held in distinct tuples by distinct groups: equal keys
+    twin = build_group([list(row) for row in s3.table], "twin")
+    assert twin is not s3 and twin.table is not s3.table
+    assert twin.fingerprint == s3.fingerprint
+    assert hash(twin.fingerprint) == hash(s3.fingerprint)
+    assert is_member(twin, NILPOTENT) is is_member(s3, NILPOTENT)
+    # the distinct tables of the corpus: pairwise unequal keys
+    keys = [K.fingerprint for K in subgroup_tables]
+    assert len({K.table for K in subgroup_tables}) == len(keys) == len(set(keys))
+    # a key compares tables, not only hashes
+    a, b = TableKey(s3.table), TableKey(subgroup_tables[1].table)
+    b._hash = a._hash
+    assert a != b and a == TableKey(s3.table)
+
+
+def multiplied_orders(table):
+    """Each element's order, by multiplying until the identity."""
+    orders = []
+    for a in range(len(table)):
+        x, k = a, 1
+        while x != 0:
+            x, k = table[x][a], k + 1
+        orders.append(k)
+    return tuple(orders)
+
+
+def test_element_orders_match_repeated_multiplication(catalog_groups):
+    for G in catalog_groups:
+        assert G.element_order == multiplied_orders(G.table), G.name
+
+
+def test_materialize_reads_inverses_and_orders_off_the_parent(catalog_groups):
+    from formatio.groups import materialize
+    from formatio.structure import all_subgroups
+
+    for G in catalog_groups[::4]:
+        for H in all_subgroups(G).subgroups[1:-1]:
+            K = materialize(G, H.elems)
+            assert K.origin == (G, H.elems)
+            assert all(K.table[a][b] == 0 for a, b in enumerate(K.inverse)), (G.name, H.elems)
+            assert K.element_order == multiplied_orders(K.table), (G.name, H.elems)

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from conftest import relabelled as conftest_relabelled
 from formatio import structure
 from formatio.arith import is_prime, prime_divisors
 from formatio.classes import is_member, parse_spec
@@ -187,6 +188,83 @@ def test_lattice_matches_cyclic_joins_on_large_groups(large_groups):
 def test_lattice_matches_cyclic_joins_on_relabelled_copies(large_groups):
     for seed, G in enumerate(large_groups):
         assert_lattice_matches_oracle(relabelled(G, seed)[0])
+
+
+def test_lattice_by_classes_matches_cyclic_joins():
+    # phase 1 joins one subgroup per conjugacy class with each zuppo of the
+    # soluble residual, here all of A5 and the A5 inside A5xS3; S5 and A5xZ2,
+    # and relabelled copies of them, are in `large_groups`
+    groups = [alternating(5), direct_product(alternating(5), symmetric(3))]
+    for seed, G in enumerate(groups + groups):
+        assert_lattice_matches_oracle(G if seed < 2 else conftest_relabelled(G, seed))
+
+
+def fresh_lattice(K, cache):
+    """K's lattice enumerated on a copy of its table with no parent link,
+    once per table."""
+    if K.fingerprint not in cache:
+        copy = _trusted_group(K.table, K.name + "-fresh")
+        assert copy.origin is None
+        cache[K.fingerprint] = all_subgroups(copy)
+    return cache[K.fingerprint]
+
+
+def test_restricted_lattices_match_fresh_enumeration(subgroup_tables):
+    # every subgroup of every corpus group, of S5 and of A5xS3 (order 360),
+    # and of relabelled copies of A5xS3 and of the larger corpus groups
+    big = direct_product(alternating(5), symmetric(3))
+    larger = [K for K in subgroup_tables if K.order >= 48]
+    groups = [*subgroup_tables, symmetric(5), big, conftest_relabelled(big, 1),
+              *(conftest_relabelled(K, seed) for seed, K in enumerate(larger))]
+    cache: dict = {}
+    pairs = 0
+    for G in groups:
+        lattice = all_subgroups(G)
+        for H in lattice.subgroups:
+            K = materialize(G, H.elems)
+            got = structure._restricted(K, lattice, H.elems)
+            want = fresh_lattice(K, cache)
+            assert [s.elems for s in got.subgroups] == [s.elems for s in want.subgroups], (
+                G.name, H.elems)
+            assert got.above == want.above, (G.name, H.elems)
+            pairs += 1
+    assert pairs > 5000
+
+
+def test_subgroups_read_their_lattice_off_a_memoized_parent(monkeypatch):
+    restricted, steps = [], []
+
+    def spy(fn, calls):
+        def wrapped(*args):
+            calls.append(args[0])
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(structure, "_restricted", spy(structure._restricted, restricted))
+    monkeypatch.setattr(structure, "_coset_extension",
+                        spy(structure._coset_extension, steps))
+    G = _trusted_group(symmetric(5).table, "S5-fresh")
+    a5 = next(H for H in all_subgroups(G).subgroups if H.order == 60)
+    K = a5.as_group()
+    assert K.origin == (G, a5.elems)
+    steps.clear()
+    assert len(all_subgroups(K)) == 59
+    assert (restricted, steps) == ([K], [])
+    # under another budget the parent has no lattice to read, so K enumerates
+    # its own, and the budget holds on it
+    monkeypatch.setattr(structure, "subgroup_budget", 58)
+    with pytest.raises(TooLarge, match=r"more than 58 subgroups"):
+        all_subgroups(K)
+    assert restricted == [K] and steps
+
+
+def test_no_parent_lattice_is_enumerated_for_a_restriction():
+    G = _trusted_group(symmetric(4).table, "S4-fresh")
+    K = materialize(G, tuple(sorted(_closure(G.table, (1, 2)))))
+    assert K.origin is not None
+    lattice = all_subgroups(K)
+    assert not any(key[0] == "_lattice" for key in G._memo)
+    assert len(lattice) == len(all_subgroups(_trusted_group(K.table, "fresh")))
 
 
 def test_maximal_intersection_matches_all_pairs_scan(catalog_groups, large_groups):
