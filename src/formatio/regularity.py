@@ -32,13 +32,15 @@ from .classes import (
 from .errors import EmptyClass
 from .groups import FiniteGroup, _closure, cyclic_table, materialize, memoized, quotient
 from .records import record
-from .structure import all_subgroups, frattini, minimal_normal_subgroups
+from .structure import all_subgroups, frattini, memoized_lattice, minimal_normal_subgroups
 
 
 @memoized
 def _pair_subgroup(G: FiniteGroup, x: int, y: int) -> tuple[int, ...]:
-    """Element set of <x, y>, for x <= y."""
-    return _closure(G.table, (x, y))
+    """Element set of <x, y>, for x <= y: read off G's lattice when that is
+    memoized, else closed."""
+    lattice = memoized_lattice(G)
+    return lattice.join(x, y).elems if lattice else _closure(G.table, (x, y))
 
 
 def _pair_member(G: FiniteGroup, x: int, y: int, spec: ClassSpec) -> bool:

@@ -70,11 +70,13 @@ from .records import record
 @record
 class SubgroupLattice:
     """Every subgroup of `parent` in (size, elements) order, with
-    containment: bit j of above[i] is set when j properly contains i."""
+    containment: bit j of above[i] is set when j properly contains i, and
+    bit j of containing[x] when j holds the element x."""
 
     parent: FiniteGroup
     subgroups: tuple[Subgroup, ...]
     above: tuple[int, ...]
+    containing: tuple[int, ...]
 
     @property
     def maximal_flags(self) -> tuple[bool, ...]:
@@ -89,6 +91,12 @@ class SubgroupLattice:
 
     def maximal_subgroups(self) -> tuple[Subgroup, ...]:
         return tuple(s for s, f in zip(self.subgroups, self.maximal_flags) if f)
+
+    def join(self, x: int, y: int) -> Subgroup:
+        """<x, y>: of the members holding x and y, the one of least index, as
+        every other one holds it and is larger."""
+        both = self.containing[x] & self.containing[y]
+        return self.subgroups[(both & -both).bit_length() - 1]
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -262,7 +270,14 @@ def _ordered_lattice(G: FiniteGroup, found: list[tuple[int, ...]],
             containing[x] |= 1 << j
     above = [reduce(and_, map(containing.__getitem__, seed), containing[0]) & ~(1 << i)
              for i, seed in enumerate(seeds)]
-    return SubgroupLattice(G, tuple(Subgroup(G, elems) for elems in found), tuple(above))
+    return SubgroupLattice(G, tuple(Subgroup(G, elems) for elems in found), tuple(above),
+                           tuple(containing))
+
+
+def memoized_lattice(G: FiniteGroup) -> SubgroupLattice | None:
+    """G's lattice under the current budget if it is memoized, else None;
+    this enumerates nothing."""
+    return _lattice.peek(G, subgroup_budget)
 
 
 def maximal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:

@@ -35,6 +35,7 @@ from formatio.groups import (
     _normal_product,
     _trusted_group,
     build_group,
+    cyclic_table,
     is_normal,
     is_normal_in,
     materialize,
@@ -265,6 +266,16 @@ def test_no_parent_lattice_is_enumerated_for_a_restriction():
     lattice = all_subgroups(K)
     assert not any(key[0] == "_lattice" for key in G._memo)
     assert len(lattice) == len(all_subgroups(_trusted_group(K.table, "fresh")))
+
+
+def test_lattice_joins_match_pair_closures(catalog_groups, large_groups):
+    for G in [*catalog_groups, *large_groups]:
+        lattice = all_subgroups(G)
+        assert structure.memoized_lattice(G) is lattice
+        leads = sorted(cyclic_table(G)[1])  # <x, y> depends on <x> and <y> only
+        for x in leads:
+            for y in leads:
+                assert lattice.join(x, y).elems == _closure(G.table, (x, y)), (G.name, x, y)
 
 
 def test_maximal_intersection_matches_all_pairs_scan(catalog_groups, large_groups):
