@@ -32,7 +32,13 @@ from .classes import (
 from .errors import EmptyClass
 from .groups import FiniteGroup, _closure, cyclic_table, materialize, memoized, quotient
 from .records import record
-from .structure import all_subgroups, frattini, memoized_lattice, minimal_normal_subgroups
+from .structure import (
+    SubgroupLattice,
+    all_subgroups,
+    frattini,
+    memoized_lattice,
+    minimal_normal_subgroups,
+)
 
 
 @memoized
@@ -43,8 +49,18 @@ def _pair_subgroup(G: FiniteGroup, x: int, y: int) -> tuple[int, ...]:
     return lattice.join(x, y).elems if lattice else _closure(G.table, (x, y))
 
 
+def _class_member(lattice: SubgroupLattice, i: int, spec: ClassSpec) -> bool:
+    """Whether lattice member i lies in the class, judged on the least member
+    conjugate to it: conjugate subgroups are isomorphic, so they share every
+    verdict, and each class is materialized once."""
+    return is_member(lattice.subgroups[lattice.least_conjugate[i]].as_group(), spec)
+
+
 def _pair_member(G: FiniteGroup, x: int, y: int, spec: ClassSpec) -> bool:
     pair = _pair_subgroup(G, x, y) if x <= y else _pair_subgroup(G, y, x)
+    lattice = memoized_lattice(G)
+    if lattice is not None:
+        return _class_member(lattice, lattice.index[pair], spec)
     return is_member(materialize(G, pair), spec)
 
 
@@ -55,7 +71,9 @@ def isolated_set(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
     <x, y> depends only on <x> and <y>, so the test runs over pairs of least
     generators of cyclic subgroups (`cyclic_table`), and x is isolated exactly
     when the least generator of <x> is.  Membership of <a, b> is symmetric,
-    so a pair that fails rules out both of its generators.
+    so a pair that fails rules out both of its generators.  When G's lattice
+    is memoized, <a, b> is read off it and judged on its least conjugate
+    (`_pair_member`).
     """
     leader, members = cyclic_table(G)
     leads = sorted(members)
@@ -79,16 +97,16 @@ def maximal_intersection(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
     it, so a subgroup is tested exactly when no member at all lies above it:
     each member found is maximal, for every class, hereditary or not.  A
     skipped subgroup is never judged, so an error its verdict would raise
-    does not appear.
+    does not appear.  A tested subgroup is judged on its least conjugate
+    (`_class_member`), which has the same verdict, or the same error.
     """
     lattice = all_subgroups(G)
     member_bits = 0
     common = set(range(G.order))
     for i in reversed(range(len(lattice))):
-        sub = lattice.subgroups[i]
-        if not lattice.above[i] & member_bits and is_member(sub.as_group(), spec):
+        if not lattice.above[i] & member_bits and _class_member(lattice, i, spec):
             member_bits |= 1 << i
-            common &= sub.elem_set
+            common &= lattice.subgroups[i].elem_set
     if not member_bits:
         raise EmptyClass(f"{G.name} has no subgroup in {spec.text()}")
     return tuple(sorted(common))

@@ -98,6 +98,26 @@ class SubgroupLattice:
         both = self.containing[x] & self.containing[y]
         return self.subgroups[(both & -both).bit_length() - 1]
 
+    @cached_property
+    def least_conjugate(self) -> tuple[int, ...]:
+        """Per member, the least index of a member conjugate to it in
+        `parent`.  Conjugation by each of the parent's greedy generators
+        permutes the members, and the classes are the orbits of those
+        permutations."""
+        perms = [[self.index[tuple(sorted(map(conj, s.elems)))] for s in self.subgroups]
+                 for conj in _conjugations(self.parent)]
+        least = [-1] * len(self.subgroups)
+        for i in range(len(least)):
+            if least[i] < 0:  # the least member of a class not yet met
+                least[i] = i
+                orbit = [i]
+                for j in orbit:
+                    for perm in perms:
+                        if least[perm[j]] < 0:
+                            least[perm[j]] = i
+                            orbit.append(perm[j])
+        return tuple(least)
+
     def __len__(self) -> int:
         return len(self.subgroups)
 
@@ -105,6 +125,14 @@ class SubgroupLattice:
 # the most subgroups, or normal subgroups, one enumeration may find; read at
 # each call, so that the CLI can set it for one command
 subgroup_budget = 20000
+
+
+@memoized
+def _conjugations(G: FiniteGroup) -> tuple:
+    """Per greedy generator g of G, the map x -> g*x*g^-1, as a lookup."""
+    table = G.table
+    return tuple(tuple(table[x][G.inverse[g]] for x in table[g]).__getitem__
+                 for g in _generating_sequence(table, range(G.order)))
 
 
 def _over_budget(G: FiniteGroup, budget: int, what: str) -> TooLarge:
@@ -204,8 +232,7 @@ def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
     # time, each new join added with its orbit under conjugation by G
     inner = [z for z in zuppos if z in residual]
     if inner:
-        conjugations = [[table[x][G.inverse[g]] for x in table[g]].__getitem__
-                        for g in _generating_sequence(table, range(G.order))]
+        conjugations = _conjugations(G)
         representatives = [found[0]]
         for elems, eset, gens in representatives:  # visits those appended
             for z in inner:

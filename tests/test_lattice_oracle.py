@@ -447,3 +447,29 @@ def test_results_move_with_a_relabelling(catalog_groups):
             for compute in (isolated_set, maximal_intersection):
                 moved = tuple(sorted(perm[x] for x in compute(G, spec)))
                 assert compute(H, spec) == moved, (G.name, spec.text(), compute.__name__)
+
+
+def test_least_conjugates_match_conjugation_by_every_element(catalog_groups, large_groups):
+    for G in [*catalog_groups, *large_groups[:1]]:
+        lattice = all_subgroups(G)
+        least = []
+        for s in lattice.subgroups:
+            conjugates = {tuple(sorted(G.conjugate(x, g) for x in s.elems))
+                          for g in range(G.order)}
+            least.append(min(lattice.index[t] for t in conjugates))
+        assert lattice.least_conjugate == tuple(least), G.name
+
+
+def test_isolated_sets_agree_with_and_without_a_lattice(catalog_groups):
+    # with G's lattice memoized, pairs are read off it and judged by class;
+    # without, they are closed and judged one by one (until a verdict on the
+    # whole group enumerates its lattice)
+    specs = [parse_spec(t) for t in ISOLATED_SPECS]
+    for G in catalog_groups[::3]:
+        for spec in specs:
+            bare, full = (_trusted_group(G.table, G.name + k) for k in ("-bare", "-lattice"))
+            all_subgroups(full)
+            assert structure.memoized_lattice(bare) is None
+            got = isolated_set(bare, spec)
+            assert got == isolated_set(full, spec) == all_pairs_isolated(G, spec), (
+                G.name, spec.text())
