@@ -31,7 +31,7 @@ from .groups import (
     TableKey,
     _closure,
     _coset_extension,
-    _generating_sequence,
+    conjugations,
     cyclic_table,
     derived_series,
     derived_subgroup,
@@ -131,8 +131,7 @@ def _is_supersoluble(G: FiniteGroup) -> bool:
     runs out of candidates.
     """
     table = G.table
-    inv = G.inverse
-    gens = _generating_sequence(table, range(G.order))
+    rows = conjugations(G)
     elems: tuple[int, ...] = (0,)
     z_gens: tuple[int, ...] = ()
     while len(elems) < G.order:
@@ -148,7 +147,7 @@ def _is_supersoluble(G: FiniteGroup) -> bool:
                 continue
             step = _coset_extension(table, elems, z_gens, g)
             step_set = set(step)
-            if all(table[table[h][g]][inv[h]] in step_set for h in gens):
+            if all(row[g] in step_set for row in rows):
                 elems, z_gens = step, z_gens + (g,)
                 break
             tried |= step_set

@@ -21,7 +21,13 @@ one memoized (`memoized(fn).peek`).
 Sets are closed under multiplication one way, by Dimino's coset step
 (`_coset_extension`; Holt, Eick and O'Brien, Handbook of Computational Group
 Theory), which `_dimino` folds over a seed; a section upper/lower becomes a
-standalone group one way, through `section`.
+standalone group one way, through `section`.  Conjugation acts one way too:
+`conjugations(G, elems)` memoizes the conjugation row x -> g*x*g^-1 of each
+greedy generator g of <elems> (of G when `elems` is left out).  Normality
+tests (`is_normal_in`), cores (`normal_core`) and the subgroup lattice's
+conjugation action read those rows, and none conjugates by every element of
+a subgroup, as a set is normalized by a subgroup exactly when it is by the
+subgroup's generators.
 """
 
 from __future__ import annotations
@@ -496,40 +502,54 @@ def center(G: FiniteGroup) -> Subgroup:
     return centralizer(G, range(G.order))
 
 
-def conjugate_set(G: FiniteGroup, elems: Iterable[int], g: int) -> frozenset[int]:
+@memoized
+def conjugations(G: FiniteGroup, elems: tuple[int, ...] = ()) -> tuple[Row, ...]:
+    """The conjugation row x -> g*x*g^-1 of each greedy generator g of the
+    subgroup generated by the nonempty seed `elems`, or of G when `elems` is
+    left out.
+
+    The elements g with g*S*g^-1 = S form a subgroup for any set S, so S is
+    normalized by a subgroup exactly when its generators' rows map S into
+    itself; normality tests and cores read these rows and conjugate by no
+    other element.
+    """
     table = G.table
-    ginv = G.inverse[g]
-    row_g = table[g]
-    return frozenset(table[row_g[a]][ginv] for a in elems)
+    # a single element is its own generator, with no closure to take
+    gens = elems if len(elems) == 1 else _generating_sequence(table, elems or range(G.order))
+    rows = []
+    for g in gens:
+        ginv = G.inverse[g]
+        rows.append(tuple([table[x][ginv] for x in table[g]]))
+    return tuple(rows)
 
 
-def is_normal_in(G: FiniteGroup, inner: frozenset[int], outer: Iterable[int]) -> bool:
-    """Whether the closed set `inner` is normalized by every element of `outer`."""
-    table = G.table
-    inv = G.inverse
-    for g in outer:
-        row_g = table[g]
-        ginv = inv[g]
-        for a in inner:
-            if table[row_g[a]][ginv] not in inner:
-                return False
-    return True
+def is_normal_in(G: FiniteGroup, inner: frozenset[int], outer: tuple[int, ...] = ()) -> bool:
+    """Whether the set `inner` is normalized by the subgroup generated by
+    `outer`, or by G when `outer` is left out."""
+    return all(inner.issuperset(map(row.__getitem__, inner))
+               for row in conjugations(G, outer))
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    return is_normal_in(G, H.elem_set, range(G.order))
+    return is_normal_in(G, H.elem_set)
 
 
-def normal_core(G: FiniteGroup, H: Subgroup,
-                within: Iterable[int] | None = None) -> Subgroup:
-    """Largest subgroup of H normalized by `within` (default G), for H inside
-    it: the intersection of H's conjugates by its elements."""
-    core = set(H.elems)
-    for g in range(G.order) if within is None else within:
-        core &= conjugate_set(G, H.elems, g)
-        if len(core) == 1:
-            break
-    return Subgroup(G, tuple(sorted(core)))
+def normal_core(G: FiniteGroup, H: Subgroup, within: tuple[int, ...] = ()) -> Subgroup:
+    """Largest subgroup of H normalized by the subgroup generated by
+    `within` (by default G): the intersection of H's conjugates by its
+    elements.
+
+    The elements of H that some generator's row maps out of what is left
+    are dropped until none is.  What is left is mapped into itself by every
+    row, so it is normalized; it contains the core, which no row maps out of
+    itself; and it lies in H, so it is the core.
+    """
+    rows = conjugations(G, within)
+    core, left = (), H.elems
+    while left != core:
+        core, kept = left, frozenset(left)
+        left = tuple(x for x in core if all(row[x] in kept for row in rows))
+    return Subgroup(G, core)
 
 
 @memoized
@@ -626,7 +646,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 
 @memoized
 def _quotient(G: FiniteGroup, elems: tuple[int, ...]) -> tuple[FiniteGroup, GroupHom]:
-    if not is_normal_in(G, frozenset(elems), range(G.order)):
+    if not is_normal_in(G, frozenset(elems)):
         raise NotNormal(f"subgroup of order {len(elems)} is not normal in {G.name}")
     if len(elems) == 1:  # the cosets are the elements: G itself, identity hom
         return G, GroupHom(G, G, tuple(range(G.order)))
@@ -658,11 +678,30 @@ def section(G: FiniteGroup, upper: tuple[int, ...],
     return _quotient(materialize(G, upper), tuple(sorted(pos[e] for e in lower)))
 
 
+def _pair_rows(table_n: Table, perms: Sequence[Sequence[int]], table_h: Table) -> Table:
+    """The table of (n1, h1)(n2, h2) = (n1 * perms[h1](n2), h1 h2) on pairs
+    (n, h) encoded as n*|H| + h.
+
+    The rows of (n, 1) and of (1, h) join, over n2, the blocks of the codes
+    of (x, h*h2) over h2, where x = n * perms[h](n2); the blocks are built
+    once per (h, x).  Every other row is the row of (1, h) read through the
+    row of (n, 1), as (n, h) = (n, 1)(1, h) and (a*b)*x = a*(b*x).
+    """
+    nh = len(table_h)
+    blocks = [[tuple(x * nh + y for y in row_h) for x in range(len(table_n))]
+              for row_h in table_h]
+
+    def joined(h: int, xs: Iterable[int]) -> Row:
+        return tuple(chain.from_iterable(map(blocks[h].__getitem__, xs)))
+
+    reads = [_coset_getter(joined(h, act)) for h, act in enumerate(perms)]
+    bases = [joined(0, row_n) for row_n in table_n]
+    return tuple(read(base) for base in bases for read in reads)
+
+
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """A x B with pairs (a, b) encoded as a*|B| + b."""
-    nb = B.order
-    rows = tuple(tuple(x * nb + y for x in row_a for y in row_b)
-                 for row_a in A.table for row_b in B.table)
+    rows = _pair_rows(A.table, [range(A.order)] * B.order, B.table)
     return _trusted_group(rows, name=f"{A.name}x{B.name}")
 
 
@@ -697,10 +736,7 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup,
             if tuple(map(perms[h1].__getitem__, perms[h2])) != perms[th[h1][h2]]:
                 raise ActionNotHomomorphism(
                     f"action is not a homomorphism at pair ({h1}, {h2})")
-    nh = H.order
-    rows = tuple(tuple(x * nh + y for x in map(row_n.__getitem__, act) for y in row_h)
-                 for row_n in N.table for act, row_h in zip(perms, th))
-    return _trusted_group(rows, name=f"{N.name}:|{H.name}")
+    return _trusted_group(_pair_rows(N.table, perms, th), name=f"{N.name}:|{H.name}")
 
 
 # ---------------------------------------------------------------------------

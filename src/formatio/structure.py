@@ -7,17 +7,19 @@ prime-index normal series of soluble groups).  Phase 1 is cyclic extension
 inside the soluble residual R = G^(oo): one subgroup per conjugacy class
 joins each zuppo in R, one Dimino coset step per join
 (`groups._coset_extension`, the one closure primitive), and each new join
-comes in with its whole class, by conjugation.  It finds every subgroup of
-R, and so every perfect subgroup, which lies in each term of the derived
-series.  Phase 2 climbs by normal steps of prime index: a subgroup H and a
-zuppo generator z outside R and outside H that normalizes H, with z^p in H,
-give H<z> of order p|H|, a normal product (`groups._normal_product`) that
-closes nothing.  A subgroup U not inside R has a normal V of prime index p
-that contains U & R, since U/(U & R) ~ UR/R is soluble; the p-part of any u
-in U outside V gives such a z with V<z> = U, so by induction on |U| every
-subgroup is found.  A visit of H skips a z that lies in a join already made
-from H: that join has order p|H| and holds H<z>, so it is H<z>.  The full
-proofs are in `all_subgroups`.
+comes in with its whole class, by the conjugation rows of G's generators
+(`groups.conjugations`, the one conjugation primitive, which also gives
+phase 2's normality test and the members' least conjugates).  It finds every
+subgroup of R, and so every perfect subgroup, which lies in each term of the
+derived series.  Phase 2 climbs by normal steps of prime index: a subgroup H
+and a zuppo generator z outside R and outside H that normalizes H, with z^p
+in H, give H<z> of order p|H|, a normal product (`groups._normal_product`)
+that closes nothing.  A subgroup U not inside R has a normal V of prime
+index p that contains U & R, since U/(U & R) ~ UR/R is soluble; the p-part
+of any u in U outside V gives such a z with V<z> = U, so by induction on |U|
+every subgroup is found.  A visit of H skips a z that lies in a join already
+made from H: that join has order p|H| and holds H<z>, so it is H<z>.  The
+full proofs are in `all_subgroups`.
 
 A group cut out of G by `groups.materialize` does not enumerate at all when
 G's lattice is memoized for the same budget: its lattice is read off G's
@@ -50,10 +52,10 @@ from .groups import (
     Subgroup,
     _closure,
     _coset_extension,
-    _generating_sequence,
     _normal_product,
     centralizer,
     conjugacy_classes,
+    conjugations,
     cyclic_table,
     derived_series,
     is_normal,
@@ -104,8 +106,8 @@ class SubgroupLattice:
         `parent`.  Conjugation by each of the parent's greedy generators
         permutes the members, and the classes are the orbits of those
         permutations."""
-        perms = [[self.index[tuple(sorted(map(conj, s.elems)))] for s in self.subgroups]
-                 for conj in _conjugations(self.parent)]
+        perms = [[self.index[tuple(sorted(map(row.__getitem__, s.elems)))]
+                  for s in self.subgroups] for row in conjugations(self.parent)]
         least = [-1] * len(self.subgroups)
         for i in range(len(least)):
             if least[i] < 0:  # the least member of a class not yet met
@@ -125,14 +127,6 @@ class SubgroupLattice:
 # the most subgroups, or normal subgroups, one enumeration may find; read at
 # each call, so that the CLI can set it for one command
 subgroup_budget = 20000
-
-
-@memoized
-def _conjugations(G: FiniteGroup) -> tuple:
-    """Per greedy generator g of G, the map x -> g*x*g^-1, as a lookup."""
-    table = G.table
-    return tuple(tuple(table[x][G.inverse[g]] for x in table[g]).__getitem__
-                 for g in _generating_sequence(table, range(G.order)))
 
 
 def _over_budget(G: FiniteGroup, budget: int, what: str) -> TooLarge:
@@ -232,7 +226,7 @@ def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
     # time, each new join added with its orbit under conjugation by G
     inner = [z for z in zuppos if z in residual]
     if inner:
-        conjugations = _conjugations(G)
+        rows = conjugations(G)
         representatives = [found[0]]
         for elems, eset, gens in representatives:  # visits those appended
             for z in inner:
@@ -246,8 +240,9 @@ def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
                 representatives.append(found[k])
                 while k < len(found):  # the orbit, closed under each generator
                     member, _, member_gens = found[k]
-                    for conj in conjugations:
-                        add(tuple(sorted(map(conj, member))), tuple(map(conj, member_gens)))
+                    for row in rows:
+                        at = row.__getitem__
+                        add(tuple(sorted(map(at, member))), tuple(map(at, member_gens)))
                     k += 1
     # phase 2: prime-index normal steps by the zuppo generators outside the
     # residual, each with its p-th power and its conjugation h -> z*h*z^-1
@@ -257,8 +252,7 @@ def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
             zp = z
             for _ in range(prime_divisors(order[z])[0] - 1):
                 zp = table[zp][z]
-            zinv = G.inverse[z]
-            steps.append((z, zp, [table[x][zinv] for x in table[z]], members[z]))
+            steps.append((z, zp, conjugations(G, (z,))[0], members[z]))
     for elems, eset, gens in found:  # visits the members appended on the way
         joined: set[int] = set()  # elements of the joins made from this member
         for z, zp, conj, powers in steps:

@@ -22,6 +22,7 @@ from .errors import UnsupportedParameter
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _closure,
     cyclic_table,
     is_normal_in,
     memoized,
@@ -45,7 +46,8 @@ class ChainWitness:
     spec_text: str | None = None
 
     def verify(self, spec: ClassSpec | None = None) -> bool:
-        """Re-check every labeled step of the chain."""
+        """Re-check every labeled step of the chain, and that every member
+        is a subgroup."""
         G = self.group
         if len(self.chain) != len(self.step_kinds) + 1:
             return False
@@ -53,7 +55,11 @@ class ChainWitness:
             return False
         for i, kind in enumerate(self.step_kinds):
             small, big = self.chain[i], self.chain[i + 1]
-            if not (small.elem_set <= big.elem_set):
+            if not small.elem_set <= big.elem_set:
+                return False
+            # each member lies in the next and the last is G, so the closure
+            # reads only elements of G
+            if _closure(G.table, small.elems) != small.elems:
                 return False
             if kind == STEP_NORMAL:
                 if not is_normal_in(G, small.elem_set, big.elems):

@@ -39,6 +39,7 @@ from formatio.groups import (
     is_normal,
     is_normal_in,
     materialize,
+    normal_core,
     quotient,
     trivial_subgroup,
 )
@@ -297,7 +298,7 @@ def test_chain_searches_match_bfs_over_superset_lists(catalog_groups):
 
     def class_step(G, spec):
         def kind(small, big):
-            if is_normal_in(G, frozenset(small), big):
+            if all(G.conjugate(x, g) in small for g in big for x in small):
                 return "normal"
             core_quotient = _core_quotient(G, Subgroup(G, small), Subgroup(G, big))
             return "class-quotient" if is_member(core_quotient, spec) else None
@@ -447,6 +448,37 @@ def test_results_move_with_a_relabelling(catalog_groups):
             for compute in (isolated_set, maximal_intersection):
                 moved = tuple(sorted(perm[x] for x in compute(G, spec)))
                 assert compute(H, spec) == moved, (G.name, spec.text(), compute.__name__)
+
+
+def test_normality_and_cores_match_conjugation_by_every_element(subgroup_tables):
+    # every pair small <= big of lattice members of the corpus groups, and of
+    # relabelled copies of the larger ones: normal when every element of big
+    # maps small onto itself, and the core is the intersection of small's
+    # conjugates by every element of big
+    larger = [K for K in subgroup_tables if K.order >= 48]
+    pairs = 0
+    for G in [*subgroup_tables, *(relabelled(K, seed)[0] for seed, K in enumerate(larger))]:
+        lattice = all_subgroups(G)
+        subs = lattice.subgroups
+        conj = [[G.conjugate(x, g) for x in range(G.order)] for g in range(G.order)]
+        for i, small in enumerate(subs):
+            for j in range(i, len(subs)):
+                if j != i and not lattice.above[i] >> j & 1:
+                    continue
+                big = subs[j].elems
+                conjugates = [frozenset(map(conj[g].__getitem__, small.elems)) for g in big]
+                normal = all(c == small.elem_set for c in conjugates)
+                core = tuple(sorted(frozenset.intersection(*conjugates)))
+                assert is_normal_in(G, small.elem_set, big) is normal, (G.name, i, j)
+                assert normal_core(G, small, big).elems == core, (G.name, i, j)
+                pairs += 1
+            # G itself, by default
+            conjugates = [frozenset(map(row.__getitem__, small.elems)) for row in conj]
+            assert is_normal_in(G, small.elem_set) is all(
+                c == small.elem_set for c in conjugates), (G.name, i)
+            assert normal_core(G, small).elems == tuple(
+                sorted(frozenset.intersection(*conjugates))), (G.name, i)
+    assert pairs > 17000
 
 
 def test_least_conjugates_match_conjugation_by_every_element(catalog_groups, large_groups):

@@ -118,6 +118,8 @@ def _witness(G, chain, kinds):
     # a class step needs a spec
     (((0, 1), tuple(range(6))), ("class-quotient",), None),
     (((0, 1), tuple(range(6))), ("sideways",), SOLUBLE),
+    # a member that is not closed, though its index 2 is prime
+    (((0, 1, 2), tuple(range(6))), ("prime-index",), None),
 ])
 def test_malformed_chain_witness_fails_verify(s3, chain, kinds, spec):
     assert not _witness(s3, chain, kinds).verify(spec)
