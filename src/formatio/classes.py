@@ -505,15 +505,31 @@ class LocalClass(ClassSpec):
 @record
 class VStarClass(ClassSpec):
     """Groups whose cyclic prime-power subgroups are all reachable by chains
-    of steps that are normal or have core-quotient inside `inner`."""
+    of steps that are normal or have core-quotient inside `inner`.
+
+    A formation F lies inside vstar(F): for G in F and H <= G, G/Core_G(H)
+    is a quotient of G, so H <= G is a one-step chain.  So when `inner` is
+    flagged formation, a member of it is a member here without the chain
+    search, and without G's subgroup lattice; this trusts the flag.  Any
+    other group is decided by the search (`vstar_member`), which enumerates
+    the lattice.  An inner spec not flagged hereditary is refused first.
+    """
 
     inner: ClassSpec
-    formation = True
-    hereditary = True
+
+    # vstar(F) is a hereditary formation, and saturated when F is soluble
+    # only; it is a class at all only when F is flagged hereditary
+    @property
+    def formation(self):  # type: ignore[override]
+        return self.inner.hereditary
+
+    @property
+    def hereditary(self):  # type: ignore[override]
+        return self.inner.hereditary
 
     @property
     def saturated(self):  # type: ignore[override]
-        return self.inner.soluble_only
+        return self.inner.hereditary and self.inner.soluble_only
 
     @property
     def soluble_only(self):  # type: ignore[override]
@@ -523,8 +539,11 @@ class VStarClass(ClassSpec):
         return f"vstar({self.inner.text()})"
 
     def _member(self, G):
-        from .subnormality import vstar_member
+        from .subnormality import check_vstar_inner, vstar_member
 
+        check_vstar_inner(self.inner)
+        if self.inner.formation and is_member(G, self.inner):
+            return True
         return vstar_member(G, self.inner)
 
 

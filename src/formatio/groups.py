@@ -705,17 +705,27 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     return _trusted_group(rows, name=f"{A.name}x{B.name}")
 
 
-def _check_automorphism(N: FiniteGroup, perm: Sequence[int], label: str) -> None:
+def _check_automorphism(N: FiniteGroup, perm: Sequence[int], label: str,
+                        gens: Sequence[int]) -> None:
+    """Check that perm is an automorphism of N, given N's greedy generators.
+
+    The a with perm(a*b) = perm(a)*perm(b) for every b are closed under
+    products, so when N's generators pass, every element does, and the law
+    needs checking only on their rows, as in `_check_associativity`.  On a
+    failure every row is scanned, to name the first failing pair."""
     if sorted(perm) != list(range(N.order)) or perm[0] != 0:
         raise ActionNotAutomorphism(f"action[{label}] is not a permutation fixing 0")
     t = N.table
     through = _coset_getter(perm)  # the row of x to x*perm(b) over every b
-    for a, row in enumerate(t):
-        left, right = tuple(map(perm.__getitem__, row)), through(t[perm[a]])
-        if left != right:
-            b = next(b for b, (x, y) in enumerate(zip(left, right)) if x != y)
-            raise ActionNotAutomorphism(
-                f"action[{label}] breaks multiplication at ({a}, {b})")
+
+    def breaks(a: int) -> bool:
+        return tuple(map(perm.__getitem__, t[a])) != through(t[perm[a]])
+
+    if any(map(breaks, gens)):
+        a = next(filter(breaks, range(N.order)))
+        left, right = tuple(map(perm.__getitem__, t[a])), through(t[perm[a]])
+        b = next(b for b, (x, y) in enumerate(zip(left, right)) if x != y)
+        raise ActionNotAutomorphism(f"action[{label}] breaks multiplication at ({a}, {b})")
 
 
 def semidirect_product(N: FiniteGroup, H: FiniteGroup,
@@ -728,14 +738,21 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup,
     if len(action) != H.order:
         raise ActionNotHomomorphism("need one automorphism per element of H")
     perms = [tuple(int(x) for x in p) for p in action]
+    n_gens = _generating_sequence(N.table, range(N.order))
     for h, perm in enumerate(perms):
-        _check_automorphism(N, perm, str(h))
+        _check_automorphism(N, perm, str(h), n_gens)
     th = H.table
-    for h1 in range(H.order):
-        for h2 in range(H.order):
-            if tuple(map(perms[h1].__getitem__, perms[h2])) != perms[th[h1][h2]]:
-                raise ActionNotHomomorphism(
-                    f"action is not a homomorphism at pair ({h1}, {h2})")
+
+    # the h1 passing against every h2 are closed under products, so only H's
+    # generators are checked, unless one fails; and the identity, which is
+    # no product of generators when H is trivial
+    def breaks(h1: int, h2: int) -> bool:
+        return tuple(map(perms[h1].__getitem__, perms[h2])) != perms[th[h1][h2]]
+
+    hs = range(H.order)
+    if any(breaks(h1, h2) for h1 in (0, *_generating_sequence(th, hs)) for h2 in hs):
+        h1, h2 = next((h1, h2) for h1 in hs for h2 in hs if breaks(h1, h2))
+        raise ActionNotHomomorphism(f"action is not a homomorphism at pair ({h1}, {h2})")
     return _trusted_group(_pair_rows(N.table, perms, th), name=f"{N.name}:|{H.name}")
 
 

@@ -13,6 +13,15 @@ not in its report's `violations`, and the CLI exits 2 on any.  The other
 sweep modes (Frattini-quotient saturation, the formation and hereditary laws,
 vstar idempotence) are row functions of one group, listed in `ROW_SWEEPS`.
 Every mode calls its row function once per group, in one process.
+
+A row does only the work its output reads.  A regularity row of a member of
+a hereditary-flagged spec, and a saturation row of a member of a
+formation-flagged spec, are read off that one verdict, and enumerate no
+lattice and build no Frattini quotient; the rows trust the flags, which the
+formation-laws sweep checks.  The subgroup budget still holds on every
+regularity and saturation row, by the count bound or by enumeration
+(`structure.check_subgroup_budget`), so a budget error names the same group
+as a full enumeration would.
 """
 
 from __future__ import annotations
@@ -35,10 +44,12 @@ from .records import record
 from .structure import (
     SubgroupLattice,
     all_subgroups,
+    check_subgroup_budget,
     frattini,
     memoized_lattice,
     minimal_normal_subgroups,
 )
+from .subnormality import vstar_member
 
 
 @memoized
@@ -236,14 +247,18 @@ def regularity_row(G: FiniteGroup, spec: ClassSpec) -> SweepRow:
 
     A member of a hereditary spec is decided by that one verdict: every
     <x, y> lies in G, so in the class, and G is the one maximal member, so
-    both sets are G.  The lattice is still enumerated, so the subgroup budget
-    holds on every row.  The row trusts the hereditary flag: a member of a
+    both sets are G.  The row trusts the hereditary flag: a member of a
     wrongly flagged spec reads equal here, and the formation-laws sweep is
     what checks the flag.  Errors that judging a subgroup or closing a pair
     would raise (SizeCapExceeded, UnsupportedParameter) cannot come from a
     member row, which does neither.
+
+    The subgroup budget is checked first (`check_subgroup_budget`), so it
+    holds on every row, by the count bound or by enumeration.  Only a row
+    that is not decided by membership enumerates the lattice, for the two
+    sets; the verdict itself may enumerate it, as a vstar or vU search does.
     """
-    all_subgroups(G)
+    check_subgroup_budget(G)
     soluble = is_member(G, SOLUBLE)
     if spec.hereditary and is_member(G, spec):
         whole = tuple(range(G.order))
@@ -268,10 +283,24 @@ def regularity_sweep(groups, spec: ClassSpec) -> RegularityReport:
 
 
 def saturation_rows(G: FiniteGroup, spec: ClassSpec) -> list[dict]:
-    """G/Phi(G) in the class forces G in it, for a saturated class."""
-    Q, _ = quotient(G, frattini(G))
-    quotient_member = is_member(Q, spec)
-    member = is_member(G, spec)
+    """G/Phi(G) in the class forces G in it, for a saturated class.
+
+    The subgroup budget is checked first (`check_subgroup_budget`), so it
+    holds on every row, by the count bound or by enumeration.  For a
+    formation-flagged spec G is judged first: a member's quotient G/Phi(G)
+    is a member too, so its row is read off that verdict, and neither Phi(G)
+    (which needs G's lattice) nor the quotient is built.  The row trusts the
+    formation flag, as `regularity_row` trusts the hereditary one; the
+    formation-laws sweep is what checks it.  Any other row builds the
+    quotient and judges it before G.
+    """
+    check_subgroup_budget(G)
+    if spec.formation and is_member(G, spec):
+        quotient_member = member = True
+    else:
+        Q, _ = quotient(G, frattini(G))
+        quotient_member = is_member(Q, spec)
+        member = is_member(G, spec)
     return [{"group": G.name, "order": G.order,
              "frattini_quotient_member": quotient_member,
              "member": member,
@@ -303,10 +332,14 @@ def formation_law_rows(G: FiniteGroup, spec: ClassSpec) -> list[dict]:
 
 
 def vstar_idempotence_rows(G: FiniteGroup, spec: ClassSpec) -> list[dict]:
-    """vstar(vstar(F)) and vstar(F) agree on G."""
+    """vstar(vstar(F)) and vstar(F) agree on G.
+
+    Both verdicts come from the chain search (`vstar_member`), not from
+    `is_member`, whose first test for vstar(F) is membership in F: that test
+    is the inclusion vstar(F) <= vstar(vstar(F)) this sweep checks."""
     once = VStarClass(spec)
-    a = is_member(G, once)
-    b = is_member(G, VStarClass(once))
+    a = vstar_member(G, spec)
+    b = vstar_member(G, once)
     return [{"group": G.name, "vstar": a, "vstar_vstar": b, "ok": a == b}]
 
 

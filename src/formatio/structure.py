@@ -42,9 +42,10 @@ least element set, and results are memoized per group.
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from math import comb
 from operator import and_
 
-from .arith import lcm_ints, prime_divisors
+from .arith import factorize, lcm_ints, prime_divisors
 from .errors import NotChiefFactor, SizeCapExceeded, TooLarge
 from .groups import (
     MAX_ORDER,
@@ -131,6 +132,32 @@ subgroup_budget = 20000
 
 def _over_budget(G: FiniteGroup, budget: int, what: str) -> TooLarge:
     return TooLarge(f"{G.name} has more than {budget} {what}; raise the budget")
+
+
+def subgroup_count_bound(G: FiniteGroup) -> int:
+    """A bound on G's subgroup count: the sum of C(z, k) over k from 0 to
+    Omega(|G|), for z the number of zuppos (nontrivial cyclic subgroups of
+    prime-power order) and Omega the number of prime factors of |G| counted
+    with multiplicity.
+
+    A subgroup H is generated by its zuppos, since each element is the
+    product of its prime-power parts.  Joining them one at a time and
+    skipping those already reached, each join moves up to a subgroup of which
+    the last is a proper subgroup, so the order gains a prime factor; so at
+    most Omega(|H|) <= Omega(|G|) zuppos generate H, and distinct subgroups
+    come from distinct sets of them.
+    """
+    _, members = cyclic_table(G)
+    order = G.element_order
+    z = sum(1 for x in members if len(prime_divisors(order[x])) == 1)
+    return sum(comb(z, k) for k in range(sum(factorize(G.order).values()) + 1))
+
+
+def check_subgroup_budget(G: FiniteGroup) -> None:
+    """Raise TooLarge exactly when `all_subgroups(G)` would, enumerating only
+    when neither a memoized lattice nor `subgroup_count_bound` settles it."""
+    if memoized_lattice(G) is None and subgroup_count_bound(G) > subgroup_budget:
+        all_subgroups(G)
 
 
 def all_subgroups(G: FiniteGroup) -> SubgroupLattice:

@@ -225,11 +225,16 @@ def _obstruction(G: FiniteGroup, kind: str | ClassSpec) -> Subgroup | None:
                  if not _reaches(G, kind, index[P.elems], -1)), None)
 
 
-def vstar_obstruction(G: FiniteGroup, spec: ClassSpec) -> Subgroup | None:
-    """First cyclic primary subgroup without a class-subnormal chain."""
+def check_vstar_inner(spec: ClassSpec) -> None:
+    """Raise UnsupportedParameter unless vstar may be taken of the spec."""
     if not spec.hereditary:
         raise UnsupportedParameter(
             f"vstar needs a hereditary-flagged spec, got {spec.text()}")
+
+
+def vstar_obstruction(G: FiniteGroup, spec: ClassSpec) -> Subgroup | None:
+    """First cyclic primary subgroup without a class-subnormal chain."""
+    check_vstar_inner(spec)
     return _obstruction(G, spec)
 
 

@@ -318,6 +318,8 @@ class _Unflagged(ClassSpec):
     ("vstar(N)", (True, True, True, True)),
     ("vstar(A)", (True, True, True, True)),
     ("vstar(p_nilpotent:2)", (True, True, False, False)),
+    # vstar of a spec not flagged hereditary is refused, so it is no class
+    ("vstar(prod(N,S))", (False, False, False, True)),
 ])
 def test_composite_flags(spec, flags):
     if isinstance(spec, str):

@@ -294,6 +294,25 @@ def test_serial_sweep_keeps_budget(capsys, tmp_path, mode):
                              "vU", "--mode", mode, "--catalog", str(cat))
     assert (code, out) == (1, "")
     assert "more than 3 subgroups" in err
+    if mode not in ("regularity", "saturation"):
+        return
+    # member rows enumerate no lattice, yet at every budget a sweep fails as
+    # a full enumeration of each group in turn would: on the first group
+    # with more subgroups than the budget, or not at all
+    from formatio.constructions import read_catalog
+    from formatio.structure import all_subgroups
+
+    run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "12", "--force")
+    counts = [(e.group.name, len(all_subgroups(e.group))) for e in read_catalog(cat)]
+    for spec in ("vstar(U)", "vstar(N)"):
+        argv = ("sweep", "--spec", spec, "--mode", mode, "--catalog", str(cat))
+        unbounded = run_cli(capsys, *argv)
+        for budget in range(1, max(n for _, n in counts) + 2):
+            first = next((name for name, n in counts if n > budget), None)
+            expected = unbounded if first is None else (
+                1, "", f"error: {first} has more than {budget} subgroups; raise the budget\n")
+            got = run_cli(capsys, "--budget-subgroups", str(budget), *argv)
+            assert got == expected, (spec, budget)
 
 
 def test_limit_overrides_last_one_command(capsys):
@@ -691,6 +710,14 @@ def test_vstar_of_a_non_hereditary_spec_is_an_error(capsys, tmp_path, command):
         argv = (command, "S4", spec)
     assert run_cli(capsys, *argv) == (
         1, "", "error: vstar needs a hereditary-flagged spec, got prod(abelian,nilpotent)\n")
+
+
+@pytest.mark.parametrize("group", ["S4", "S3"])
+def test_vstar_refuses_a_non_hereditary_formation_before_judging_it(capsys, group):
+    # prod(N,A) is flagged formation and S3 lies in it, so the refusal must
+    # come before the vstar(F) >= F shortcut
+    assert run_cli(capsys, "check", group, "vstar(prod(N,A))") == (
+        1, "", "error: vstar needs a hereditary-flagged spec, got prod(nilpotent,abelian)\n")
 
 
 @pytest.mark.parametrize("argv, err", [

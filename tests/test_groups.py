@@ -218,6 +218,42 @@ def test_semidirect_rejects_non_homomorphism():
         semidirect_product(z5, z4, [ident, double, ident, double])
 
 
+def _semidirect_error(N, H, action):
+    try:
+        semidirect_product(N, H, action)
+    except (ActionNotAutomorphism, ActionNotHomomorphism) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_action_checks_on_generators_name_the_first_failure_of_a_full_scan():
+    # the checks read only generators' rows; every permutation of S3 and of
+    # Z2xZ4 fixing 0 (as the action of the trivial group), and every map
+    # from Z2xZ2 to Aut(Z2xZ2), must meet the verdict and first failing
+    # pair of a scan over every element
+    for N in (symmetric(3), direct_product(cyclic(2), cyclic(4))):
+        t, n = N.table, N.order
+        for rest in itertools.permutations(range(1, n)):
+            perm = (0, *rest)
+            bad = next(((a, b) for a in range(n) for b in range(n)
+                        if perm[t[a][b]] != t[perm[a]][perm[b]]), None)
+            expected = (None if perm == tuple(range(n)) else
+                        (ActionNotHomomorphism, "action is not a homomorphism at pair (0, 0)"))
+            if bad is not None:
+                expected = (ActionNotAutomorphism,
+                            f"action[0] breaks multiplication at ({bad[0]}, {bad[1]})")
+            assert _semidirect_error(N, cyclic(1), [perm]) == expected, perm
+    V = direct_product(cyclic(2), cyclic(2))
+    autos = [(0, *rest) for rest in itertools.permutations(range(1, 4))]
+    th = V.table
+    for action in itertools.product(autos, repeat=4):
+        bad = next(((h1, h2) for h1 in range(4) for h2 in range(4)
+                    if tuple(action[h1][x] for x in action[h2]) != action[th[h1][h2]]), None)
+        expected = None if bad is None else (
+            ActionNotHomomorphism, f"action is not a homomorphism at pair ({bad[0]}, {bad[1]})")
+        assert _semidirect_error(V, V, action) == expected, action
+
+
 def test_isomorphism_finds_witness(z6):
     G = direct_product(cyclic(2), cyclic(3))
     hom = isomorphism(G, z6)

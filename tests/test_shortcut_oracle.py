@@ -1,0 +1,133 @@
+"""Oracles for what the member rows of a sweep trust.
+
+* vstar(F) by inclusion: for F flagged hereditary and formation, `is_member`
+  decides a member of F without the chain search, as F lies inside vstar(F).
+  The search (`vstar_member`) must give the same verdict on the oracle corpus
+  and on relabelled copies.
+* the flags: for specs drawn from the spec grammar, a member's quotients by
+  minimal normal subgroups must be members when the spec is flagged
+  formation, and its maximal subgroups when it is flagged hereditary.
+* the subgroup budget: `subgroup_count_bound` bounds the subgroup count, and
+  `check_subgroup_budget` raises exactly when `all_subgroups` does.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import Phase, given, settings
+
+from conftest import relabelled
+from test_fuzz import SPEC_TEXTS
+from formatio import structure
+from formatio.classes import VStarClass, is_member, parse_spec
+from formatio.constructions import symmetric
+from formatio.errors import FormatioError
+from formatio.groups import _trusted_group, quotient
+from formatio.structure import (
+    SubgroupLattice,
+    all_subgroups,
+    check_subgroup_budget,
+    maximal_subgroups,
+    memoized_lattice,
+    minimal_normal_subgroups,
+    subgroup_count_bound,
+)
+from formatio.subnormality import vstar_member
+
+INCLUSION_INNERS = ("N", "U", "A", "S", "p_nilpotent:2", "sylow_tower:2>3",
+                    "reg(default->1)", "S_pi:{2,3}", "local(2->N,default->A)",
+                    "vstar(N)", "vU")
+
+
+def drawn_specs(n):
+    """The specs of the first n texts of a derandomized draw from the spec
+    grammar, without repeats."""
+    texts = []
+
+    @settings(derandomize=True, max_examples=n, database=None, phases=[Phase.generate])
+    @given(SPEC_TEXTS)
+    def collect(text):
+        texts.append(text)
+
+    collect()
+    return [parse_spec(text) for text in dict.fromkeys(texts)]
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the FormatioError it raised."""
+    try:
+        return fn(*args)
+    except FormatioError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.fixture(scope="module")
+def drawn():
+    return drawn_specs(100)
+
+
+@pytest.fixture(scope="module")
+def corpus_and_copies(subgroup_tables):
+    return subgroup_tables + [relabelled(K, i) for i, K in enumerate(subgroup_tables)]
+
+
+@pytest.mark.parametrize("text", INCLUSION_INNERS)
+def test_vstar_by_inclusion_matches_the_search(corpus_and_copies, text):
+    F = parse_spec(text)
+    assert F.hereditary and F.formation
+    assert any(is_member(K, F) for K in corpus_and_copies)
+    for K in corpus_and_copies:
+        assert is_member(K, VStarClass(F)) == vstar_member(K, F), (text, K.name)
+
+
+def test_vstar_by_inclusion_matches_the_search_on_drawn_specs(drawn, corpus_and_copies):
+    inners = [F for F in drawn if F.hereditary and F.formation][:12]
+    assert len(inners) == 12
+    for F in inners:
+        for K in corpus_and_copies:
+            assert outcome(is_member, K, VStarClass(F)) == outcome(vstar_member, K, F), \
+                (F.text(), K.name)
+
+
+def test_drawn_flags_hold_on_small_catalog_groups(drawn, catalog_groups):
+    small = [G for G in catalog_groups if G.order <= 24]
+    small += [relabelled(G, 1000 + i) for i, G in enumerate(small)]
+    checked = 0
+    for spec in drawn:
+        if not (spec.formation or spec.hereditary):
+            continue
+        for G in small:
+            # a group whose verdict is an error (vstar of a spec that is not
+            # flagged hereditary, inside a local spec) is no member
+            if outcome(is_member, G, spec) is not True:
+                continue
+            if spec.formation:
+                for M in minimal_normal_subgroups(G):
+                    assert is_member(quotient(G, M)[0], spec), (spec.text(), G.name, M.order)
+                    checked += 1
+            if spec.hereditary:
+                for H in maximal_subgroups(G):
+                    assert is_member(H.as_group(), spec), (spec.text(), G.name, H.elems)
+                    checked += 1
+    assert checked
+
+
+def test_subgroup_count_bound_holds(subgroup_tables):
+    for K in subgroup_tables + [symmetric(5)]:
+        assert len(all_subgroups(K)) <= subgroup_count_bound(K), K.name
+
+
+def test_budget_check_raises_exactly_when_enumeration_does(subgroup_tables, monkeypatch):
+    groups = subgroup_tables + [symmetric(5)]
+    sizes = [(len(all_subgroups(K)), subgroup_count_bound(K)) for K in groups]
+    for K, (count, bound) in zip(groups, sizes):
+        for budget in sorted({count - 1, count, count + 1, bound} - {0}):
+            monkeypatch.setattr(structure, "subgroup_budget", budget)
+            checked = _trusted_group(K.table, K.name)
+            expected = outcome(all_subgroups, _trusted_group(K.table, K.name))
+            if isinstance(expected, SubgroupLattice):
+                expected = None
+            assert (expected is None) == (budget >= count)
+            assert outcome(check_subgroup_budget, checked) == expected, (K.name, budget)
+            if budget >= bound:  # settled by the bound, with no enumeration
+                assert memoized_lattice(checked) is None, (K.name, budget)
