@@ -32,7 +32,6 @@ from .groups import (
     _closure,
     _coset_extension,
     conjugations,
-    cyclic_table,
     derived_series,
     derived_subgroup,
     quotient,
@@ -44,6 +43,7 @@ from .structure import (
     elems_soluble,
     exponent,
     normal_subgroups,
+    zuppos,
 )
 from .supernatural import (
     ExponentFunction,
@@ -781,7 +781,7 @@ def is_schmidt(G: FiniteGroup) -> bool:
     of zuppo pairs inside G's table, with no subgroup lattice.
 
     G is a Schmidt group exactly when it is not nilpotent and no pair of
-    zuppo generators (`cyclic_table`), x a p-element and y a q-element with
+    zuppo generators (`structure.zuppos`), x a p-element and y a q-element with
     p != q, generates a proper non-nilpotent subgroup.  Nilpotence of
     U = <x, y> is counted in G's element orders (`_orders_nilpotent`).
 
@@ -800,14 +800,12 @@ def is_schmidt(G: FiniteGroup) -> bool:
     table = G.table
     orders = G.element_order
     by_prime: dict[int, list[int]] = {}
-    for z in cyclic_table(G)[1]:
-        primes = prime_divisors(orders[z])
-        if len(primes) == 1:
-            by_prime.setdefault(primes[0], []).append(z)
-    zuppos = sorted(by_prime.items())
+    for z in zuppos(G):
+        by_prime.setdefault(prime_divisors(orders[z])[0], []).append(z)
+    per_prime = sorted(by_prime.items())
     # <x, y> = <y, x>, so each pair of primes is scanned once
-    for i, (_, xs) in enumerate(zuppos):
-        for _, ys in zuppos[i + 1:]:
+    for i, (_, xs) in enumerate(per_prime):
+        for _, ys in per_prime[i + 1:]:
             for x in xs:
                 for y in ys:
                     U = _closure(table, (x, y))

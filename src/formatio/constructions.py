@@ -1,11 +1,16 @@
 """Builders for the standard small groups and a persisted, tagged catalog.
 
-Every group is built one of three ways: as the listed elements of a
-permutation group (`symmetric`, `alternating`, `quaternion`), as a direct
+Every group is built one of three ways: as a permutation group on its
+listed elements (`symmetric`, `alternating`, `quaternion`), as a direct
 product of cyclic groups (`elementary_abelian` and the catalog's abelian
 groups), or as a semidirect product (`dihedral`, `field_action_group`).
-`named_group` is the one table from builder tokens (S3, Z12, D6, E(4|3),
-...) to groups; the CLI and the catalog's products both read it.
+A permutation group composes permutations only for its greedy generators;
+every other row is a generator's row read through an earlier row (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory: a Cayley table from
+generator images).  `named_group` is the one table from builder tokens
+(S3, Z12, D6, E(4|3), ...) to groups; the CLI reads it.  The catalog builds
+only the candidates whose order fits its bound, and takes its products'
+factors from its own candidates.
 
 Every builder is deterministic.  E-type groups (an elementary abelian group
 extended by a cyclic group of coprime order acting by field multiplication)
@@ -21,6 +26,7 @@ import math
 import re
 from functools import reduce
 from itertools import permutations
+from math import gcd
 from pathlib import Path
 
 from .arith import factorize, is_prime, multiplicative_order
@@ -34,6 +40,7 @@ from .errors import (
 from .groups import (
     MAX_ORDER,
     FiniteGroup,
+    _coset_getter,
     _trusted_group,
     direct_product,
     group_from_json,
@@ -51,7 +58,9 @@ def cyclic(n: int) -> FiniteGroup:
     if n > MAX_ORDER:
         raise TooLarge(f"order {n} exceeds cap {MAX_ORDER}")
     elems = tuple(range(n))
-    return _trusted_group(tuple(elems[i:] + elems[:i] for i in range(n)), name=f"Z{n}")
+    rows = tuple(elems[i:] + elems[:i] for i in range(n))
+    return FiniteGroup(rows, f"Z{n}", (0,) + elems[:0:-1],
+                       tuple(n // gcd(i, n) for i in elems))
 
 
 def _renamed(G: FiniteGroup, name: str) -> FiniteGroup:
@@ -71,10 +80,31 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _permutation_group(perms, name: str) -> FiniteGroup:
-    """The group of the listed permutations of 0..m-1, identity first."""
+    """The group of the listed permutations of 0..m-1, identity first.
+
+    Only the greedy generators s (each the least element not yet reached)
+    have their rows composed, one permutation product per element.  Every
+    other element y is reached as s*x with the row of x known, and its row
+    is the row of s read through the row of x, as (s*x)*c = s*(x*c).
+    """
     index = {p: i for i, p in enumerate(perms)}
-    rows = tuple(tuple(index[_compose(a, b)] for b in perms) for a in perms)
-    return _trusted_group(rows, name)
+    rows: list = [None] * len(perms)
+    rows[0] = tuple(range(len(perms)))
+    reached, gens = [0], []
+    for g, perm in enumerate(perms):
+        if rows[g] is not None:
+            continue
+        rows[g] = tuple(index[_compose(perm, b)] for b in perms)
+        gens.append(g)
+        reached.append(g)
+        for x in reached:  # visits the elements appended on the way
+            read = _coset_getter(rows[x])
+            for s in gens:
+                y = rows[s][x]
+                if rows[y] is None:
+                    rows[y] = read(rows[s])
+                    reached.append(y)
+    return _trusted_group(tuple(rows), name)
 
 
 def elementary_abelian(p: int, d: int) -> FiniteGroup:
@@ -227,11 +257,13 @@ def field_action_group(n: int, p: int) -> FiniteGroup:
     # units is cyclic of order p^d - 1, which n divides
     zeta = next(x for x in elements[1:] if order_up_to_n(x) == n)
 
-    # identity scalar, then successive powers of zeta
-    action, scalar = [], one
-    for _ in range(n):
-        action.append(tuple(index[_poly_mul_mod(x, scalar, modulus, p)] for x in elements))
-        scalar = _poly_mul_mod(scalar, zeta, modulus, p)
+    # identity scalar, then successive powers of zeta: multiplying by
+    # zeta^(k+1) is multiplying by zeta^k and then by zeta, so each action
+    # is the previous one read through the step x -> x*zeta
+    step = tuple(index[_poly_mul_mod(x, zeta, modulus, p)] for x in elements)
+    action = [tuple(range(size))]
+    for _ in range(n - 1):
+        action.append(_coset_getter(action[-1])(step))
     G = semidirect_product(elementary_abelian(p, d), cyclic(n), action)
     return _renamed(G, f"E({n}|{p})")
 
@@ -325,27 +357,26 @@ def _abelian_groups_upto(bound: int):
 
 
 def compute_tags(G: FiniteGroup) -> tuple[str, ...]:
+    """G's predicate tags.  Cyclic groups are abelian, and abelian within
+    nilpotent within supersoluble within soluble, while a Schmidt group is
+    not nilpotent and has order p^a q^b for two primes p and q (Schmidt's
+    theorem); so each verdict settles the ones it implies, and a predicate
+    is tested only where none has settled it."""
     from .classes import (
         ABELIAN, NILPOTENT, SOLUBLE, SUPERSOLUBLE, is_member, is_schmidt,
     )
 
-    tags = []
-    if G.order == 1:
-        tags.append("trivial")
-    if any(o == G.order for o in G.element_order):
-        tags.append("cyclic")
-    if is_member(G, ABELIAN):
-        tags.append("abelian")
-    if is_member(G, NILPOTENT):
-        tags.append("nilpotent")
-    if is_member(G, SUPERSOLUBLE):
-        tags.append("supersoluble")
-    if is_member(G, SOLUBLE):
-        tags.append("soluble")
-    else:
-        tags.append("nonsoluble")
-    if is_schmidt(G):
-        tags.append("schmidt")
+    is_cyclic = G.order in G.element_order
+    abelian = is_cyclic or is_member(G, ABELIAN)
+    nilpotent = abelian or is_member(G, NILPOTENT)
+    supersoluble = nilpotent or is_member(G, SUPERSOLUBLE)
+    soluble = supersoluble or is_member(G, SOLUBLE)
+    schmidt = not nilpotent and len(factorize(G.order)) == 2 and is_schmidt(G)
+    tags = [tag for tag, holds in (
+        ("trivial", G.order == 1), ("cyclic", is_cyclic), ("abelian", abelian),
+        ("nilpotent", nilpotent), ("supersoluble", supersoluble),
+        ("soluble", soluble), ("nonsoluble", not soluble), ("schmidt", schmidt))
+        if holds]
     return tuple(sorted(tags))
 
 
@@ -381,16 +412,15 @@ def build_catalog(config: CatalogConfig | None = None) -> list[CatalogEntry]:
     if 60 <= max_order:
         candidates.append((alternating(5), "alternating(5)"))
     for n, p in FIELD_ACTION_PARAMS:
-        try:
-            E = field_action_group(n, p)
-        except TooLarge:
-            continue
-        if E.order <= max_order:
-            candidates.append((E, f"field_action_group({n},{p})"))
+        if p ** multiplicative_order(p, n) * n <= max_order:
+            candidates.append((field_action_group(n, p), f"field_action_group({n},{p})"))
+    # every factor of a product pair is itself a candidate exactly when its
+    # order fits, so a factor that is missing rules the product out too
+    factors = {G.name: G for G, _ in candidates}
     for left, right in PRODUCT_PAIRS:
-        G = direct_product(named_group(left), named_group(right))
-        if G.order <= max_order:
-            candidates.append((G, f"direct_product({left},{right})"))
+        A, B = factors.get(left), factors.get(right)
+        if A is not None and B is not None and A.order * B.order <= max_order:
+            candidates.append((direct_product(A, B), f"direct_product({left},{right})"))
 
     accepted: list[CatalogEntry] = []
     for G, provenance in candidates:

@@ -36,7 +36,7 @@ import json
 from bisect import bisect_left
 from functools import cached_property, wraps
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -240,15 +240,20 @@ def _validated(rows: Table, name: str) -> FiniteGroup:
 def _trusted_group(rows: Table, name: str) -> FiniteGroup:
     """Construct from a table that is associative by construction.
 
-    Used for quotients and products of already-validated groups; identity
-    and inverse bookkeeping is still recomputed.
+    Used for quotients and semidirect products of already-validated groups
+    and for permutation groups; inverses and element orders are still
+    recomputed from the table.
     """
     return FiniteGroup(rows, name, _compute_inverses(rows), _element_orders(rows))
 
 
 def group_to_json(G: FiniteGroup) -> str:
-    payload = {"name": G.name, "order": G.order, "table": [list(r) for r in G.table]}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """The text of `json.dumps({"name": ..., "order": ..., "table": ...},
+    sort_keys=True, separators=(",", ":"))` and a newline, each row joined
+    from one tuple of label strings."""
+    labels = tuple(map(str, range(G.order)))
+    rows = "],[".join(",".join(_coset_getter(row)(labels)) for row in G.table)
+    return f'{{"name":{json.dumps(G.name)},"order":{G.order},"table":[[{rows}]]}}\n'
 
 
 def parse_json(data: str | bytes, what: str):
@@ -700,9 +705,14 @@ def _pair_rows(table_n: Table, perms: Sequence[Sequence[int]], table_h: Table) -
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
-    """A x B with pairs (a, b) encoded as a*|B| + b."""
+    """A x B with pairs (a, b) encoded as a*|B| + b.  Inverses and element
+    orders are read off the factors': (a, b)^-1 = (a^-1, b^-1), and (a, b)
+    has order lcm(|a|, |b|)."""
     rows = _pair_rows(A.table, [range(A.order)] * B.order, B.table)
-    return _trusted_group(rows, name=f"{A.name}x{B.name}")
+    nb = B.order
+    inverse = tuple(ia * nb + ib for ia in A.inverse for ib in B.inverse)
+    orders = tuple(lcm(oa, ob) for oa in A.element_order for ob in B.element_order)
+    return FiniteGroup(rows, f"{A.name}x{B.name}", inverse, orders)
 
 
 def _check_automorphism(N: FiniteGroup, perm: Sequence[int], label: str,
@@ -761,10 +771,16 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup,
 
 
 @memoized
+def _order_profile(G: FiniteGroup) -> tuple[int, ...]:
+    """G's element orders, sorted: the cheap isomorphism invariant."""
+    return tuple(sorted(G.element_order))
+
+
+@memoized
 def _iso_screen(G: FiniteGroup) -> tuple:
+    """The dearer isomorphism invariants: the centre's order and the orders
+    in the derived series."""
     return (
-        G.order,
-        tuple(sorted(G.element_order)),
         center(G).order,
         tuple(len(t) for t in derived_series(G, tuple(range(G.order)))),
     )
@@ -802,10 +818,11 @@ def _extend_partial_iso(A: FiniteGroup, B: FiniteGroup,
 def isomorphism(A: FiniteGroup, B: FiniteGroup) -> GroupHom | None:
     """An isomorphism A -> B, or None.
 
-    Screens on cheap invariants first, then backtracks over generator images
+    Screens on invariants first, the order and sorted element orders before
+    the centre and derived series, then backtracks over generator images
     constrained to elements of equal order.
     """
-    if A.order != B.order:
+    if A.order != B.order or _order_profile(A) != _order_profile(B):
         return None
     if _iso_screen(A) != _iso_screen(B):
         return None

@@ -134,6 +134,15 @@ def _over_budget(G: FiniteGroup, budget: int, what: str) -> TooLarge:
     return TooLarge(f"{G.name} has more than {budget} {what}; raise the budget")
 
 
+@memoized
+def zuppos(G: FiniteGroup) -> tuple[int, ...]:
+    """The least generators (`cyclic_table`) of G's zuppos, the nontrivial
+    cyclic subgroups of prime-power order, in ascending order."""
+    _, members = cyclic_table(G)
+    order = G.element_order
+    return tuple(z for z in members if len(prime_divisors(order[z])) == 1)
+
+
 def subgroup_count_bound(G: FiniteGroup) -> int:
     """A bound on G's subgroup count: the sum of C(z, k) over k from 0 to
     Omega(|G|), for z the number of zuppos (nontrivial cyclic subgroups of
@@ -147,9 +156,7 @@ def subgroup_count_bound(G: FiniteGroup) -> int:
     most Omega(|H|) <= Omega(|G|) zuppos generate H, and distinct subgroups
     come from distinct sets of them.
     """
-    _, members = cyclic_table(G)
-    order = G.element_order
-    z = sum(1 for x in members if len(prime_divisors(order[x])) == 1)
+    z = len(zuppos(G))
     return sum(comb(z, k) for k in range(sum(factorize(G.order).values()) + 1))
 
 
@@ -234,8 +241,7 @@ def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
     table = G.table
     _, members = cyclic_table(G)
     order = G.element_order
-    zuppos = sorted((z for z in members if len(prime_divisors(order[z])) == 1),
-                    key=lambda z: (-order[z], z))
+    turns = sorted(zuppos(G), key=lambda z: (-order[z], z))
     residual = frozenset(derived_series(G, tuple(range(G.order)))[-1])
     # element tuple, element set and generators of every subgroup found so far
     found: list[tuple[tuple[int, ...], frozenset[int], tuple[int, ...]]] = [
@@ -251,7 +257,7 @@ def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
 
     # phase 1: zuppo joins inside the residual, one class representative at a
     # time, each new join added with its orbit under conjugation by G
-    inner = [z for z in zuppos if z in residual]
+    inner = [z for z in turns if z in residual]
     if inner:
         rows = conjugations(G)
         representatives = [found[0]]
@@ -274,7 +280,7 @@ def _lattice(G: FiniteGroup, budget: int) -> SubgroupLattice:
     # phase 2: prime-index normal steps by the zuppo generators outside the
     # residual, each with its p-th power and its conjugation h -> z*h*z^-1
     steps = []
-    for z in zuppos:
+    for z in turns:
         if z not in residual:
             zp = z
             for _ in range(prime_divisors(order[z])[0] - 1):

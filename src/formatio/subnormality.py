@@ -17,7 +17,7 @@ such (in lattice indices).
 
 from __future__ import annotations
 
-from .arith import factorize, is_prime, prime_divisors
+from .arith import factorize, is_prime
 from .errors import UnsupportedParameter
 from .groups import (
     FiniteGroup,
@@ -30,7 +30,7 @@ from .groups import (
     section,
 )
 from .records import record
-from .structure import all_subgroups
+from .structure import all_subgroups, zuppos
 from .classes import ClassSpec, is_member
 
 STEP_NORMAL = "normal"
@@ -210,12 +210,13 @@ def is_prime_index_subnormal(G: FiniteGroup, H: Subgroup) -> bool:
     return _reaches(G, STEP_PRIME_INDEX, _node(G, H), -1)
 
 
+@memoized
 def cyclic_primary_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """All nontrivial cyclic subgroups of prime-power order (the zuppos),
-    read off the group's table of cyclic subgroups."""
+    in (size, elements) order."""
     _, members = cyclic_table(G)
-    primary = [t for t in members.values() if len(prime_divisors(len(t))) == 1]
-    return tuple(Subgroup(G, t) for t in sorted(primary, key=lambda t: (len(t), t)))
+    return tuple(Subgroup(G, t) for t in sorted(map(members.__getitem__, zuppos(G)),
+                                               key=lambda t: (len(t), t)))
 
 
 def _obstruction(G: FiniteGroup, kind: str | ClassSpec) -> Subgroup | None:

@@ -1,25 +1,31 @@
 """Oracle: the multiplication rules the builders once wrote out by hand.
 
-`dihedral`, `elementary_abelian`, `quaternion`, `symmetric` and
-`alternating` now come from `semidirect_product`, `direct_product` and
-permutation composition.  The rules below are the ones they replaced; each
-builder must give the same table, element for element, so every catalog
-file and every verdict that depends on labels stays the same.
+`dihedral`, `elementary_abelian`, `quaternion`, `symmetric`,
+`alternating` and `field_action_group` now come from `semidirect_product`,
+`direct_product`, rows read through generator rows and one field step.  The
+rules below are the ones they replaced; each builder must give the same
+table, element for element, so every catalog file and every verdict that
+depends on labels stays the same.
 """
 
 from __future__ import annotations
 
 from itertools import chain, permutations
 
-from formatio.arith import is_prime
+from formatio.arith import is_prime, multiplicative_order
 from formatio.constructions import (
+    _digits,
+    _least_irreducible,
+    _poly_mul_mod,
     alternating,
+    cyclic,
     dihedral,
     elementary_abelian,
+    field_action_group,
     quaternion,
     symmetric,
 )
-from formatio.groups import MAX_ORDER
+from formatio.groups import MAX_ORDER, semidirect_product
 
 
 def dihedral_rows(n):
@@ -116,3 +122,43 @@ def test_symmetric_and_alternating_match_composition_tables():
     for n in range(1, 6):
         assert symmetric(n).table == permutation_rows(n, even_only=False), n
         assert alternating(n).table == permutation_rows(n, even_only=True), n
+
+
+def per_scalar_action(n, p):
+    """The permutations of F_p^d by multiplication with zeta^k, k = 0..n-1,
+    each power of zeta multiplied into every field element polynomial by
+    polynomial: d is the order of p modulo n, F_p^d is built on the least
+    monic irreducible of degree d, and zeta is its least element of
+    multiplicative order n."""
+    d = multiplicative_order(p, n)
+    size = p ** d
+    modulus = _least_irreducible(p, d)
+    elements = [_digits(i, p, d) for i in range(size)]
+    index = {x: i for i, x in enumerate(elements)}
+    one = (1,) + (0,) * (d - 1)
+
+    def order_up_to_n(x):
+        power, order = x, 1
+        while power != one and order <= n:
+            power, order = _poly_mul_mod(power, x, modulus, p), order + 1
+        return order
+
+    zeta = next(x for x in elements[1:] if order_up_to_n(x) == n)
+    action, scalar = [], one
+    for _ in range(n):
+        action.append(tuple(index[_poly_mul_mod(x, scalar, modulus, p)] for x in elements))
+        scalar = _poly_mul_mod(scalar, zeta, modulus, p)
+    return d, action
+
+
+def test_field_action_groups_match_the_per_scalar_rule():
+    checked = 0
+    for n in range(2, MAX_ORDER // 2 + 1):
+        for p in filter(is_prime, range(2, MAX_ORDER // n + 1)):
+            if n % p == 0 or p ** multiplicative_order(p, n) * n > MAX_ORDER:
+                continue
+            d, action = per_scalar_action(n, p)
+            expected = semidirect_product(elementary_abelian(p, d), cyclic(n), action)
+            assert field_action_group(n, p).table == expected.table, (n, p)
+            checked += 1
+    assert checked > 100
