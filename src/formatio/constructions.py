@@ -40,7 +40,7 @@ from .errors import (
 from .groups import (
     MAX_ORDER,
     FiniteGroup,
-    _coset_getter,
+    _reader,
     _trusted_group,
     direct_product,
     group_from_json,
@@ -98,7 +98,7 @@ def _permutation_group(perms, name: str) -> FiniteGroup:
         gens.append(g)
         reached.append(g)
         for x in reached:  # visits the elements appended on the way
-            read = _coset_getter(rows[x])
+            read = _reader(rows[x])
             for s in gens:
                 y = rows[s][x]
                 if rows[y] is None:
@@ -263,7 +263,7 @@ def field_action_group(n: int, p: int) -> FiniteGroup:
     step = tuple(index[_poly_mul_mod(x, zeta, modulus, p)] for x in elements)
     action = [tuple(range(size))]
     for _ in range(n - 1):
-        action.append(_coset_getter(action[-1])(step))
+        action.append(_reader(action[-1])(step))
     G = semidirect_product(elementary_abelian(p, d), cyclic(n), action)
     return _renamed(G, f"E({n}|{p})")
 
@@ -412,7 +412,7 @@ def build_catalog(config: CatalogConfig | None = None) -> list[CatalogEntry]:
     if 60 <= max_order:
         candidates.append((alternating(5), "alternating(5)"))
     for n, p in FIELD_ACTION_PARAMS:
-        if p ** multiplicative_order(p, n) * n <= max_order:
+        if p ** multiplicative_order(p, n) * n <= min(max_order, MAX_ORDER):
             candidates.append((field_action_group(n, p), f"field_action_group({n},{p})"))
     # every factor of a product pair is itself a candidate exactly when its
     # order fits, so a factor that is missing rules the product out too

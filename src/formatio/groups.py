@@ -207,12 +207,12 @@ def _check_associativity(table: Table) -> None:
     per-(a, b) row comparison and named in the error.
     """
     for g in _generating_sequence(table, range(len(table))):
-        through_g = _coset_getter(table[g])
+        through_g = _reader(table[g])
         if any(table[row[g]] != through_g(row) for row in table):
             break
     else:
         return
-    through = [_coset_getter(row) for row in table]
+    through = [_reader(row) for row in table]
     for a, row in enumerate(table):
         for b, ab in enumerate(row):
             left, right = table[ab], through[b](row)
@@ -252,7 +252,7 @@ def group_to_json(G: FiniteGroup) -> str:
     sort_keys=True, separators=(",", ":"))` and a newline, each row joined
     from one tuple of label strings."""
     labels = tuple(map(str, range(G.order)))
-    rows = "],[".join(",".join(_coset_getter(row)(labels)) for row in G.table)
+    rows = "],[".join(",".join(_reader(row)(labels)) for row in G.table)
     return f'{{"name":{json.dumps(G.name)},"order":{G.order},"table":[[{rows}]]}}\n'
 
 
@@ -387,9 +387,10 @@ def _generating_sequence(table: Table, elems: Iterable[int]) -> tuple[int, ...]:
     return _dimino(table, elems)[1]
 
 
-def _coset_getter(elems: tuple[int, ...]):
-    """Maps the table row of x to the left coset x*H, for H with element
-    tuple `elems`."""
+def _reader(elems: tuple[int, ...]):
+    """The map seq -> tuple(seq[i] for i in elems): read through the table
+    row of x, it gives the left coset x*H of H with element tuple `elems`;
+    read through another row or permutation, it composes the two."""
     return itemgetter(*elems) if len(elems) > 1 else (lambda row: (row[0],))
 
 
@@ -404,7 +405,7 @@ def _coset_extension(table: Table, elems: tuple[int, ...], gens: tuple[int, ...]
     The union of cosets is closed under left multiplication by the
     generators, so it is the subgroup they generate.
     """
-    coset = _coset_getter(elems)
+    coset = _reader(elems)
     seen = set(elems)
     seen.update(coset(table[z]))
     gens = gens + (z,)
@@ -422,7 +423,7 @@ def _normal_product(table: Table, normal: tuple[int, ...],
                     other: tuple[int, ...]) -> tuple[int, ...]:
     """Element set of N*M for subgroups N and M with N normalized by M: the
     union of the cosets m*N, m in M.  N*M = M*N is then a subgroup."""
-    coset = _coset_getter(normal)
+    coset = _reader(normal)
     seen = set(normal)
     for m in other:
         if m not in seen:
@@ -476,7 +477,7 @@ def materialize(parent: FiniteGroup, elems: tuple[int, ...]) -> FiniteGroup:
     if len(elems) == parent.order:
         return parent  # the relabelling is the identity, so is the table
     relabel = {e: i for i, e in enumerate(elems)}.__getitem__
-    at = _coset_getter(elems)
+    at = _reader(elems)
     rows = tuple(tuple(map(relabel, at(parent.table[a]))) for a in elems)
     head = ".".join(map(str, elems[:4])) + (".." if len(elems) > 4 else "")
     return FiniteGroup(rows, f"{parent.name}|{head}",
@@ -699,7 +700,7 @@ def _pair_rows(table_n: Table, perms: Sequence[Sequence[int]], table_h: Table) -
     def joined(h: int, xs: Iterable[int]) -> Row:
         return tuple(chain.from_iterable(map(blocks[h].__getitem__, xs)))
 
-    reads = [_coset_getter(joined(h, act)) for h, act in enumerate(perms)]
+    reads = [_reader(joined(h, act)) for h, act in enumerate(perms)]
     bases = [joined(0, row_n) for row_n in table_n]
     return tuple(read(base) for base in bases for read in reads)
 
@@ -726,7 +727,7 @@ def _check_automorphism(N: FiniteGroup, perm: Sequence[int], label: str,
     if sorted(perm) != list(range(N.order)) or perm[0] != 0:
         raise ActionNotAutomorphism(f"action[{label}] is not a permutation fixing 0")
     t = N.table
-    through = _coset_getter(perm)  # the row of x to x*perm(b) over every b
+    through = _reader(perm)  # the row of x to x*perm(b) over every b
 
     def breaks(a: int) -> bool:
         return tuple(map(perm.__getitem__, t[a])) != through(t[perm[a]])

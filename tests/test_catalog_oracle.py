@@ -115,6 +115,15 @@ def test_catalog_builds_nothing_above_its_bound(monkeypatch):
     assert orders and max(orders) <= 12
 
 
+def test_a_bound_above_the_cap_builds_the_capped_catalog():
+    # E(9|2) has order 576: a larger bound must skip it, not build it
+    def key(entries):
+        return [(e.group.name, e.group.table, e.tags, e.provenance) for e in entries]
+
+    assert key(build_catalog(CatalogConfig(MAX_ORDER + 100))) == \
+        key(build_catalog(CatalogConfig(MAX_ORDER)))
+
+
 def test_every_product_pair_is_built_when_it_fits(monkeypatch):
     built = set()
 

@@ -11,6 +11,7 @@ import pytest
 
 from formatio.classes import ABELIAN, AbelianClass, AllGroupsClass, VSupersolubleClass
 from formatio.cli import main
+from formatio.groups import MAX_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +109,15 @@ def test_catalog_build_and_reuse(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "catalog-build", "--out", str(cat),
                          "--max-order", "12")
     assert code == 0
+
+
+def test_catalog_build_with_a_bound_above_the_cap(capsys, tmp_path):
+    cat = tmp_path / "cat"
+    code, _, err = run_cli(capsys, "catalog-build", "--out", str(cat),
+                           "--max-order", "1000")
+    assert code == 0, err
+    manifest = json.loads((cat / "manifest.json").read_text())
+    assert max(row["order"] for row in manifest) <= MAX_ORDER
 
 
 def test_catalog_build_refuses_corrupt_without_force(capsys, tmp_path):
