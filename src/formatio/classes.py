@@ -743,15 +743,6 @@ def exponent_formation_member(G: FiniteGroup, fn: ExponentFunction) -> bool:
 # Criticality
 
 
-def _proper_subgroups_member(G: FiniteGroup, spec: ClassSpec) -> bool:
-    for H in all_subgroups(G).subgroups:
-        if H.is_full():
-            continue
-        if not is_member(H.as_group(), spec):
-            return False
-    return True
-
-
 def is_minimal_non(G: FiniteGroup, spec: ClassSpec) -> bool:
     """G is outside the class while every proper subgroup is inside.
 
@@ -760,20 +751,8 @@ def is_minimal_non(G: FiniteGroup, spec: ClassSpec) -> bool:
     """
     if is_member(G, spec):
         return False
-    return _proper_subgroups_member(G, spec)
-
-
-def is_strongly_critical(G: FiniteGroup, spec: ClassSpec) -> bool:
-    """Minimal non-member whose proper quotients are all members too."""
-    if not is_minimal_non(G, spec):
-        return False
-    for N in normal_subgroups(G):
-        if N.order == 1:
-            continue
-        Q, _ = quotient(G, N)
-        if not is_member(Q, spec):
-            return False
-    return True
+    return all(is_member(H.as_group(), spec)
+               for H in all_subgroups(G).subgroups if not H.is_full())
 
 
 def is_schmidt(G: FiniteGroup) -> bool:

@@ -10,7 +10,10 @@ and O'Brien, Handbook of Computational Group Theory: a Cayley table from
 generator images).  `named_group` is the one table from builder tokens
 (S3, Z12, D6, E(4|3), ...) to groups; the CLI reads it.  The catalog builds
 only the candidates whose order fits its bound, and takes its products'
-factors from its own candidates.
+factors from its own candidates, plus S3, which is a factor but no entry
+(the catalog holds it as D3).  No two candidates are isomorphic, so every
+candidate is an entry and the build runs no isomorphism search; a test
+checks that invariant.
 
 Every builder is deterministic.  E-type groups (an elementary abelian group
 extended by a cyclic group of coprime order acting by field multiplication)
@@ -22,7 +25,6 @@ bit for bit.
 from __future__ import annotations
 
 import json
-import math
 import re
 from functools import reduce
 from itertools import permutations
@@ -45,7 +47,6 @@ from .groups import (
     direct_product,
     group_from_json,
     group_to_json,
-    is_isomorphic,
     parse_json,
     semidirect_product,
 )
@@ -233,7 +234,7 @@ def field_action_group(n: int, p: int) -> FiniteGroup:
         raise UnsupportedParameter(f"{p} is not prime")
     if n == 1:
         return _renamed(cyclic(p), f"E(1|{p})")
-    if math.gcd(n, p) != 1:
+    if gcd(n, p) != 1:
         raise NotCoprime(f"need gcd(n, p) = 1, got n={n}, p={p}")
     d = multiplicative_order(p, n)
     size = p ** d
@@ -315,12 +316,12 @@ class CatalogConfig:
 CYCLIC_MAX = 16
 ABELIAN_MAX = 27
 DIHEDRAL_MAX = 12
-FIELD_ACTION_PARAMS = (
-    (2, 3), (3, 2), (2, 5), (4, 3), (4, 5), (2, 7), (3, 7), (6, 7),
-    (5, 11), (8, 3), (9, 2),
-)
+# no pair below gives a group isomorphic to another candidate, so the pairs
+# (2, p), (3, 2) and (S3, Z2) are left out: E(2|p) is D_p, E(3|2) is A4 and
+# S3xZ2 is D6
+FIELD_ACTION_PARAMS = ((4, 3), (4, 5), (3, 7), (6, 7), (5, 11), (8, 3))
 PRODUCT_PAIRS = (
-    ("S3", "Z2"), ("S3", "Z3"), ("S3", "Z4"), ("S3", "Z5"), ("S3", "S3"),
+    ("S3", "Z3"), ("S3", "Z4"), ("S3", "Z5"), ("S3", "S3"),
     ("A4", "Z2"), ("A4", "Z3"), ("A4", "Z4"), ("D4", "Z2"), ("D4", "Z3"),
     ("Q8", "Z2"), ("Q8", "Z3"), ("S4", "Z2"),
 )
@@ -337,7 +338,14 @@ def _partitions(n: int):
 
 
 def _abelian_groups_upto(bound: int):
-    """All abelian groups of order 2..bound via prime-power partitions."""
+    """The abelian groups of order 2..bound, from prime-power partitions.
+
+    A cyclic group is left out where the cyclic builder makes it (order at
+    most CYCLIC_MAX) and where its order is a prime power.  So the cyclic
+    groups yielded are those of order above CYCLIC_MAX with two or more
+    prime divisors, under product names (Z9xZ2, Z5xZ4, ...); Z17, Z19, Z23,
+    Z25 and Z27 are in neither builder.
+    """
     for m in range(2, bound + 1):
         factor_lists = []
         for p, a in sorted(factorize(m).items()):
@@ -350,8 +358,9 @@ def _abelian_groups_upto(bound: int):
             for p, partition in combo:
                 cyclic_orders.extend(p ** e for e in partition)
             cyclic_orders.sort(reverse=True)
-            if len(cyclic_orders) == 1:
-                continue  # plain cyclic groups come from the cyclic builder
+            is_cyclic = len(cyclic_orders) == len(combo)  # one part per prime
+            if is_cyclic and (m <= CYCLIC_MAX or len(combo) == 1):
+                continue
             name = "x".join(f"Z{q}" for q in cyclic_orders)
             yield _cyclic_product(cyclic_orders, name), f"abelian({cyclic_orders})"
 
@@ -392,7 +401,7 @@ def lint_catalog(entries) -> list[str]:
 
 
 def build_catalog(config: CatalogConfig | None = None) -> list[CatalogEntry]:
-    """Deterministic curated catalog, deduplicated up to isomorphism."""
+    """Deterministic curated catalog of pairwise non-isomorphic groups."""
     max_order = (config or CatalogConfig()).max_order
     candidates: list[tuple[FiniteGroup, str]] = []
 
@@ -404,32 +413,29 @@ def build_catalog(config: CatalogConfig | None = None) -> list[CatalogEntry]:
         candidates.append((dihedral(k), f"dihedral({k})"))
     if 8 <= max_order:
         candidates.append((quaternion(), "quaternion()"))
-    for k in (3, 4):
-        if math.factorial(k) <= max_order:
-            candidates.append((symmetric(k), f"symmetric({k})"))
+    if 24 <= max_order:
+        candidates.append((symmetric(4), "symmetric(4)"))
     if 12 <= max_order:
         candidates.append((alternating(4), "alternating(4)"))
     if 60 <= max_order:
         candidates.append((alternating(5), "alternating(5)"))
     for n, p in FIELD_ACTION_PARAMS:
-        if p ** multiplicative_order(p, n) * n <= min(max_order, MAX_ORDER):
+        if p ** multiplicative_order(p, n) * n <= max_order:
             candidates.append((field_action_group(n, p), f"field_action_group({n},{p})"))
-    # every factor of a product pair is itself a candidate exactly when its
-    # order fits, so a factor that is missing rules the product out too
+    # every factor of a product pair is a candidate, or S3 (which is D3),
+    # exactly when its order fits, so a missing factor rules the product out
     factors = {G.name: G for G, _ in candidates}
+    if 6 <= max_order:
+        factors["S3"] = symmetric(3)
     for left, right in PRODUCT_PAIRS:
         A, B = factors.get(left), factors.get(right)
         if A is not None and B is not None and A.order * B.order <= max_order:
             candidates.append((direct_product(A, B), f"direct_product({left},{right})"))
 
-    accepted: list[CatalogEntry] = []
-    for G, provenance in candidates:
-        if any(e.group.order == G.order and is_isomorphic(e.group, G)
-               for e in accepted):
-            continue
-        accepted.append(CatalogEntry(G, compute_tags(G), provenance))
-    accepted.sort(key=lambda e: (e.group.order, e.group.name))
-    return accepted
+    entries = [CatalogEntry(G, compute_tags(G), provenance)
+               for G, provenance in candidates]
+    entries.sort(key=lambda e: (e.group.order, e.group.name))
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,6 @@ class FiniteGroup:
         self.origin = origin
         self._memo: dict = {}
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def conjugate(self, a: int, g: int) -> int:
         """g * a * g^-1."""
         t = self.table
@@ -356,10 +353,6 @@ def subgroup(parent: FiniteGroup, elems: Iterable[int]) -> Subgroup:
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, (0,))
-
-
-def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, tuple(range(G.order)))
 
 
 def _dimino(table: Table, seed: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -625,24 +618,6 @@ class GroupHom:
     source: FiniteGroup
     target: FiniteGroup
     image: tuple[int, ...]
-
-
-def group_hom(source: FiniteGroup, target: FiniteGroup,
-              image: Sequence[int]) -> GroupHom:
-    image = tuple(int(x) for x in image)
-    if len(image) != source.order:
-        raise GroupConstructionError("image map has the wrong length")
-    if image[0] != 0:
-        raise GroupConstructionError("a homomorphism must send identity to identity")
-    ts, tt = source.table, target.table
-    for a in range(source.order):
-        ia = image[a]
-        row = ts[a]
-        for b in range(source.order):
-            if image[row[b]] != tt[ia][image[b]]:
-                raise GroupConstructionError(
-                    f"not a homomorphism at pair ({a}, {b})")
-    return GroupHom(source, target, image)
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:

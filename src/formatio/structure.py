@@ -450,14 +450,6 @@ def soluble_radical(G: FiniteGroup) -> Subgroup:
     return _climb(G, lambda M, Z: elems_soluble(G, M.elems))
 
 
-def frattini_socle(G: FiniteGroup) -> Subgroup:
-    """Preimage of the socle of G modulo its Frattini subgroup."""
-    phi = frattini(G)
-    Q, hom = quotient(G, phi)
-    target = socle(Q).elem_set
-    return Subgroup(G, tuple(g for g in range(G.order) if hom.image[g] in target))
-
-
 # ---------------------------------------------------------------------------
 # Chief series and chief factors
 
@@ -539,13 +531,3 @@ def _factor_is_central(G: FiniteGroup, spec, upper: tuple[int, ...],
 def exponent(G: FiniteGroup) -> int:
     """Least common multiple of all element orders."""
     return lcm_ints(G.element_order)
-
-
-def class_exponent(groups) -> "Supernatural":
-    """lcm of the exponents of finitely many groups, as a supernatural number."""
-    from .supernatural import from_int, lcm, ONE
-
-    out = ONE
-    for G in groups:
-        out = lcm(out, from_int(exponent(G)))
-    return out

@@ -4,7 +4,8 @@ Products read their inverses and element orders off their factors, tables
 are written without `json.dumps`, tags are settled by class inclusion, the
 isomorphism screen is staged, and the catalog builds only the candidates
 that fit its bound.  Each is checked here against the direct computation it
-replaced.
+replaced.  The catalog's candidates are pairwise non-isomorphic at every
+bound, which the build does not check.
 """
 
 from __future__ import annotations
@@ -115,13 +116,34 @@ def test_catalog_builds_nothing_above_its_bound(monkeypatch):
     assert orders and max(orders) <= 12
 
 
-def test_a_bound_above_the_cap_builds_the_capped_catalog():
-    # E(9|2) has order 576: a larger bound must skip it, not build it
-    def key(entries):
-        return [(e.group.name, e.group.table, e.tags, e.provenance) for e in entries]
+def _key(entries):
+    return [(e.group.name, e.group.table, e.tags, e.provenance) for e in entries]
 
-    assert key(build_catalog(CatalogConfig(MAX_ORDER + 100))) == \
-        key(build_catalog(CatalogConfig(MAX_ORDER)))
+
+def test_a_bound_above_the_cap_builds_the_capped_catalog():
+    # no candidate is above the cap, so a larger bound adds nothing and must
+    # not try to build a group the builders refuse
+    assert _key(build_catalog(CatalogConfig(MAX_ORDER + 100))) == \
+        _key(build_catalog(CatalogConfig(MAX_ORDER)))
+
+
+def test_no_two_catalog_entries_are_isomorphic():
+    # the build runs no isomorphism search, so its candidates must be
+    # pairwise distinct by construction
+    groups = [e.group for e in build_catalog(CatalogConfig(MAX_ORDER))]
+    for i, A in enumerate(groups):
+        for B in groups[i + 1:]:
+            if A.order == B.order:
+                assert isomorphism(A, B) is None, (A.name, B.name)
+
+
+def test_every_bound_builds_the_capped_catalog_cut_at_that_bound():
+    # with the test above, this makes every bound's catalog free of
+    # isomorphic pairs; the largest candidate has order 72
+    cap = build_catalog(CatalogConfig(MAX_ORDER))
+    for bound in range(1, 151):
+        assert _key(build_catalog(CatalogConfig(bound))) == \
+            _key(e for e in cap if e.group.order <= bound), bound
 
 
 def test_every_product_pair_is_built_when_it_fits(monkeypatch):

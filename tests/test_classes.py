@@ -25,7 +25,6 @@ from formatio.classes import (
     is_member,
     is_minimal_non,
     is_schmidt,
-    is_strongly_critical,
     local_member,
     p_groups,
     p_nilpotent,
@@ -377,10 +376,6 @@ def test_minimal_non_and_schmidt(s3, a4, q8):
     assert not is_schmidt(cyclic(12))
     assert is_minimal_non(a4, SUPERSOLUBLE)
     assert not is_minimal_non(symmetric(4), SUPERSOLUBLE)
-
-
-def test_strongly_critical(a4):
-    assert is_strongly_critical(a4, SUPERSOLUBLE)
 
 
 def test_formation_law_spot_check(catalog_groups):

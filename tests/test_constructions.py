@@ -105,10 +105,12 @@ def test_field_action_size_guard():
 
 
 def test_field_action_structure():
-    # every catalog parameter pair within the order cap, and fields of degree 3
-    # and 4; the module sits at the indices {k*n}, the acting cyclic at 0..n-1
+    # every catalog parameter pair, the pairs that give D_p and A4 (which the
+    # catalog holds under those names), and fields of degree 3 and 4; the
+    # module sits at the indices {k*n}, the acting cyclic at 0..n-1
     params = []
-    for n, p in FIELD_ACTION_PARAMS + ((7, 2), (5, 2)):
+    extra = ((2, 3), (3, 2), (2, 5), (2, 7), (7, 2), (5, 2))
+    for n, p in FIELD_ACTION_PARAMS + extra:
         try:
             params.append((n, p, field_action_group(n, p)))
         except TooLarge:

@@ -309,19 +309,6 @@ def test_materialized_subgroup_multiplication(s3):
     assert M.element_order == (1, 3, 3)
 
 
-def test_group_hom_factory_validates(s3, z6):
-    from formatio.groups import group_hom
-    from formatio.errors import GroupConstructionError
-
-    sign = tuple(0 if s3.element_order[x] == 3 or x == 0 else 1 for x in range(6))
-    hom = group_hom(s3, cyclic(2), sign)
-    assert hom.image == sign
-    with pytest.raises(GroupConstructionError):
-        group_hom(s3, cyclic(2), (0, 1, 1, 1, 1, 1))  # breaks multiplicativity
-    with pytest.raises(GroupConstructionError):
-        group_hom(s3, cyclic(2), (1, 0, 0, 0, 0, 0))  # identity not fixed
-
-
 def test_normal_core_is_largest_normal_inside(s4):
     from formatio.groups import is_normal
     from formatio.structure import all_subgroups

@@ -6,7 +6,9 @@
   and on relabelled copies.
 * the flags: for specs drawn from the spec grammar, a member's quotients by
   minimal normal subgroups must be members when the spec is flagged
-  formation, and its maximal subgroups when it is flagged hereditary.
+  formation, and its maximal subgroups when it is flagged hereditary; and
+  when it is flagged saturated, a group whose Frattini quotient G/Phi(G) is
+  a member must be one too.
 * the subgroup budget: `subgroup_count_bound` bounds the subgroup count, and
   `check_subgroup_budget` raises exactly when `all_subgroups` does.
 """
@@ -27,6 +29,7 @@ from formatio.structure import (
     SubgroupLattice,
     all_subgroups,
     check_subgroup_budget,
+    frattini,
     maximal_subgroups,
     memoized_lattice,
     minimal_normal_subgroups,
@@ -67,6 +70,12 @@ def drawn():
 
 
 @pytest.fixture(scope="module")
+def small_and_copies(catalog_groups):
+    small = [G for G in catalog_groups if G.order <= 24]
+    return small + [relabelled(G, 1000 + i) for i, G in enumerate(small)]
+
+
+@pytest.fixture(scope="module")
 def corpus_and_copies(subgroup_tables):
     return subgroup_tables + [relabelled(K, i) for i, K in enumerate(subgroup_tables)]
 
@@ -89,14 +98,12 @@ def test_vstar_by_inclusion_matches_the_search_on_drawn_specs(drawn, corpus_and_
                 (F.text(), K.name)
 
 
-def test_drawn_flags_hold_on_small_catalog_groups(drawn, catalog_groups):
-    small = [G for G in catalog_groups if G.order <= 24]
-    small += [relabelled(G, 1000 + i) for i, G in enumerate(small)]
+def test_drawn_flags_hold_on_small_catalog_groups(drawn, small_and_copies):
     checked = 0
     for spec in drawn:
         if not (spec.formation or spec.hereditary):
             continue
-        for G in small:
+        for G in small_and_copies:
             # a group whose verdict is an error (vstar of a spec that is not
             # flagged hereditary, inside a local spec) is no member
             if outcome(is_member, G, spec) is not True:
@@ -109,6 +116,20 @@ def test_drawn_flags_hold_on_small_catalog_groups(drawn, catalog_groups):
                 for H in maximal_subgroups(G):
                     assert is_member(H.as_group(), spec), (spec.text(), G.name, H.elems)
                     checked += 1
+    assert checked
+
+
+def test_drawn_saturated_flags_hold_on_small_catalog_groups(drawn, small_and_copies):
+    checked = 0
+    for spec in drawn:
+        if not spec.saturated:
+            continue
+        for G in small_and_copies:
+            # as above, a quotient whose verdict is an error is no member
+            if outcome(is_member, quotient(G, frattini(G))[0], spec) is not True:
+                continue
+            assert outcome(is_member, G, spec) is True, (spec.text(), G.name)
+            checked += 1
     assert checked
 
 

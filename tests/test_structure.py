@@ -20,10 +20,8 @@ from formatio.structure import (
     all_subgroups,
     chief_factor_group,
     chief_series,
-    class_exponent,
     exponent,
     frattini,
-    frattini_socle,
     hypercenter,
     minimal_normal_subgroups,
     normal_subgroups,
@@ -119,19 +117,6 @@ def test_soluble_radical_quotient_law(catalog_groups):
         R = soluble_radical(G)
         Q, _ = quotient(G, R)
         assert soluble_radical(Q).order == 1
-
-
-def test_frattini_socle_s4(s4):
-    # Frattini of S4 is trivial, so this is plain socle: the Klein four group
-    assert frattini(s4).order == 1
-    got = frattini_socle(s4)
-    assert got.elems == socle(s4).elems
-    assert got.order == 4
-
-
-def test_frattini_socle_contains_frattini(catalog_groups):
-    for G in catalog_groups[:24]:
-        assert set(frattini(G).elems) <= set(frattini_socle(G).elems)
 
 
 def test_chief_series_z6():
@@ -256,13 +241,6 @@ def test_exponent_values(s3):
     assert exponent(symmetric(4)) == 12
 
 
-def test_class_exponent():
-    from formatio.supernatural import from_int
-
-    got = class_exponent([cyclic(2), cyclic(9)])
-    assert got == from_int(18)
-
-
 def test_minimal_normals_of_direct_product(s3):
     G = direct_product(s3, s3)
     mins = minimal_normal_subgroups(G)
@@ -349,7 +327,7 @@ def method_call_centralizer(G, H, K):
     kset = K.elem_set
     out = []
     for g in range(G.order):
-        if all(G.mul(G.conjugate(h, g), G.inverse[h]) in kset for h in H.elems):
+        if all(G.table[G.conjugate(h, g)][G.inverse[h]] in kset for h in H.elems):
             out.append(g)
     return Subgroup(G, tuple(out))
 

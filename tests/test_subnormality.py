@@ -15,7 +15,7 @@ from formatio.classes import (
     vstar,
 )
 from formatio.constructions import cyclic, dihedral, elementary_abelian, quaternion
-from formatio.groups import Subgroup, full_subgroup, generated_subgroup
+from formatio.groups import Subgroup, generated_subgroup
 from formatio.subnormality import (
     cyclic_primary_subgroups,
     is_k_subnormal,
@@ -30,7 +30,7 @@ from formatio.subnormality import (
 
 
 def test_whole_group_chain_is_empty(s3):
-    w = k_subnormal_chain(s3, full_subgroup(s3), NILPOTENT)
+    w = k_subnormal_chain(s3, Subgroup(s3, tuple(range(6))), NILPOTENT)
     assert w is not None
     assert len(w.chain) == 1
     assert w.step_kinds == ()
@@ -66,7 +66,7 @@ def test_three_cycle_not_prime_index_in_a4(a4):
 
 
 def test_whole_group_always_prime_index_subnormal(a4):
-    assert is_prime_index_subnormal(a4, full_subgroup(a4))
+    assert is_prime_index_subnormal(a4, Subgroup(a4, tuple(range(12))))
 
 
 def test_chain_search_rejects_a_non_subgroup(s3):
@@ -90,7 +90,7 @@ def test_chain_composition_still_verifies(s3):
     w = k_subnormal_chain(s3, H, SOLUBLE)
     from formatio.subnormality import ChainWitness
 
-    composite = ChainWitness(s3, w.chain + (full_subgroup(s3),),
+    composite = ChainWitness(s3, w.chain + (Subgroup(s3, tuple(range(6))),),
                              w.step_kinds + ("normal",), w.spec_text)
     assert composite.verify(SOLUBLE)
 
