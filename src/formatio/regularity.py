@@ -18,10 +18,9 @@ A row does only the work its output reads.  A regularity row of a member of
 a hereditary-flagged spec, and a saturation row of a member of a
 formation-flagged spec, are read off that one verdict, and enumerate no
 lattice and build no Frattini quotient; the rows trust the flags, which the
-formation-laws sweep checks.  The subgroup budget still holds on every
-regularity and saturation row, by the count bound or by enumeration
-(`structure.check_subgroup_budget`), so a budget error names the same group
-as a full enumeration would.
+formation-laws sweep checks.  The subgroup cap applies in `structure`, to
+each enumeration it makes, so a row that enumerates nothing is never stopped
+by it.
 """
 
 from __future__ import annotations
@@ -39,25 +38,16 @@ from .classes import (
     is_member,
 )
 from .errors import EmptyClass
-from .groups import FiniteGroup, _closure, cyclic_table, materialize, memoized, quotient
+from .groups import FiniteGroup, _closure, cyclic_table, materialize, quotient
 from .records import record
 from .structure import (
     SubgroupLattice,
     all_subgroups,
-    check_subgroup_budget,
     frattini,
     memoized_lattice,
     minimal_normal_subgroups,
 )
 from .subnormality import vstar_member
-
-
-@memoized
-def _pair_subgroup(G: FiniteGroup, x: int, y: int) -> tuple[int, ...]:
-    """Element set of <x, y>, for x <= y: read off G's lattice when that is
-    memoized, else closed."""
-    lattice = memoized_lattice(G)
-    return lattice.join(x, y).elems if lattice else _closure(G.table, (x, y))
 
 
 def _class_member(lattice: SubgroupLattice, i: int, spec: ClassSpec) -> bool:
@@ -68,11 +58,12 @@ def _class_member(lattice: SubgroupLattice, i: int, spec: ClassSpec) -> bool:
 
 
 def _pair_member(G: FiniteGroup, x: int, y: int, spec: ClassSpec) -> bool:
-    pair = _pair_subgroup(G, x, y) if x <= y else _pair_subgroup(G, y, x)
+    """Whether <x, y> lies in the class: read off G's lattice when that is
+    memoized, else closed and materialized."""
     lattice = memoized_lattice(G)
     if lattice is not None:
-        return _class_member(lattice, lattice.index[pair], spec)
-    return is_member(materialize(G, pair), spec)
+        return _class_member(lattice, lattice.join(x, y), spec)
+    return is_member(materialize(G, _closure(G.table, (x, y))), spec)
 
 
 def isolated_set(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...]:
@@ -253,12 +244,10 @@ def regularity_row(G: FiniteGroup, spec: ClassSpec) -> SweepRow:
     would raise (SizeCapExceeded, UnsupportedParameter) cannot come from a
     member row, which does neither.
 
-    The subgroup budget is checked first (`check_subgroup_budget`), so it
-    holds on every row, by the count bound or by enumeration.  Only a row
-    that is not decided by membership enumerates the lattice, for the two
-    sets; the verdict itself may enumerate it, as a vstar or vU search does.
+    Only a row that is not decided by membership enumerates the lattice, for
+    the two sets; the verdict itself may enumerate it, as a vstar or vU
+    search does.
     """
-    check_subgroup_budget(G)
     soluble = is_member(G, SOLUBLE)
     if spec.hereditary and is_member(G, spec):
         whole = tuple(range(G.order))
@@ -285,16 +274,14 @@ def regularity_sweep(groups, spec: ClassSpec) -> RegularityReport:
 def saturation_rows(G: FiniteGroup, spec: ClassSpec) -> list[dict]:
     """G/Phi(G) in the class forces G in it, for a saturated class.
 
-    The subgroup budget is checked first (`check_subgroup_budget`), so it
-    holds on every row, by the count bound or by enumeration.  For a
-    formation-flagged spec G is judged first: a member's quotient G/Phi(G)
-    is a member too, so its row is read off that verdict, and neither Phi(G)
-    (which needs G's lattice) nor the quotient is built.  The row trusts the
+    For a formation-flagged spec G is judged first: a member's quotient
+    G/Phi(G) is a member too, so its row is read off that verdict, and
+    neither Phi(G) (which needs G's lattice) nor the quotient is built, so
+    such a row enumerates only what the verdict does.  The row trusts the
     formation flag, as `regularity_row` trusts the hereditary one; the
     formation-laws sweep is what checks it.  Any other row builds the
     quotient and judges it before G.
     """
-    check_subgroup_budget(G)
     if spec.formation and is_member(G, spec):
         quotient_member = member = True
     else:

@@ -42,10 +42,9 @@ least element set, and results are memoized per group.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from math import comb
 from operator import and_
 
-from .arith import factorize, lcm_ints, prime_divisors
+from .arith import lcm_ints, prime_divisors
 from .errors import NotChiefFactor, SizeCapExceeded, TooLarge
 from .groups import (
     MAX_ORDER,
@@ -95,11 +94,11 @@ class SubgroupLattice:
     def maximal_subgroups(self) -> tuple[Subgroup, ...]:
         return tuple(s for s, f in zip(self.subgroups, self.maximal_flags) if f)
 
-    def join(self, x: int, y: int) -> Subgroup:
-        """<x, y>: of the members holding x and y, the one of least index, as
+    def join(self, x: int, y: int) -> int:
+        """The index of <x, y>: of the members holding x and y, the least, as
         every other one holds it and is larger."""
         both = self.containing[x] & self.containing[y]
-        return self.subgroups[(both & -both).bit_length() - 1]
+        return (both & -both).bit_length() - 1
 
     @cached_property
     def least_conjugate(self) -> tuple[int, ...]:
@@ -125,8 +124,9 @@ class SubgroupLattice:
         return len(self.subgroups)
 
 
-# the most subgroups, or normal subgroups, one enumeration may find; read at
-# each call, so that the CLI can set it for one command
+# the most subgroups, or normal subgroups, one enumeration may find, and the
+# only cap on them: a computation that enumerates neither is not stopped.
+# Read at each call, so that the CLI can set it for one command
 subgroup_budget = 20000
 
 
@@ -141,30 +141,6 @@ def zuppos(G: FiniteGroup) -> tuple[int, ...]:
     _, members = cyclic_table(G)
     order = G.element_order
     return tuple(z for z in members if len(prime_divisors(order[z])) == 1)
-
-
-def subgroup_count_bound(G: FiniteGroup) -> int:
-    """A bound on G's subgroup count: the sum of C(z, k) over k from 0 to
-    Omega(|G|), for z the number of zuppos (nontrivial cyclic subgroups of
-    prime-power order) and Omega the number of prime factors of |G| counted
-    with multiplicity.
-
-    A subgroup H is generated by its zuppos, since each element is the
-    product of its prime-power parts.  Joining them one at a time and
-    skipping those already reached, each join moves up to a subgroup of which
-    the last is a proper subgroup, so the order gains a prime factor; so at
-    most Omega(|H|) <= Omega(|G|) zuppos generate H, and distinct subgroups
-    come from distinct sets of them.
-    """
-    z = len(zuppos(G))
-    return sum(comb(z, k) for k in range(sum(factorize(G.order).values()) + 1))
-
-
-def check_subgroup_budget(G: FiniteGroup) -> None:
-    """Raise TooLarge exactly when `all_subgroups(G)` would, enumerating only
-    when neither a memoized lattice nor `subgroup_count_bound` settles it."""
-    if memoized_lattice(G) is None and subgroup_count_bound(G) > subgroup_budget:
-        all_subgroups(G)
 
 
 def all_subgroups(G: FiniteGroup) -> SubgroupLattice:

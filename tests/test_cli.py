@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -297,32 +298,47 @@ def test_env_var_catalog(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["regularity", "saturation", "formation-laws",
                                   "vstar-idempotence"])
-def test_serial_sweep_keeps_budget(capsys, tmp_path, mode):
+def test_serial_sweep_keeps_budget(capsys, tmp_path, monkeypatch, mode):
+    from formatio import classes
+
     cat = tmp_path / "cat"
     run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "8")
-    code, out, err = run_cli(capsys, "--budget-subgroups", "3", "sweep", "--spec",
-                             "vU", "--mode", mode, "--catalog", str(cat))
-    assert (code, out) == (1, "")
-    assert "more than 3 subgroups" in err
+    argv = ("sweep", "--spec", "vU", "--mode", mode, "--catalog", str(cat))
     if mode not in ("regularity", "saturation"):
+        code, out, err = run_cli(capsys, "--budget-subgroups", "3", *argv)
+        assert (code, out) == (1, "")
+        assert "more than 3 subgroups" in err
         return
-    # member rows enumerate no lattice, yet at every budget a sweep fails as
-    # a full enumeration of each group in turn would: on the first group
-    # with more subgroups than the budget, or not at all
+    # every group of order at most 8 is in vU, and a member row enumerates
+    # only what its verdict does, so even the least budget does not stop it
+    monkeypatch.setattr(classes, "_MEMBER_CACHE", {})
+    assert run_cli(capsys, "--budget-subgroups", "1", *argv) == run_cli(capsys, *argv)
+    # a smaller budget stops a sweep on a group with more subgroups than the
+    # budget, never on a later group than a larger budget did
     from formatio.constructions import read_catalog
     from formatio.structure import all_subgroups
 
     run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "12", "--force")
-    counts = [(e.group.name, len(all_subgroups(e.group))) for e in read_catalog(cat)]
+    counts = {e.group.name: len(all_subgroups(e.group)) for e in read_catalog(cat)}
+    names = list(counts)
     for spec in ("vstar(U)", "vstar(N)"):
         argv = ("sweep", "--spec", spec, "--mode", mode, "--catalog", str(cat))
         unbounded = run_cli(capsys, *argv)
-        for budget in range(1, max(n for _, n in counts) + 2):
-            first = next((name for name, n in counts if n > budget), None)
-            expected = unbounded if first is None else (
-                1, "", f"error: {first} has more than {budget} subgroups; raise the budget\n")
+        named = len(names)  # the position of the group the last error named
+        for budget in range(max(counts.values()) + 1, 0, -1):
+            monkeypatch.setattr(classes, "_MEMBER_CACHE", {})  # as in a fresh process
             got = run_cli(capsys, "--budget-subgroups", str(budget), *argv)
-            assert got == expected, (spec, budget)
+            if got == unbounded:
+                assert named == len(names), (spec, budget)
+                continue
+            code, out, err = got
+            error = re.fullmatch(rf"error: (.+) has more than {budget} subgroups; "
+                                 r"raise the budget\n", err)
+            assert (code, out) == (1, "") and error, (spec, budget, err)
+            assert counts[error[1]] > budget and names.index(error[1]) <= named, \
+                (spec, budget, err)
+            named = names.index(error[1])
+        assert named < len(names), spec  # the least budget stops the sweep
 
 
 def test_limit_overrides_last_one_command(capsys):

@@ -351,7 +351,7 @@ def test_memo_keys_hold_plain_values(s4):
 
     names = {key[0] for key in G._memo}
     assert {"cyclic_table", "_quotient", "_lattice", "_class_step",
-            "_factor_is_central", "_pair_subgroup", "_iso_screen", "conjugations"} <= names
+            "_factor_is_central", "_iso_screen", "conjugations"} <= names
     assert all(plain(key) for key in G._memo)
 
 

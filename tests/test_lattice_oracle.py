@@ -273,10 +273,12 @@ def test_lattice_joins_match_pair_closures(catalog_groups, large_groups):
     for G in [*catalog_groups, *large_groups]:
         lattice = all_subgroups(G)
         assert structure.memoized_lattice(G) is lattice
+        subgroups = lattice.subgroups
         leads = sorted(cyclic_table(G)[1])  # <x, y> depends on <x> and <y> only
         for x in leads:
             for y in leads:
-                assert lattice.join(x, y).elems == _closure(G.table, (x, y)), (G.name, x, y)
+                assert subgroups[lattice.join(x, y)].elems == _closure(G.table, (x, y)), \
+                    (G.name, x, y)
 
 
 def test_maximal_intersection_matches_all_pairs_scan(catalog_groups, large_groups):

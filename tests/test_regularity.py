@@ -287,3 +287,17 @@ def test_row_matches_the_row_of_both_full_sets(catalog_groups, e52_d8, e32_d8, s
     for G in groups:
         for spec in specs:
             assert regularity_row(G, spec) == full_row(G, spec), (G.name, spec.text())
+
+
+def test_member_rows_enumerate_no_lattice(monkeypatch):
+    from formatio import classes
+    from formatio.regularity import saturation_rows
+    from formatio.structure import memoized_lattice
+
+    monkeypatch.setattr(classes, "_MEMBER_CACHE", {})  # decide every verdict afresh
+    s3 = symmetric(3)
+    G = direct_product(direct_product(s3, s3), dihedral(4))
+    assert G.order == 288
+    assert regularity_row(G, V_SUPERSOLUBLE).equal
+    assert saturation_rows(G, vstar(SUPERSOLUBLE))[0]["member"]
+    assert memoized_lattice(G) is None

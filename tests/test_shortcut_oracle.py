@@ -8,9 +8,8 @@
   minimal normal subgroups must be members when the spec is flagged
   formation, and its maximal subgroups when it is flagged hereditary; and
   when it is flagged saturated, a group whose Frattini quotient G/Phi(G) is
-  a member must be one too.
-* the subgroup budget: `subgroup_count_bound` bounds the subgroup count, and
-  `check_subgroup_budget` raises exactly when `all_subgroups` does.
+  a member must be one too.  The plain base specs are checked with the
+  drawn ones, as the draw mostly nests them.
 """
 
 from __future__ import annotations
@@ -20,26 +19,18 @@ from hypothesis import Phase, given, settings
 
 from conftest import relabelled
 from test_fuzz import SPEC_TEXTS
-from formatio import structure
 from formatio.classes import VStarClass, is_member, parse_spec
-from formatio.constructions import symmetric
 from formatio.errors import FormatioError
-from formatio.groups import _trusted_group, quotient
-from formatio.structure import (
-    SubgroupLattice,
-    all_subgroups,
-    check_subgroup_budget,
-    frattini,
-    maximal_subgroups,
-    memoized_lattice,
-    minimal_normal_subgroups,
-    subgroup_count_bound,
-)
+from formatio.groups import quotient
+from formatio.structure import frattini, maximal_subgroups, minimal_normal_subgroups
 from formatio.subnormality import vstar_member
 
 INCLUSION_INNERS = ("N", "U", "A", "S", "p_nilpotent:2", "sylow_tower:2>3",
                     "reg(default->1)", "S_pi:{2,3}", "local(2->N,default->A)",
                     "vstar(N)", "vU")
+BASE_SPECS = ("trivial", "A", "N", "U", "S", "all", "vU", "p_groups:2", "p_groups:3",
+              "p_nilpotent:2", "p_nilpotent:3", "S_pi:{2,3}", "S_pi':{2}",
+              "sylow_tower:2>3", "S(2^inf*3)", "bounded(N;2^3*3)", "reg(default->1)")
 
 
 def drawn_specs(n):
@@ -66,7 +57,9 @@ def outcome(fn, *args):
 
 @pytest.fixture(scope="module")
 def drawn():
-    return drawn_specs(100)
+    """The drawn specs, then the base specs the draw did not give."""
+    specs = drawn_specs(100)
+    return specs + [F for F in dict.fromkeys(map(parse_spec, BASE_SPECS)) if F not in specs]
 
 
 @pytest.fixture(scope="module")
@@ -132,23 +125,3 @@ def test_drawn_saturated_flags_hold_on_small_catalog_groups(drawn, small_and_cop
             checked += 1
     assert checked
 
-
-def test_subgroup_count_bound_holds(subgroup_tables):
-    for K in subgroup_tables + [symmetric(5)]:
-        assert len(all_subgroups(K)) <= subgroup_count_bound(K), K.name
-
-
-def test_budget_check_raises_exactly_when_enumeration_does(subgroup_tables, monkeypatch):
-    groups = subgroup_tables + [symmetric(5)]
-    sizes = [(len(all_subgroups(K)), subgroup_count_bound(K)) for K in groups]
-    for K, (count, bound) in zip(groups, sizes):
-        for budget in sorted({count - 1, count, count + 1, bound} - {0}):
-            monkeypatch.setattr(structure, "subgroup_budget", budget)
-            checked = _trusted_group(K.table, K.name)
-            expected = outcome(all_subgroups, _trusted_group(K.table, K.name))
-            if isinstance(expected, SubgroupLattice):
-                expected = None
-            assert (expected is None) == (budget >= count)
-            assert outcome(check_subgroup_budget, checked) == expected, (K.name, budget)
-            if budget >= bound:  # settled by the bound, with no enumeration
-                assert memoized_lattice(checked) is None, (K.name, budget)
