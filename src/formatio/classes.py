@@ -11,10 +11,14 @@ time (`_is_supersoluble`).
 
 Class flags (`formation`, `hereditary`, `saturated`, `soluble_only`) record
 which closure laws each spec is declared to satisfy; sweep tests spot-verify
-the declarations on the whole catalog.
+the declarations on the whole catalog.  The one-word specs (`TRIVIAL`,
+`ABELIAN`, `NILPOTENT`, `SOLUBLE`, `SUPERSOLUBLE`, `ALL_GROUPS`) are rows of
+one table: `NamedClass` records of a name, a predicate and the four flags.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from .arith import factorize, is_prime, p_part, prime_divisors
 from .errors import (
@@ -216,47 +220,52 @@ def _has_sylow_tower(G: FiniteGroup, ordering: PrimeOrdering) -> bool:
 # Named specs
 
 
-@record
-class TrivialClass(ClassSpec):
-    formation = True
-    hereditary = True
-    saturated = True
-    soluble_only = True
-
-    def text(self):
-        return "trivial"
-
-    def _member(self, G):
-        return G.order == 1
+def _is_trivial(G: FiniteGroup) -> bool:
+    return G.order == 1
 
 
-@record
-class AbelianClass(ClassSpec):
-    formation = True
-    hereditary = True
-    saturated = False
-    soluble_only = True
+def _is_abelian(G: FiniteGroup) -> bool:
+    t = G.table
+    return all(t[a][b] == t[b][a] for a in range(G.order) for b in range(a))
 
-    def text(self):
-        return "abelian"
 
-    def _member(self, G):
-        t = G.table
-        return all(t[a][b] == t[b][a] for a in range(G.order) for b in range(a))
+def _is_nilpotent(G: FiniteGroup) -> bool:
+    return _orders_nilpotent(G.element_order)
+
+
+def _is_soluble(G: FiniteGroup) -> bool:
+    return elems_soluble(G, tuple(range(G.order)))
+
+
+def _any_group(G: FiniteGroup) -> bool:
+    return True
 
 
 @record
-class NilpotentClass(ClassSpec):
-    formation = True
-    hereditary = True
-    saturated = True
-    soluble_only = True
+class NamedClass(ClassSpec):
+    """A class named by one word: the groups where `member` holds.  `member`
+    is a module-level function, so that specs pickle."""
+
+    name: str
+    member: Callable[[FiniteGroup], bool]
+    formation: bool = True
+    hereditary: bool = True
+    saturated: bool = True
+    soluble_only: bool = True
 
     def text(self):
-        return "nilpotent"
+        return self.name
 
     def _member(self, G):
-        return _orders_nilpotent(G.element_order)
+        return self.member(G)
+
+
+TRIVIAL = NamedClass("trivial", _is_trivial)
+ABELIAN = NamedClass("abelian", _is_abelian, saturated=False)
+NILPOTENT = NamedClass("nilpotent", _is_nilpotent)
+SOLUBLE = NamedClass("soluble", _is_soluble)
+SUPERSOLUBLE = NamedClass("supersoluble", _is_supersoluble)
+ALL_GROUPS = NamedClass("all", _any_group, soluble_only=False)
 
 
 @record
@@ -272,34 +281,6 @@ class PGroupsClass(ClassSpec):
 
     def _member(self, G):
         return G.order == p_part(G.order, self.p)
-
-
-@record
-class SolubleClass(ClassSpec):
-    formation = True
-    hereditary = True
-    saturated = True
-    soluble_only = True
-
-    def text(self):
-        return "soluble"
-
-    def _member(self, G):
-        return elems_soluble(G, tuple(range(G.order)))
-
-
-@record
-class SupersolubleClass(ClassSpec):
-    formation = True
-    hereditary = True
-    saturated = True
-    soluble_only = True
-
-    def text(self):
-        return "supersoluble"
-
-    def _member(self, G):
-        return _is_supersoluble(G)
 
 
 @record
@@ -357,20 +338,6 @@ class SylowTowerClass(ClassSpec):
 
 
 @record
-class AllGroupsClass(ClassSpec):
-    formation = True
-    hereditary = True
-    saturated = True
-    soluble_only = False
-
-    def text(self):
-        return "all"
-
-    def _member(self, G):
-        return True
-
-
-@record
 class VSupersolubleClass(ClassSpec):
     """Groups whose cyclic prime-power subgroups all sit at the top of a
     chain of prime-index steps."""
@@ -415,7 +382,7 @@ class ExponentBoundedClass(ClassSpec):
         return self.base.soluble_only
 
     def text(self):
-        if isinstance(self.base, SolubleClass):
+        if self.base == SOLUBLE:
             return f"S({format_supernatural(self.omega)})"
         return f"bounded({self.base.text()};{format_supernatural(self.omega)})"
 
@@ -565,12 +532,6 @@ class ExponentFormationClass(ClassSpec):
         return exponent_formation_member(G, self.fn)
 
 
-TRIVIAL = TrivialClass()
-ABELIAN = AbelianClass()
-NILPOTENT = NilpotentClass()
-SOLUBLE = SolubleClass()
-SUPERSOLUBLE = SupersolubleClass()
-ALL_GROUPS = AllGroupsClass()
 V_SUPERSOLUBLE = VSupersolubleClass()
 
 
@@ -653,9 +614,9 @@ def _omega_part(n: int, omega: Supernatural) -> int:
 def _closed_residual(G: FiniteGroup, spec: ClassSpec) -> tuple[int, ...] | None:
     """The residual's element tuple by its closed form (see `residual`), or
     None when the spec has none."""
-    if isinstance(spec, SolubleClass):
+    if spec == SOLUBLE:
         return derived_series(G, tuple(range(G.order)))[-1]
-    if isinstance(spec, AbelianClass):
+    if spec == ABELIAN:
         return derived_subgroup(G, tuple(range(G.order)))
     if isinstance(spec, ExponentBoundedClass):
         base = _closed_residual(G, spec.base)

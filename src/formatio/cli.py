@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from . import structure
+from .arith import is_prime
 from .constructions import (
     CatalogConfig,
     build_catalog,
@@ -32,8 +33,12 @@ from .constructions import (
 )
 from .classes import (
     ClassSpec,
+    ExponentFormationClass,
+    ProductClass,
     SOLUBLE,
+    SUPERSOLUBLE,
     VStarClass,
+    VSupersolubleClass,
     is_member,
     parse_spec,
     residual,
@@ -47,6 +52,7 @@ from .regularity import (
     regularity_sweep,
     report_to_text,
 )
+from .subnormality import vstar_obstruction, vu_obstruction
 from .supernatural import (
     MAX_DECIMAL_DIGITS,
     PRIME_HORIZON,
@@ -128,13 +134,8 @@ def cmd_catalog_build(args) -> int:
 
 
 def _explain_failure(G: FiniteGroup, spec: ClassSpec) -> dict:
-    from .arith import is_prime
-    from .classes import SupersolubleClass, ProductClass, ExponentFormationClass
-    from .classes import VSupersolubleClass
-    from .subnormality import vstar_obstruction, vu_obstruction
-
     detail: dict = {}
-    if isinstance(spec, SupersolubleClass):
+    if spec == SUPERSOLUBLE:
         series = structure.chief_series(G)
         detail["violating_chief_factor_orders"] = [
             o for o in series.factor_orders if not is_prime(o)]

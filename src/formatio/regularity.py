@@ -31,7 +31,6 @@ from .classes import (
     IntersectionClass,
     PNilpotentClass,
     SOLUBLE,
-    SolubleClass,
     SylowTowerClass,
     VStarClass,
     VSupersolubleClass,
@@ -180,8 +179,9 @@ def is_theorem_backed_regular(spec: ClassSpec) -> bool:
     if isinstance(spec, VStarClass):
         return spec.inner.hereditary and spec.inner.soluble_only
     if isinstance(spec, IntersectionClass):
-        kinds = {type(s) for s in spec.parts}
-        if kinds == {PNilpotentClass, SolubleClass}:
+        # the soluble class by value, every other part by its kind
+        kinds = {s if s == SOLUBLE else type(s) for s in spec.parts}
+        if kinds == {PNilpotentClass, SOLUBLE}:
             return True
     return False
 

@@ -17,7 +17,7 @@ such (in lattice indices).
 
 from __future__ import annotations
 
-from .arith import factorize, is_prime
+from .arith import is_prime
 from .errors import UnsupportedParameter
 from .groups import (
     FiniteGroup,
@@ -173,14 +173,9 @@ def _chain(G: FiniteGroup, H: Subgroup, kind: str | ClassSpec,
     lattice = all_subgroups(G)
     subs = lattice.subgroups
     path = [_node(G, H)]
-    index = G.order // H.order
-    if kind == STEP_PRIME_INDEX:
-        # a prime step takes one prime factor off the index, so every prime
-        # chain from H has as many steps as the index has prime factors
-        bounds = [sum(factorize(index).values())]
-    else:
-        # each step at least doubles the order, so no chain is longer
-        bounds = range(index.bit_length())
+    # each step at least doubles the order, so no chain is longer than
+    # log2 of the index
+    bounds = range((G.order // H.order).bit_length())
     length = next((n for n in bounds if _reaches(G, kind, path[0], n)), None)
     if length is None:
         return None

@@ -12,11 +12,11 @@ from formatio.classes import (
     SUPERSOLUBLE,
     TRIVIAL,
     V_SUPERSOLUBLE,
-    AbelianClass,
     ClassSpec,
     ExponentBoundedClass,
     IntersectionClass,
     LocalClass,
+    NamedClass,
     PrimeOrdering,
     ProductClass,
     _residual_by_quotients,
@@ -225,18 +225,13 @@ def test_reg_membership_lists_no_normal_subgroups_or_quotients(monkeypatch, cata
         assert not keys & {"_normal_subgroups", "_quotient"}, (G.name, keys)
 
 
+def _no_group(G):
+    return False
+
+
 def test_residual_empty_class(s3):
-    from formatio.classes import TrivialClass
-
-    class Nothing(TrivialClass):
-        def text(self):
-            return "nothing"
-
-        def _member(self, G):
-            return False
-
     with pytest.raises(EmptyClass):
-        residual(s3, Nothing())
+        residual(s3, NamedClass("nothing", _no_group))
 
 
 def test_product_membership_s3(s3):
@@ -483,15 +478,15 @@ def test_equal_tables_share_one_verdict_per_spec(s3):
     assert calls == [s3]
 
 
-def test_specs_with_equal_text_keep_their_own_verdicts(s3):
-    @record
-    class NonAbelian(AbelianClass):
-        def _member(self, G):
-            return not super()._member(G)
+def _not_abelian(G):
+    return not ABELIAN.member(G)
 
-    assert NonAbelian().text() == ABELIAN.text()
+
+def test_specs_with_equal_text_keep_their_own_verdicts(s3):
+    non_abelian = NamedClass("abelian", _not_abelian)
+    assert non_abelian.text() == ABELIAN.text()
     assert not is_member(s3, ABELIAN)
-    assert is_member(s3, NonAbelian())
+    assert is_member(s3, non_abelian)
 
 
 def test_spec_flags():
@@ -505,23 +500,19 @@ def test_spec_flags():
     assert regular_formation(fn).hereditary
 
 
+def _is_cyclic(G):
+    return any(o == G.order for o in G.element_order)
+
+
 def test_fake_formation_detected(s3):
-    from formatio.classes import TrivialClass
     from formatio.errors import NotAFormationWitness
     from formatio.constructions import elementary_abelian
 
-    class CyclicOnly(TrivialClass):
-        """Deliberately mis-flagged: cyclic groups are not subdirect-closed."""
-
-        def text(self):
-            return "cyclic-only"
-
-        def _member(self, G):
-            return any(o == G.order for o in G.element_order)
-
+    # deliberately mis-flagged: cyclic groups are not subdirect-closed
+    cyclic_only = NamedClass("cyclic-only", _is_cyclic)
     v4 = elementary_abelian(2, 2)
     with pytest.raises(NotAFormationWitness):
-        residual(v4, CyclicOnly())
+        residual(v4, cyclic_only)
 
 
 def test_size_cap_enforced():

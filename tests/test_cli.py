@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from formatio.classes import ABELIAN, AbelianClass, AllGroupsClass, VSupersolubleClass
+from formatio.classes import ABELIAN, NamedClass, VSupersolubleClass
 from formatio.cli import main
 from formatio.groups import MAX_ORDER
 
@@ -209,29 +209,22 @@ def test_sweep_parallel_workers_match_serial(capsys, tmp_path, monkeypatch,
     assert run_cli(capsys, *argv, "--workers", "2") == serial
 
 
-class _SaturatedAbelian(AbelianClass):
-    """Wrongly flagged saturated: Q8/Phi(Q8) is abelian, Q8 is not."""
-
-    saturated = True
+def _order_not_two(G):
+    return G.order != 2
 
 
-class _OrderNotTwo(AllGroupsClass):
-    """Wrongly flagged hereditary: S3 (catalog name D3) is a member, its
-    subgroups of order 2 are not."""
-
-    formation = False
-
-    def text(self):
-        return "order-not-2"
-
-    def _member(self, G):
-        return G.order != 2
+# wrongly flagged saturated: Q8/Phi(Q8) is abelian, Q8 is not
+_SATURATED_ABELIAN = NamedClass("abelian", ABELIAN.member)
+# wrongly flagged hereditary: S3 (catalog name D3) is a member, its subgroups
+# of order 2 are not
+_ORDER_NOT_TWO = NamedClass("order-not-2", _order_not_two, formation=False,
+                            soluble_only=False)
 
 
 @pytest.mark.parametrize("mode, spec, code, culprit", [
     ("saturation", ABELIAN, 0, "Q8"),  # not flagged saturated: informational
-    ("saturation", _SaturatedAbelian(), 2, "Q8"),
-    ("formation-laws", _OrderNotTwo(), 2, "D3"),
+    ("saturation", _SATURATED_ABELIAN, 2, "Q8"),
+    ("formation-laws", _ORDER_NOT_TWO, 2, "D3"),
 ])
 def test_sweep_exit_code_follows_the_flagged_law(capsys, tmp_path, monkeypatch,
                                                  mode, spec, code, culprit):
@@ -250,7 +243,7 @@ def test_member_rows_trust_the_flag_that_formation_laws_checks(capsys, tmp_path,
     # and reads equal; the formation-laws sweep is what finds the false flag
     cat = tmp_path / "cat"
     run_cli(capsys, "catalog-build", "--out", str(cat), "--max-order", "8")
-    spec = _OrderNotTwo()
+    spec = _ORDER_NOT_TWO
     monkeypatch.setattr("formatio.cli.parse_spec", lambda text: spec)
     argv = ("sweep", "--spec", spec.text(), "--catalog", str(cat), "--format", "json")
     code, out, _ = run_cli(capsys, *argv, "--mode", "regularity")

@@ -32,6 +32,7 @@ from formatio.errors import TooLarge
 from formatio.groups import (
     Subgroup,
     _closure,
+    _coset_extension,
     _normal_product,
     _trusted_group,
     build_group,
@@ -61,27 +62,38 @@ from formatio.subnormality import _core_quotient, k_subnormal_chain, prime_index
 ISOLATED_SPECS = ("vU", "N", "reg(default->1)", "sylow_tower:2>3>5")
 
 
+_CYCLIC_JOINS: dict = {}
+
+
 def cyclic_joins_lattice(G):
     """Every subgroup, by joining each subgroup found with every cyclic
-    subgroup from scratch; with the maximal flags."""
+    subgroup, one coset step from the generators the subgroup was built
+    with; with the maximal flags.  Built once per table."""
+    got = _CYCLIC_JOINS.get(G.fingerprint)
+    if got is not None:
+        return got
     table = G.table
-    cyclics = sorted({_closure(table, (x,)) for x in range(G.order)})
-    subs = set(cyclics)
-    frontier = list(cyclics)
+    generator = {}  # each cyclic subgroup -> its least generator
+    for x in range(G.order):
+        generator.setdefault(_closure(table, (x,)), x)
+    gens = {c: (x,) for c, x in generator.items()}  # subgroup -> its generators
+    frontier = list(gens)
     while frontier:
         base = frontier.pop()
-        for c in cyclics:
-            if not set(c) <= set(base):
-                join = _closure(table, base + c)
-                if join not in subs:
-                    subs.add(join)
+        inside = frozenset(base)
+        for x in generator.values():
+            if x not in inside:
+                join = _coset_extension(table, base, gens[base], x)
+                if join not in gens:
+                    gens[join] = gens[base] + (x,)
                     frontier.append(join)
-    ordered = sorted(subs, key=lambda t: (len(t), t))
+    ordered = sorted(gens, key=lambda t: (len(t), t))
     n = G.order
-    maximal = tuple(
-        len(t) < n and not any(len(t) < len(u) < n and set(t) <= set(u) for u in ordered)
-        for t in ordered)
-    return ordered, maximal
+    sets = [frozenset(t) for t in ordered]
+    proper = [s for s in sets if len(s) < n]
+    maximal = tuple(len(s) < n and not any(s < u for u in proper) for s in sets)
+    got = _CYCLIC_JOINS[G.fingerprint] = ordered, maximal
+    return got
 
 
 def proper_superset_lists(ordered):

@@ -70,9 +70,14 @@ def test_unknown_name_raises_attribute_error(name):
 
 
 def test_perfbench_imports_resolve():
-    names = [alias.name for path in sorted((ROOT / "perfbench").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.ImportFrom) and node.module == "formatio"
-             for alias in node.names]
-    assert len(names) > 30
-    assert [name for name in names if not hasattr(formatio, name)] == []
+    # every `from formatio... import name` in the benchmark harness, so that a
+    # deletion in the library cannot silently break it
+    imports = [(node.module, alias.name) for path in sorted((ROOT / "perfbench").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").partition(".")[0] == "formatio"
+               for alias in node.names]
+    assert len(imports) >= 46
+    assert {module for module, _ in imports} > {"formatio", "formatio.classes"}
+    assert [(module, name) for module, name in imports
+            if not hasattr(importlib.import_module(module), name)] == []

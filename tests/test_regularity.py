@@ -6,12 +6,12 @@ import pytest
 
 from formatio.classes import (
     ABELIAN,
-    AllGroupsClass,
     NILPOTENT,
     SOLUBLE,
     SUPERSOLUBLE,
     TRIVIAL,
     V_SUPERSOLUBLE,
+    NamedClass,
     cap,
     is_member,
     p_nilpotent,
@@ -104,18 +104,13 @@ def test_maximal_intersection_exceeds_hypercenter_in_s4(s4):
         assert len(maximal_intersection(s4, spec)) == 4, text
 
 
+def _no_group(G):
+    return False
+
+
 def test_maximal_intersection_empty_class(s3):
-    from formatio.classes import TrivialClass
-
-    class Nothing(TrivialClass):
-        def text(self):
-            return "nothing"
-
-        def _member(self, G):
-            return False
-
     with pytest.raises(EmptyClass):
-        maximal_intersection(s3, Nothing())
+        maximal_intersection(s3, NamedClass("nothing", _no_group))
 
 
 def test_non_class_graph_s3_nilpotent(s3):
@@ -257,24 +252,21 @@ def full_row(G, spec):
                     int_set == iso, difference[0] if difference else None)
 
 
-class _UnflaggedOrderNotTwo(AllGroupsClass):
-    """Neither hereditary nor flagged so: S3 is a member, its subgroups of
-    order 2 are not."""
+def _order_not_two(G):
+    return G.order != 2
 
-    formation = False
-    hereditary = False
 
-    def text(self):
-        return "order-not-2-unflagged"
-
-    def _member(self, G):
-        return G.order != 2
+# neither hereditary nor flagged so: S3 is a member, its subgroups of order 2
+# are not
+_UNFLAGGED_ORDER_NOT_TWO = NamedClass("order-not-2-unflagged", _order_not_two,
+                                      formation=False, hereditary=False,
+                                      soluble_only=False)
 
 
 def test_row_matches_the_row_of_both_full_sets(catalog_groups, e52_d8, e32_d8, s3):
     from test_lattice_oracle import relabelled
 
-    specs = [parse_spec(text) for text in ROW_SPECS] + [_UnflaggedOrderNotTwo()]
+    specs = [parse_spec(text) for text in ROW_SPECS] + [_UNFLAGGED_ORDER_NOT_TWO]
     assert not any(spec.hereditary for spec in specs[-2:])
     # a member row of an unflagged spec is computed in full
     assert is_member(s3, specs[-1]) and not regularity_row(s3, specs[-1]).equal

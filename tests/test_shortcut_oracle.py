@@ -10,6 +10,9 @@
   when it is flagged saturated, a group whose Frattini quotient G/Phi(G) is
   a member must be one too.  The plain base specs are checked with the
   drawn ones, as the draw mostly nests them.
+* the saturation row of a formation-flagged spec, read off G's verdict for
+  a member, must equal the row built the long way: Phi(G), then the
+  quotient's verdict, then G's.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from test_fuzz import SPEC_TEXTS
 from formatio.classes import VStarClass, is_member, parse_spec
 from formatio.errors import FormatioError
 from formatio.groups import quotient
+from formatio.regularity import saturation_rows
 from formatio.structure import frattini, maximal_subgroups, minimal_normal_subgroups
 from formatio.subnormality import vstar_member
 
@@ -125,3 +129,23 @@ def test_drawn_saturated_flags_hold_on_small_catalog_groups(drawn, small_and_cop
             checked += 1
     assert checked
 
+
+
+def _saturation_row_the_long_way(G, spec):
+    quotient_member = is_member(quotient(G, frattini(G))[0], spec)
+    member = is_member(G, spec)
+    return [{"group": G.name, "order": G.order,
+             "frattini_quotient_member": quotient_member, "member": member,
+             "ok": member or not quotient_member}]
+
+
+def test_saturation_rows_match_the_long_way_on_drawn_specs(drawn, small_and_copies):
+    checked = 0
+    for spec in drawn:
+        if not spec.formation:
+            continue
+        for G in small_and_copies:
+            assert (outcome(saturation_rows, G, spec)
+                    == outcome(_saturation_row_the_long_way, G, spec)), (spec.text(), G.name)
+            checked += 1
+    assert checked > 10000
