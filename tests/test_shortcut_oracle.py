@@ -130,7 +130,6 @@ def test_drawn_saturated_flags_hold_on_small_catalog_groups(drawn, small_and_cop
     assert checked
 
 
-
 def _saturation_row_the_long_way(G, spec):
     quotient_member = is_member(quotient(G, frattini(G))[0], spec)
     member = is_member(G, spec)
