@@ -15,7 +15,17 @@ import pytest
 
 import formatio.cli  # noqa: F401  (imports every formatio module)
 from formatio import records
-from formatio.classes import PrimeOrdering, is_member, parse_spec
+from formatio.classes import (
+    ABELIAN,
+    ALL_GROUPS,
+    NILPOTENT,
+    SOLUBLE,
+    SUPERSOLUBLE,
+    TRIVIAL,
+    PrimeOrdering,
+    is_member,
+    parse_spec,
+)
 from formatio.constructions import CatalogConfig, alternating, build_catalog, symmetric
 from formatio.groups import FiniteGroup, quotient
 from formatio.regularity import non_class_graph, regularity_row, regularity_sweep
@@ -106,9 +116,39 @@ def test_corpus_reaches_every_record_class(corpus):
     assert {type(x) for x in corpus} == RECORD_CLASSES
 
 
-@pytest.mark.parametrize("cls", sorted(RECORD_CLASSES, key=lambda c: c.__qualname__),
-                         ids=lambda c: c.__qualname__)
+# The one-word specs were record classes of their own before they became rows
+# of NamedClass; each row keeps its former class's case, and the flags that
+# class declared (formation, hereditary, saturated, soluble_only).
+NAMED_ROWS = {
+    "TrivialClass": (TRIVIAL, (True, True, True, True)),
+    "AbelianClass": (ABELIAN, (True, True, False, True)),
+    "NilpotentClass": (NILPOTENT, (True, True, True, True)),
+    "SolubleClass": (SOLUBLE, (True, True, True, True)),
+    "SupersolubleClass": (SUPERSOLUBLE, (True, True, True, True)),
+    "AllGroupsClass": (ALL_GROUPS, (True, True, True, False)),
+}
+FLAGS = ("formation", "hereditary", "saturated", "soluble_only")
+
+
+def _row_matches_its_twin(row, flags):
+    twin = twin_of(row)
+    assert asdict(row) == {f.name: getattr(twin, f.name) for f in dataclasses.fields(twin)}
+    assert tuple(getattr(row, f) for f in FLAGS) == tuple(getattr(twin, f) for f in FLAGS) == flags
+    assert hash(row) == hash(twin)
+    for name in fields(row):
+        with pytest.raises(records.FrozenInstanceError):
+            setattr(row, name, getattr(row, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(twin, name, getattr(twin, name))
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(RECORD_CLASSES, key=lambda c: c.__qualname__) + sorted(NAMED_ROWS),
+    ids=lambda c: c if isinstance(c, str) else c.__qualname__)
 def test_fields_defaults_and_flags_match_the_dataclass(cls):
+    if cls in NAMED_ROWS:
+        _row_matches_its_twin(*NAMED_ROWS[cls])
+        return
     twin = TWINS[cls]
     assert fields(cls) == tuple(f.name for f in dataclasses.fields(twin))
     assert ({n: cls.__dict__[n] for n in fields(cls) if n in cls.__dict__}
