@@ -24,12 +24,10 @@ from .arith import factorize, is_prime, p_part, prime_divisors
 from .errors import (
     EmptyClass,
     NotAFormationWitness,
-    SizeCapExceeded,
     SpecSyntaxError,
     UnsupportedParameter,
 )
 from .groups import (
-    MAX_ORDER,
     FiniteGroup,
     Subgroup,
     TableKey,
@@ -88,9 +86,6 @@ _MEMBER_CACHE: dict[tuple[TableKey, ClassSpec], bool] = {}
 
 def is_member(G: FiniteGroup, spec: ClassSpec) -> bool:
     """Whether G belongs to the class, memoized by table key and spec."""
-    if G.order > MAX_ORDER:
-        raise SizeCapExceeded(
-            f"group of order {G.order} exceeds the cap {MAX_ORDER}")
     key = (G.fingerprint, spec)
     got = _MEMBER_CACHE.get(key)
     if got is None:
@@ -268,13 +263,16 @@ SUPERSOLUBLE = NamedClass("supersoluble", _is_supersoluble)
 ALL_GROUPS = NamedClass("all", _any_group, soluble_only=False)
 
 
+class _SaturatedSpec(ClassSpec):
+    """Base of the parametrized specs declared hereditary saturated
+    formations, of soluble groups unless a subclass sets `soluble_only`."""
+
+    formation = hereditary = saturated = soluble_only = True
+
+
 @record
-class PGroupsClass(ClassSpec):
+class PGroupsClass(_SaturatedSpec):
     p: int
-    formation = True
-    hereditary = True
-    saturated = True
-    soluble_only = True
 
     def text(self):
         return f"p_groups:{self.p}"
@@ -284,11 +282,8 @@ class PGroupsClass(ClassSpec):
 
 
 @record
-class PNilpotentClass(ClassSpec):
+class PNilpotentClass(_SaturatedSpec):
     p: int
-    formation = True
-    hereditary = True
-    saturated = True
     soluble_only = False
 
     def text(self):
@@ -299,16 +294,12 @@ class PNilpotentClass(ClassSpec):
 
 
 @record
-class SolublePiClass(ClassSpec):
+class SolublePiClass(_SaturatedSpec):
     """Soluble groups whose prime divisors lie in the given set (or in its
     complement when `complement` is set)."""
 
     primes: tuple[int, ...]
     complement: bool = False
-    formation = True
-    hereditary = True
-    saturated = True
-    soluble_only = True
 
     def contains_prime(self, p: int) -> bool:
         return (p in self.primes) != self.complement
@@ -323,12 +314,8 @@ class SolublePiClass(ClassSpec):
 
 
 @record
-class SylowTowerClass(ClassSpec):
+class SylowTowerClass(_SaturatedSpec):
     ordering: PrimeOrdering
-    formation = True
-    hereditary = True
-    saturated = True
-    soluble_only = True
 
     def text(self):
         return f"sylow_tower:{self.ordering.text()}"
@@ -338,14 +325,9 @@ class SylowTowerClass(ClassSpec):
 
 
 @record
-class VSupersolubleClass(ClassSpec):
+class VSupersolubleClass(_SaturatedSpec):
     """Groups whose cyclic prime-power subgroups all sit at the top of a
     chain of prime-index steps."""
-
-    formation = True
-    hereditary = True
-    saturated = True
-    soluble_only = True
 
     def text(self):
         return "vU"
@@ -515,15 +497,11 @@ class VStarClass(ClassSpec):
 
 
 @record
-class ExponentFormationClass(ClassSpec):
+class ExponentFormationClass(_SaturatedSpec):
     """The soluble class cut out per prime p by: the residual for
     exponent-dividing-f(p) soluble groups must be a p'-group."""
 
     fn: ExponentFunction
-    formation = True
-    hereditary = True
-    saturated = True
-    soluble_only = True
 
     def text(self):
         return f"reg({self.fn})"

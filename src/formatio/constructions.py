@@ -160,7 +160,6 @@ def alternating(n: int) -> FiniteGroup:
     return _permutation_group(even, f"A{n}")
 
 
-
 # ---------------------------------------------------------------------------
 # Field-action groups
 

@@ -28,6 +28,13 @@ tests (`is_normal_in`), cores (`normal_core`) and the subgroup lattice's
 conjugation action read those rows, and none conjugates by every element of
 a subgroup, as a set is normalized by a subgroup exactly when it is by the
 subgroup's generators.
+
+No group above `MAX_ORDER` elements is built.  A table read from input is
+checked in `_validated`, every direct and semidirect product table in
+`_pair_rows`, and `cyclic` and the other `constructions` builders screen their
+parameters; subgroups, quotients and sections are no larger than their
+parent.  Only a direct call of the `FiniteGroup` constructor can make a larger
+group, so verdicts and extensions do not check the cap again.
 """
 
 from __future__ import annotations
@@ -667,8 +674,13 @@ def _pair_rows(table_n: Table, perms: Sequence[Sequence[int]], table_h: Table) -
     of (x, h*h2) over h2, where x = n * perms[h](n2); the blocks are built
     once per (h, x).  Every other row is the row of (1, h) read through the
     row of (n, 1), as (n, h) = (n, 1)(1, h) and (a*b)*x = a*(b*x).
+
+    Raises SizeCapExceeded before building anything when |N|*|H| is above
+    `MAX_ORDER`.
     """
     nh = len(table_h)
+    if (n := len(table_n) * nh) > MAX_ORDER:
+        raise SizeCapExceeded(f"group of order {n} exceeds the cap {MAX_ORDER}")
     blocks = [[tuple(x * nh + y for y in row_h) for x in range(len(table_n))]
               for row_h in table_h]
 

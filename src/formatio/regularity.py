@@ -240,9 +240,10 @@ def regularity_row(G: FiniteGroup, spec: ClassSpec) -> SweepRow:
     <x, y> lies in G, so in the class, and G is the one maximal member, so
     both sets are G.  The row trusts the hereditary flag: a member of a
     wrongly flagged spec reads equal here, and the formation-laws sweep is
-    what checks the flag.  Errors that judging a subgroup or closing a pair
-    would raise (SizeCapExceeded, UnsupportedParameter) cannot come from a
-    member row, which does neither.
+    what checks the flag.  An error that closing a pair would raise
+    (UnsupportedParameter) cannot come from a member row, which closes none;
+    judging a subgroup cannot raise SizeCapExceeded, as no group above the
+    cap is built.
 
     Only a row that is not decided by membership enumerates the lattice, for
     the two sets; the verdict itself may enumerate it, as a vstar or vU

@@ -45,9 +45,8 @@ from functools import cached_property, reduce
 from operator import and_
 
 from .arith import lcm_ints, prime_divisors
-from .errors import NotChiefFactor, SizeCapExceeded, TooLarge
+from .errors import NotChiefFactor, TooLarge
 from .groups import (
-    MAX_ORDER,
     FiniteGroup,
     Subgroup,
     _closure,
@@ -462,19 +461,13 @@ def _is_chief_factor(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
 
 def chief_factor_group(G: FiniteGroup, H: Subgroup, K: Subgroup) -> FiniteGroup:
     """The factor H/K extended by the action G induces on it:
-    (H/K) x| (G / C_G(H/K)), built through quotients and a checked action.
-
-    Raises SizeCapExceeded, as `is_member` would on the result, before the
-    table of an extension above `MAX_ORDER` is built."""
+    (H/K) x| (G / C_G(H/K)), built through quotients and a checked action."""
     if not _is_chief_factor(G, H, K):
         raise NotChiefFactor(
             f"{H.order}/{K.order} is not a chief factor of {G.name}")
     A, projA = section(G, H.elems, K.elems)
     C = centralizer(G, H, K)
     B, projB = quotient(G, C)
-    if A.order * B.order > MAX_ORDER:
-        raise SizeCapExceeded(
-            f"group of order {A.order * B.order} exceeds the cap {MAX_ORDER}")
     # one automorphism of A per coset of C, induced by conjugation; each
     # coset is represented by its least element
     coset_of = dict(zip(H.elems, projA.image))

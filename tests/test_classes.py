@@ -518,10 +518,13 @@ def test_fake_formation_detected(s3):
 def test_size_cap_enforced():
     from formatio.constructions import cyclic, symmetric
     from formatio.errors import SizeCapExceeded
-    from formatio.groups import direct_product
+    from formatio.groups import direct_product, semidirect_product
 
-    # direct_product builds its table unchecked, so it can exceed the cap
-    G = direct_product(symmetric(5), cyclic(5))
-    assert G.order == 600
+    # products refuse an order above the cap before building a table, so no
+    # verdict is ever asked of such a group
     with pytest.raises(SizeCapExceeded, match=r"^group of order 600 exceeds the cap 512$"):
-        is_member(G, NILPOTENT)
+        direct_product(symmetric(5), cyclic(5))
+    z25 = cyclic(25)
+    with pytest.raises(SizeCapExceeded, match=r"^group of order 625 exceeds the cap 512$"):
+        semidirect_product(z25, z25, [range(25)] * 25)
+    assert direct_product(cyclic(256), cyclic(2)).order == 512

@@ -174,25 +174,27 @@ def test_chief_factor_group_a4(a4):
 
 def test_chief_factor_group_checks_the_cap_before_building(monkeypatch):
     # S5's chief factor A5/1 extends to A5 x| S5, 7,200 elements
-    from formatio import structure
+    # the product's table builder refuses it; nothing is built
+    from formatio import groups
     from formatio.classes import ALL_GROUPS
     from formatio.errors import SizeCapExceeded
     from formatio.groups import MAX_ORDER
 
-    built = []
-    real = structure.semidirect_product
+    asked, built = [], []
+    real = groups._pair_rows
 
-    def spy(N, H, action):
-        built.append((N.order, H.order))
-        assert N.order * H.order <= MAX_ORDER, "built an extension above the cap"
-        return real(N, H, action)
+    def spy(table_n, perms, table_h):
+        asked.append(len(table_n) * len(table_h))
+        rows = real(table_n, perms, table_h)
+        built.append(len(rows))
+        return rows
 
-    monkeypatch.setattr(structure, "semidirect_product", spy)
+    monkeypatch.setattr(groups, "_pair_rows", spy)
     with pytest.raises(SizeCapExceeded, match=r"^group of order 7200 exceeds the cap 512$"):
         hypercenter(symmetric(5), ALL_GROUPS)
-    assert built == []
+    assert asked == [7200] and built == []
     assert hypercenter(symmetric(4), ALL_GROUPS).order == 24
-    assert built
+    assert built and max(built) <= MAX_ORDER
 
 
 def test_chief_factor_group_rejects_non_factor(s4):
